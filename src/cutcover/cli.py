@@ -48,10 +48,31 @@ def instance_to_obj(inst: Instance) -> dict:
     }
 
 
+_INSTANCE_KEYS = ("n", "edges", "lambda", "links")
+
+
+def _exact_rational(value) -> Fraction:
+    """An integer or a "p/q" string as a Fraction; a float is refused, since
+    its binary value is not the decimal the file shows."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"rationals must be integers or 'p/q' strings, got {value!r}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+
+
 def instance_from_obj(obj: dict) -> Instance:
-    graph = CapGraph(int(obj["n"]), tuple((int(u), int(v), Fraction(str(c))) for u, v, c in obj["edges"]))
-    links = [(int(a), int(b), Fraction(str(c))) for a, b, c in obj["links"]]
-    return Instance.build(graph, Fraction(str(obj["lambda"])), links)
+    if not isinstance(obj, dict):
+        raise ValueError("an instance must be a JSON object")
+    missing = [key for key in _INSTANCE_KEYS if key not in obj]
+    if missing:
+        raise ValueError(f"instance has no {', '.join(map(repr, missing))} key")
+    graph = CapGraph(
+        int(obj["n"]), tuple((int(u), int(v), _exact_rational(c)) for u, v, c in obj["edges"])
+    )
+    links = [(int(a), int(b), _exact_rational(c)) for a, b, c in obj["links"]]
+    return Instance.build(graph, _exact_rational(obj["lambda"]), links)
 
 
 def dump_instance(inst: Instance) -> str:

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import kernels
 from .errors import Infeasible, TooManyLinks, ZeroOptimumViolation
 from .family import SetFamily
@@ -40,6 +38,7 @@ def exact_optimum(inst: Instance, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT
     if not masks:
         return ExactResult(Fraction(0), (), 0)
 
+    # bit lid of cover_bits[i] is set when link lid crosses masks[i]
     cover_bits = []
     for m in masks:
         bits = 0
@@ -49,8 +48,6 @@ def exact_optimum(inst: Instance, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT
         if bits == 0:
             raise Infeasible(NodeSet(m, f.n))
         cover_bits.append(bits)
-    cover_arr = np.array(cover_bits, dtype=np.int64)
-    mask_arr = f.masks_array()
     costs = [link.cost for link in links]
 
     best_cost = None
@@ -70,20 +67,20 @@ def exact_optimum(inst: Instance, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT
         nodes += 1
         if best_cost is not None and cost >= best_cost:
             return
-        uncovered = (cover_arr & chosen) == 0
-        if not uncovered.any():
+        uncovered = [i for i, bits in enumerate(cover_bits) if not bits & chosen]
+        if not uncovered:
             best_cost = cost
             best_set = tuple(
                 lid for lid in range(len(links)) if (chosen >> lid) & 1
             )
             return
-        sub_masks = mask_arr[uncovered]
-        sub_cover = cover_arr[uncovered]
-        minimal = kernels.minimal_flags(sub_masks)
+        minimal = kernels.minimal_flags([masks[i] for i in uncovered])
         branch_bits = None
         branch_count = 0
-        for bits in sub_cover[minimal]:
-            allowed = int(bits) & ~forbidden
+        for i, keep in zip(uncovered, minimal):
+            if not keep:
+                continue
+            allowed = cover_bits[i] & ~forbidden
             cnt = allowed.bit_count()
             if branch_bits is None or cnt < branch_count:
                 branch_bits = allowed

@@ -10,16 +10,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from . import kernels
-from .errors import GroundSetTooLarge
 from .graph import NodeSet
 
 DEFAULT_SAMPLE_BUDGET = 100_000
-
-#: bit masks handed to the int64 kernels must fit a signed 64-bit word
-_KERNEL_GROUND_LIMIT = 62
 
 
 class SetFamily:
@@ -30,7 +24,7 @@ class SetFamily:
     the reported counterexamples) of every checker.
     """
 
-    __slots__ = ("n", "_masks", "_mask_set", "_arr")
+    __slots__ = ("n", "_masks", "_mask_set")
 
     def __init__(self, n: int, members: Iterable):
         full = (1 << n) - 1
@@ -52,7 +46,6 @@ class SetFamily:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_masks", tuple(sorted(seen)))
         object.__setattr__(self, "_mask_set", frozenset(seen))
-        object.__setattr__(self, "_arr", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SetFamily is immutable")
@@ -67,15 +60,6 @@ class SetFamily:
 
     def contains_mask(self, mask: int) -> bool:
         return mask in self._mask_set
-
-    def masks_array(self) -> np.ndarray:
-        if self.n > _KERNEL_GROUND_LIMIT:
-            raise GroundSetTooLarge(
-                f"mask kernels support ground sets up to {_KERNEL_GROUND_LIMIT}, got {self.n}"
-            )
-        if self._arr is None:
-            object.__setattr__(self, "_arr", np.array(self._masks, dtype=np.int64))
-        return self._arr
 
     def __len__(self) -> int:
         return len(self._masks)
@@ -146,7 +130,7 @@ def cores(f: SetFamily) -> SetFamily:
     """Inclusion-minimal members of f."""
     if len(f) == 0:
         return SetFamily(f.n, ())
-    flags = kernels.minimal_flags(f.masks_array())
+    flags = kernels.minimal_flags(f.masks)
     return SetFamily(f.n, (m for m, keep in zip(f.masks, flags) if keep))
 
 
@@ -163,10 +147,10 @@ def check_pliable(f: SetFamily) -> PropertyReport:
     """Every pair has at least two of its four corner sets in the family."""
     if len(f) < 2:
         return PropertyReport("pliable", True)
-    a, b = kernels.pliable_violation(f.masks_array(), (1 << f.n) - 1)
-    if a < 0:
+    pair = kernels.pliable_violation(f.masks, f._mask_set)
+    if pair is None:
         return PropertyReport("pliable", True)
-    return PropertyReport("pliable", False, (NodeSet(int(a), f.n), NodeSet(int(b), f.n)))
+    return PropertyReport("pliable", False, tuple(NodeSet(m, f.n) for m in pair))
 
 
 def check_structural_submodularity(f: SetFamily) -> PropertyReport:
@@ -174,11 +158,11 @@ def check_structural_submodularity(f: SetFamily) -> PropertyReport:
     side and the difference side."""
     if len(f) < 2:
         return PropertyReport("structural_submodularity", True)
-    a, b = kernels.structsub_violation(f.masks_array(), (1 << f.n) - 1)
-    if a < 0:
+    pair = kernels.structsub_violation(f.masks, f._mask_set, (1 << f.n) - 1)
+    if pair is None:
         return PropertyReport("structural_submodularity", True)
     return PropertyReport(
-        "structural_submodularity", False, (NodeSet(int(a), f.n), NodeSet(int(b), f.n))
+        "structural_submodularity", False, tuple(NodeSet(m, f.n) for m in pair)
     )
 
 
@@ -186,16 +170,11 @@ def check_sparse_crossing(f: SetFamily) -> PropertyReport:
     """No member crosses two inclusion-minimal members."""
     if len(f) == 0:
         return PropertyReport("sparse_crossing", True)
-    arr = f.masks_array()
-    flags = kernels.minimal_flags(arr)
-    s, c1, c2 = kernels.sparse_crossing_violation(arr, flags, (1 << f.n) - 1)
-    if s < 0:
+    flags = kernels.minimal_flags(f.masks)
+    triple = kernels.sparse_crossing_violation(f.masks, flags, (1 << f.n) - 1)
+    if triple is None:
         return PropertyReport("sparse_crossing", True)
-    return PropertyReport(
-        "sparse_crossing",
-        False,
-        (NodeSet(int(s), f.n), NodeSet(int(c1), f.n), NodeSet(int(c2), f.n)),
-    )
+    return PropertyReport("sparse_crossing", False, tuple(NodeSet(m, f.n) for m in triple))
 
 
 def check_disjoint_cores(f: SetFamily) -> PropertyReport:
@@ -224,19 +203,15 @@ def check_gamma_star(f: SetFamily, sample_budget: int = DEFAULT_SAMPLE_BUDGET, s
 def _check_remainder(f: SetFamily, budget: int, kmax: int, name: str, seed: int) -> PropertyReport:
     if len(f) == 0:
         return PropertyReport(name, True, None, 0, 0, True)
-    arr = f.masks_array()
-    flags = kernels.minimal_flags(arr)
+    flags = kernels.minimal_flags(f.masks)
     full = (1 << f.n) - 1
-    completed, violated, c, s0, chosen, tuples, max_k = kernels.gamma_star_exhaustive(
-        arr, flags, full, budget, kmax
+    completed, witness, tuples, max_k = kernels.gamma_star_exhaustive(
+        f.masks, f._mask_set, flags, full, budget, kmax
     )
-    tuples = int(tuples)
-    max_k = int(max_k)
-    if violated:
-        witness = (NodeSet(int(c), f.n), NodeSet(int(s0), f.n)) + tuple(
-            NodeSet(int(m), f.n) for m in chosen
-        )
-        return PropertyReport(name, False, witness, tuples, max_k, bool(completed))
+    if witness is not None:
+        c, s0, chosen = witness
+        sets = tuple(NodeSet(m, f.n) for m in (c, s0) + chosen)
+        return PropertyReport(name, False, sets, tuples, max_k, completed)
     if completed:
         return PropertyReport(name, True, None, tuples, max_k, True)
     return _sample_remainder(f, budget, kmax, name, seed, tuples, max_k)
@@ -251,16 +226,14 @@ def _sample_remainder(f: SetFamily, budget: int, kmax: int, name: str, seed: int
     """
     rng = random.Random(seed)
     full = (1 << f.n) - 1
-    arr = f.masks_array()
 
     configs = []
     for c in cores(f).masks:
-        crossing = (arr & c != 0) & (arr & ~c != 0) & (c & ~arr != 0) & (full & ~(arr | c) != 0)
-        crossers = arr[crossing]
+        crossers = [s for s in f.masks if s & c and s & ~c and c & ~s and full & ~(s | c)]
         for s0 in crossers:
-            cand = crossers[(crossers != s0) & (crossers & ~s0 == 0)]
-            if cand.size:
-                configs.append((int(c), int(s0), tuple(int(t) for t in cand)))
+            cand = tuple(t for t in crossers if t != s0 and t & ~s0 == 0)
+            if cand:
+                configs.append((c, s0, cand))
     if not configs:
         return PropertyReport(name, True, None, tuples, max_k, False)
 

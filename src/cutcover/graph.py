@@ -12,16 +12,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from . import kernels
 from .errors import GroundSetTooLarge
 
 DEFAULT_ENUM_LIMIT = 20
-
-#: largest scaled edge-weight total the int64 kernels accept before the
-#: enumeration falls back to unbounded Python integers
-_INT64_SAFE = 1 << 62
 
 
 def _rat(value) -> Fraction:
@@ -225,39 +219,12 @@ def delta_links(s: NodeSet, links) -> frozenset:
     return frozenset(link.id for link in links if covers(link, s))
 
 
-def _scaled_edge_arrays(g: CapGraph, extra: Fraction):
-    """Clear denominators; returns int64 arrays when they fit, else None."""
-    denom = lcm(extra.denominator, *(cap.denominator for _, _, cap in g.edges)) if g.edges else extra.denominator
-    weights = [int(cap * denom) for _, _, cap in g.edges]
-    lam = int(extra * denom)
-    if sum(weights) + abs(lam) >= _INT64_SAFE:
-        return None, None, None, lam, denom
-    eu = np.fromiter((u for u, _, _ in g.edges), np.int64, len(g.edges))
-    ev = np.fromiter((v for _, v, _ in g.edges), np.int64, len(g.edges))
-    ew = np.array(weights, dtype=np.int64)
-    return eu, ev, ew, lam, denom
-
-
-def _gray_walk(g: CapGraph):
-    """Yield (mask, cut value) after each flip of the subset walk over
-    {0..n-2}, with unbounded exact arithmetic."""
-    n = g.n
-    adj = [[] for _ in range(n)]
-    for u, v, cap in g.edges:
-        adj[u].append((v, cap))
-        adj[v].append((u, cap))
-    cur = 0
-    cut = Fraction(0)
-    for i in range(1, 1 << (n - 1)):
-        b = (i & -i).bit_length() - 1
-        side = (cur >> b) & 1
-        for v, w in adj[b]:
-            if ((cur >> v) & 1) == side:
-                cut += w
-            else:
-                cut -= w
-        cur ^= 1 << b
-        yield cur, cut
+def _scaled_edges(g: CapGraph, extra: Fraction):
+    """Clear denominators: (u, v, integer weight) edges, extra scaled the
+    same way, and the common denominator."""
+    denom = lcm(extra.denominator, *(cap.denominator for _, _, cap in g.edges))
+    edges = [(u, v, int(cap * denom)) for u, v, cap in g.edges]
+    return edges, int(extra * denom), denom
 
 
 def enumerate_small_cuts(g: CapGraph, threshold, limit: int = DEFAULT_ENUM_LIMIT):
@@ -271,11 +238,8 @@ def enumerate_small_cuts(g: CapGraph, threshold, limit: int = DEFAULT_ENUM_LIMIT
     n = g.n
     if n < 2:
         return SetFamily(n, ())
-    eu, ev, ew, lam, denom = _scaled_edge_arrays(g, threshold)
-    if eu is not None:
-        found = [int(m) for m in kernels.small_cut_masks(n, eu, ev, ew, lam)]
-    else:
-        found = [mask for mask, cut in _gray_walk(g) if cut < threshold]
+    edges, lam, _ = _scaled_edges(g, threshold)
+    found = kernels.small_cut_masks(n, edges, lam)
     full = (1 << n) - 1
     masks = set(found)
     masks.update(full ^ m for m in found)
@@ -291,20 +255,9 @@ def incremental_cut_scan(g: CapGraph):
     """
     if g.n == 0:
         return (), ()
-    if g.n == 1:
-        return (0,), (Fraction(0),)
-    eu, ev, ew, lam, denom = _scaled_edge_arrays(g, Fraction(0))
-    if eu is not None:
-        mask_arr, val_arr = kernels.gray_cut_values(g.n, eu, ev, ew)
-        masks = tuple(int(m) for m in mask_arr)
-        vals = tuple(Fraction(int(v), denom) for v in val_arr)
-        return masks, vals
-    masks = [0]
-    vals = [Fraction(0)]
-    for mask, cut in _gray_walk(g):
-        masks.append(mask)
-        vals.append(cut)
-    return tuple(masks), tuple(vals)
+    edges, _, denom = _scaled_edges(g, Fraction(0))
+    masks, vals = kernels.gray_cut_values(g.n, edges)
+    return tuple(masks), tuple(Fraction(v, denom) for v in vals)
 
 
 def nontrivial_cut_values(g: CapGraph):

@@ -1,0 +1,184 @@
+"""The hot bit-mask scans, on Python ints.
+
+A set over the ground set [0, n) is an int whose bit v is set when v is a
+member, so the masks are exact at any ground-set size. A family arrives as
+its ascending tuple of masks plus a set of the same masks for membership
+tests. Every scan visits pairs in ascending mask order and reports the
+first violation it meets, which fixes the counterexamples the checkers
+print.
+
+A pair (A, B) crosses when all four corners A & B, A - B, B - A and the
+outside of A | B are non-empty.
+"""
+
+from __future__ import annotations
+
+#: the kernel implementation, recorded with every benchmark timing
+BACKEND = "python"
+
+
+def _gray_walk(n, edges):
+    """Yield (mask, cut value) after each flip of the single-bit-flip walk
+    over the subsets of {0..n-2}, starting from the empty set, which is not
+    yielded. edges are (u, v, integer weight) triples."""
+    adj = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    cur = 0
+    cut = 0
+    for i in range(1, 1 << (n - 1)):
+        b = (i & -i).bit_length() - 1
+        side = (cur >> b) & 1
+        for v, w in adj[b]:
+            if (cur >> v) & 1 == side:
+                cut += w
+            else:
+                cut -= w
+        cur ^= 1 << b
+        yield cur, cut
+
+
+def small_cut_masks(n, edges, lam):
+    """Non-empty masks over {0..n-2} with cut weight strictly below lam, in
+    walk order; the caller mirrors them onto their complements."""
+    return [mask for mask, cut in _gray_walk(n, edges) if cut < lam]
+
+
+def gray_cut_values(n, edges):
+    """Every mask over {0..n-2} in walk order, the empty set first, and the
+    cut value of each."""
+    masks = [0]
+    vals = [0]
+    for mask, cut in _gray_walk(n, edges):
+        masks.append(mask)
+        vals.append(cut)
+    return masks, vals
+
+
+def minimal_flags(masks):
+    """flags[i] is True when no other of the ascending, distinct masks is a
+    subset of masks[i].
+
+    A proper subset is a smaller int, so it is visited first, and a mask is
+    minimal when none of the minimal masks found before it lies inside it.
+    """
+    flags = []
+    found = []
+    for m in masks:
+        for c in found:
+            if c & ~m == 0:
+                flags.append(False)
+                break
+        else:
+            found.append(m)
+            flags.append(True)
+    return flags
+
+
+def pliable_violation(masks, members):
+    """First pair (A, B) with fewer than two of its corners A & B, A | B,
+    A - B and B - A in the family, or None.
+
+    Corners equal to the empty set or the ground set are never members, so
+    plain membership tests implement the corner-counting rule directly.
+    """
+    for i, a in enumerate(masks):
+        for b in masks[i + 1:]:
+            count = (
+                ((a & b) in members)
+                + ((a | b) in members)
+                + ((a & ~b) in members)
+                + ((b & ~a) in members)
+            )
+            if count < 2:
+                return a, b
+    return None
+
+
+def structsub_violation(masks, members, full):
+    """First crossing pair missing both of A & B and A | B, or both of
+    A - B and B - A, or None."""
+    for i, a in enumerate(masks):
+        for b in masks[i + 1:]:
+            inter = a & b
+            dab = a & ~b
+            dba = b & ~a
+            if inter and dab and dba and full & ~(a | b):
+                ok_in = inter in members or (a | b) in members
+                ok_diff = dab in members or dba in members
+                if not (ok_in and ok_diff):
+                    return a, b
+    return None
+
+
+def sparse_crossing_violation(masks, minimal, full):
+    """First member S crossing two minimal members, as (S, C1, C2), or
+    None. minimal holds the flags of `minimal_flags`."""
+    core_masks = [c for c, keep in zip(masks, minimal) if keep]
+    for s in masks:
+        first = None
+        for c in core_masks:
+            if s & c and s & ~c and c & ~s and full & ~(s | c):
+                if first is None:
+                    first = c
+                else:
+                    return s, first, c
+    return None
+
+
+def gamma_star_exhaustive(masks, members, minimal, full, budget, kmax):
+    """Enumerate remainder-property configurations up to a tuple budget.
+
+    A configuration is a minimal set C, a member S0 crossing C, and k >= 1
+    pairwise-disjoint proper subsets of S0 that are members crossing C; it
+    passes when S0 minus (union of the subsets and C) is empty or a member.
+    kmax bounds k (0 means unbounded). The subsets are chosen by a
+    depth-first search over the candidates in ascending order. Returns
+        (completed, witness, tuples, max_k)
+    where witness is (C, S0, subsets) for the first failing configuration
+    or None, tuples counts the configurations tested, and completed means
+    the whole space was enumerated within budget with no failure.
+    """
+    tuples = 0
+    max_k = 0
+    for c, keep in zip(masks, minimal):
+        if not keep:
+            continue
+        crossers = [s for s in masks if s & c and s & ~c and c & ~s and full & ~(s | c)]
+        for s0 in crossers:
+            cand = [t for t in crossers if t != s0 and t & ~s0 == 0]
+            nc = len(cand)
+            if nc == 0:
+                continue
+            # level l holds the next candidate index to try and the union of
+            # the l subsets chosen so far
+            nxt = [0] * (nc + 1)
+            union = [0] * (nc + 1)
+            chosen = [0] * nc
+            level = 0
+            while level >= 0:
+                t_idx = nxt[level]
+                if t_idx == nc:
+                    level -= 1
+                    continue
+                nxt[level] = t_idx + 1
+                t = cand[t_idx]
+                if t & union[level]:
+                    continue
+                chosen[level] = t
+                union2 = union[level] | t
+                k = level + 1
+                tuples += 1
+                if k > max_k:
+                    max_k = k
+                rem = s0 & ~(union2 | c)
+                if rem and rem not in members:
+                    return False, (c, s0, tuple(chosen[:k])), tuples, max_k
+                if tuples > budget:
+                    return False, None, tuples, max_k
+                if kmax == 0 or k < kmax:
+                    level += 1
+                    nxt[level] = t_idx + 1
+                    union[level] = union2
+    return True, None, tuples, max_k

@@ -30,6 +30,13 @@ def k2(cap=1):
     return CapGraph(2, ((0, 1, cap),))
 
 
+def many_link_path(num_links=70):
+    """A 4-node unit path at threshold 2 with more links than a 64-bit
+    word has bits; link 3, (3, 0) at cost 1, covers every small cut."""
+    g = CapGraph(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1)))
+    return Instance.build(g, 2, [(i % 4, (i + 1) % 4, 1 + i % 3) for i in range(num_links)])
+
+
 def random_graph(rng: random.Random, n, density=0.5, max_cap=5, rational=False):
     edges = []
     for u in range(n):

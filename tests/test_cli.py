@@ -23,6 +23,7 @@ from cutcover.cli import (
 )
 from cutcover.family import residual
 from cutcover.graph import enumerate_small_cuts
+from conftest import many_link_path
 
 
 def _cfg(**kw):
@@ -227,6 +228,34 @@ def test_cli_error_exit_code(tmp_path):
     code, _, err = _run_main(["solve", str(path)])
     assert code == 2
     assert "error" in err
+
+
+def test_cli_exact_more_links_than_a_machine_word(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(dump_instance(many_link_path()))
+    code, out, _ = _run_main(["exact", str(path), "--exact-limit", "100"])
+    assert code == 0
+    assert json.loads(out)["opt_cost"] == "1"
+
+
+def test_cli_missing_key_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 2, "edges": [[0, 1, 1]], "lambda": 2}')
+    code, _, err = _run_main(["solve", str(path)])
+    assert code == 2
+    assert err.startswith("cutcover: error:") and "links" in err
+
+
+@pytest.mark.parametrize("text, shown", [
+    ('{"n": 2, "edges": [[0, 1, 1.5]], "lambda": 2, "links": [[0, 1, 1]]}', "1.5"),
+    ('{"n": 2, "edges": [[0, 1, 1]], "lambda": "1/0", "links": [[0, 1, 1]]}', "1/0"),
+], ids=["float", "zero-denominator"])
+def test_cli_inexact_rational_rejected(tmp_path, text, shown):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = _run_main(["solve", str(path)])
+    assert code == 2
+    assert err.startswith("cutcover: error:") and shown in err
 
 
 def test_cli_byte_identical_across_processes():

@@ -22,7 +22,7 @@ from cutcover import (
     solve,
 )
 from cutcover.pd import DualState
-from conftest import k2, random_instance
+from conftest import k2, many_link_path, random_instance
 
 
 def naive_optimum(inst, family):
@@ -77,6 +77,13 @@ def test_exact_too_many_links():
     f = enumerate_small_cuts(k2(), 2)
     with pytest.raises(TooManyLinks):
         exact_optimum(inst, f, limit=4)
+
+
+def test_exact_more_links_than_a_machine_word():
+    inst = many_link_path()
+    f = enumerate_small_cuts(inst.graph, inst.threshold)
+    res = exact_optimum(inst, f, limit=100)
+    assert res.opt_cost == 1 and res.opt_links == (3,)
 
 
 @pytest.mark.parametrize("seed", range(4))

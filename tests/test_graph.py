@@ -256,7 +256,7 @@ def test_disconnected_zero_cuts_enter_family():
 
 
 def test_enumerate_huge_rationals_uses_exact_path():
-    # scaled weights overflow int64, forcing the unbounded-arithmetic walk
+    # scaled weights far beyond a 64-bit word; the walk's Python ints stay exact
     big = Fraction(1 << 80)
     g = CapGraph(4, tuple((u, v, big) for u, v, _ in cycle(4).edges))
     family = enumerate_small_cuts(g, 3 * big)

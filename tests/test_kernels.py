@@ -1,93 +1,223 @@
-"""The numba and numpy kernel backends must agree exactly."""
+"""Each mask kernel against a brute-force definition on seeded random families.
+
+The definitions work on frozensets of elements rather than on bit masks, and
+scan in ascending mask order, so they also fix which violation comes first.
+"""
 
 from __future__ import annotations
 
-import os
+import random
 import subprocess
 import sys
+from itertools import combinations
 
-import numpy as np
 import pytest
 
-from cutcover import kernels
+from cutcover import CapGraph, Link, NodeSet, cut_capacity, enumerate_small_cuts, kernels, residual
 
-numba_backend = kernels.get_backend("numba")
-numpy_backend = kernels.get_backend("numpy")
+
+def elems(mask):
+    return frozenset(v for v in range(mask.bit_length()) if (mask >> v) & 1)
+
+
+def crosses_def(a, b, ground):
+    return bool(a & b) and bool(a - b) and bool(b - a) and bool(ground - (a | b))
+
+
+def minimal_def(masks):
+    sets = [elems(m) for m in masks]
+    return [not any(o < s for o in sets) for s in sets]
+
+
+def pliable_def(masks):
+    family = {elems(m) for m in masks}
+    for i, a in enumerate(masks):
+        for b in masks[i + 1:]:
+            sa, sb = elems(a), elems(b)
+            corners = (sa & sb, sa | sb, sa - sb, sb - sa)
+            if sum(1 for c in corners if c in family) < 2:
+                return a, b
+    return None
+
+
+def structsub_def(masks, n):
+    family = {elems(m) for m in masks}
+    ground = frozenset(range(n))
+    for i, a in enumerate(masks):
+        for b in masks[i + 1:]:
+            sa, sb = elems(a), elems(b)
+            if not crosses_def(sa, sb, ground):
+                continue
+            if not (((sa & sb) in family or (sa | sb) in family)
+                    and ((sa - sb) in family or (sb - sa) in family)):
+                return a, b
+    return None
+
+
+def sparse_crossing_def(masks, n):
+    ground = frozenset(range(n))
+    core_masks = [m for m, keep in zip(masks, minimal_def(masks)) if keep]
+    for s in masks:
+        crossed = [c for c in core_masks if crosses_def(elems(s), elems(c), ground)]
+        if len(crossed) >= 2:
+            return s, crossed[0], crossed[1]
+    return None
+
+
+def gamma_star_def(masks, n, budget, kmax):
+    """Every configuration (core C, member S0 crossing C, disjoint proper
+    subsets of S0 crossing C), in the order of the kernel's depth-first
+    search: cores and enclosing sets ascending, subset selections as index
+    tuples in lexicographic order, a prefix before its extensions."""
+    ground = frozenset(range(n))
+    family = {elems(m) for m in masks}
+    tuples = 0
+    max_k = 0
+    for c, keep in zip(masks, minimal_def(masks)):
+        if not keep:
+            continue
+        sc = elems(c)
+        crossers = [s for s in masks if crosses_def(elems(s), sc, ground)]
+        for s0 in crossers:
+            s0_set = elems(s0)
+            cand = [t for t in crossers if elems(t) < s0_set]
+            sizes = range(1, (kmax or len(cand)) + 1)
+            selections = sorted(
+                sel
+                for k in sizes
+                for sel in combinations(range(len(cand)), k)
+                if all(not elems(cand[i]) & elems(cand[j]) for i, j in combinations(sel, 2))
+            )
+            for sel in selections:
+                chosen = tuple(cand[i] for i in sel)
+                tuples += 1
+                max_k = max(max_k, len(sel))
+                rem = s0_set - sc - frozenset().union(*map(elems, chosen))
+                if rem and rem not in family:
+                    return False, (c, s0, chosen), tuples, max_k
+                if tuples > budget:
+                    return False, None, tuples, max_k
+    return True, None, tuples, max_k
 
 
 def random_family(rng, max_n=10, max_members=40):
-    n = int(rng.integers(3, max_n))
+    """Masks of a seeded random family: uniform random members, or a
+    small-cut family (which holds every property) cut down by a residual
+    and then perturbed by dropping members, so that both verdicts occur."""
+    n = rng.randint(3, max_n - 1)
     full = (1 << n) - 1
-    masks = np.unique(rng.integers(1, full, size=int(rng.integers(1, max_members))).astype(np.int64))
-    return masks[masks != full], full
+    if rng.random() < 0.5:
+        masks = {rng.randint(1, full - 1) for _ in range(rng.randint(1, max_members))}
+    else:
+        edges = tuple(
+            (u, v, rng.randint(0, 4))
+            for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
+        )
+        f = enumerate_small_cuts(CapGraph(n, edges), rng.randint(1, 6))
+        links = []
+        for k in range(rng.randint(0, 2)):
+            a, b = rng.sample(range(n), 2)
+            links.append(Link(a, b, 1, k))
+        masks = set(residual(f, links).masks)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            if masks:
+                masks.discard(rng.choice(sorted(masks)))
+        while len(masks) > max_members:
+            masks.discard(rng.choice(sorted(masks)))
+    return tuple(sorted(masks)), n
 
 
-def random_edges(rng, n, max_edges=20):
-    ne = int(rng.integers(0, max_edges))
-    eu = rng.integers(0, n, ne)
-    ev = rng.integers(0, n, ne)
-    keep = eu != ev
-    return eu[keep].astype(np.int64), ev[keep].astype(np.int64), rng.integers(0, 10, int(keep.sum())).astype(np.int64)
+def planted_gamma_family(rng):
+    """At most 12 members on n = 8 around a planted configuration: the core
+    C = {0,1,2}, S0 = {0,1,3,4,5} crossing it, three random proper subsets
+    of S0 crossing C, and the non-empty subsets of S0 - C, which are what
+    removing those can leave over; dropping one of them may plant a
+    violation."""
+    c, s0 = 0b111, 0b111011
+    leftovers = [y << 3 for y in range(1, 8)]
+    cand = rng.sample([(1 << a) | (y << 3) for a in (0, 1) for y in range(1, 8)], 3)
+    if rng.random() < 0.5:
+        leftovers.remove(rng.choice(leftovers))
+    return tuple(sorted({c, s0, *cand, *leftovers})), 8
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_family_scan_parity(seed):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
+    verdicts = set()
     for _ in range(60):
-        masks, full = random_family(rng)
-        if masks.size == 0:
+        masks, n = random_family(rng)
+        if not masks:
             continue
-        assert (numba_backend.minimal_flags(masks) == numpy_backend.minimal_flags(masks)).all()
-        assert tuple(numba_backend.pliable_violation(masks, full)) == tuple(
-            numpy_backend.pliable_violation(masks, full)
+        full = (1 << n) - 1
+        members = frozenset(masks)
+        flags = kernels.minimal_flags(masks)
+        assert flags == minimal_def(masks)
+        found = (
+            kernels.pliable_violation(masks, members),
+            kernels.structsub_violation(masks, members, full),
+            kernels.sparse_crossing_violation(masks, flags, full),
         )
-        assert tuple(numba_backend.structsub_violation(masks, full)) == tuple(
-            numpy_backend.structsub_violation(masks, full)
-        )
-        flags = numba_backend.minimal_flags(masks)
-        assert tuple(numba_backend.sparse_crossing_violation(masks, flags, full)) == tuple(
-            numpy_backend.sparse_crossing_violation(masks, flags, full)
-        )
+        assert found == (pliable_def(masks), structsub_def(masks, n), sparse_crossing_def(masks, n))
+        verdicts.update((k, v is None) for k, v in enumerate(found))
+    # every scan both passed and failed on some family of this seed
+    assert verdicts == {(k, ok) for k in range(3) for ok in (True, False)}
 
 
 @pytest.mark.parametrize("kmax", [0, 1])
 def test_gamma_scan_parity(kmax):
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        masks, full = random_family(rng, max_n=8, max_members=25)
-        if masks.size == 0:
+    rng = random.Random(11)
+    outcomes = set()
+    deepest = 0
+    for trial in range(200):
+        if trial % 2:
+            masks, n = planted_gamma_family(rng)
+        else:
+            masks, n = random_family(rng, max_n=8, max_members=12)
+        if not masks:
             continue
-        flags = numba_backend.minimal_flags(masks)
-        a = numba_backend.gamma_star_exhaustive(masks, flags, full, 5000, kmax)
-        b = numpy_backend.gamma_star_exhaustive(masks, flags, full, 5000, kmax)
-        assert a[:2] == b[:2] and a[5] == b[5] and a[6] == b[6]
-        assert a[2] == b[2] and a[3] == b[3]
-        assert list(a[4]) == list(b[4])
+        full = (1 << n) - 1
+        budget = 10**6
+        tested = gamma_star_def(masks, n, budget, kmax)[2]
+        if trial % 3 == 0 and tested > 1:
+            # a budget that runs out before the search ends
+            budget = rng.randrange(tested - 1)
+        got = kernels.gamma_star_exhaustive(
+            masks, frozenset(masks), minimal_def(masks), full, budget, kmax
+        )
+        assert got == gamma_star_def(masks, n, budget, kmax)
+        completed, witness, tuples, max_k = got
+        outcomes.add("holds" if completed else "violated" if witness else "budget")
+        if not completed and witness is None:
+            assert tuples == budget + 1
+        deepest = max(deepest, max_k)
+    assert outcomes == {"holds", "violated", "budget"}
+    assert deepest >= 2 if kmax == 0 else deepest == 1
 
 
 def test_cut_kernel_parity():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        n = int(rng.integers(2, 12))
-        eu, ev, ew = random_edges(rng, n)
-        lam = int(rng.integers(0, 40))
-        a = np.sort(numba_backend.small_cut_masks(n, eu, ev, ew, lam))
-        b = np.sort(numpy_backend.small_cut_masks(n, eu, ev, ew, lam))
-        assert (a == b).all()
-        ma, va = numba_backend.gray_cut_values(n, eu, ev, ew)
-        mb, vb = numpy_backend.gray_cut_values(n, eu, ev, ew)
-        assert (ma == mb).all() and (va == vb).all()
+    rng = random.Random(3)
+    for trial in range(50):
+        n = rng.randint(2, 11)
+        # every tenth graph has weights far beyond a 64-bit word
+        scale = 1 << 70 if trial % 10 == 0 else 1
+        edges = []
+        for _ in range(rng.randint(0, 19)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                edges.append((u, v, rng.randint(0, 9) * scale))
+        graph = CapGraph(n, tuple(edges))
+        masks, vals = kernels.gray_cut_values(n, edges)
+        assert masks[0] == 0 and sorted(masks) == list(range(1 << (n - 1)))
+        for prev, cur in zip(masks, masks[1:]):
+            assert (prev ^ cur).bit_count() == 1
+        assert vals == [cut_capacity(graph, NodeSet(m, n)) for m in masks]
+        lam = rng.randint(0, 39) * scale
+        expect = [m for m, v in zip(masks[1:], vals[1:]) if v < lam]
+        assert kernels.small_cut_masks(n, edges, lam) == expect
 
 
-def test_env_flag_selects_backend():
-    code = "from cutcover import kernels; print(kernels.BACKEND)"
-    env = dict(os.environ, CUTCOVER_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        kernels.get_backend("cuda")
+def test_import_leaves_numpy_unloaded():
+    code = "import sys, cutcover; print('numpy' in sys.modules, 'numba' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]
