@@ -93,10 +93,17 @@ def find_witness_laminar(j_hat, f_res: SetFamily, links,
         return WitnessAssignment(f_res.n, {})
 
     candidates = {lid: [] for lid in j_hat}
+    ends = [(lid, links[lid].a, links[lid].b) for lid in j_hat]
     for m in f_res.masks:
-        covering = [lid for lid in j_hat if ((m >> links[lid].a) ^ (m >> links[lid].b)) & 1]
-        if len(covering) == 1:
-            candidates[covering[0]].append(m)
+        owner = None
+        for lid, a, b in ends:
+            if ((m >> a) ^ (m >> b)) & 1:
+                if owner is not None:
+                    break
+                owner = lid
+        else:
+            if owner is not None:
+                candidates[owner].append(m)
     for lid, cand in candidates.items():
         if not cand:
             raise WitnessSearchExhausted(
@@ -289,17 +296,15 @@ def audit_run(links, f: SetFamily, result: SolveResult, mode: str = "per-phase",
     """
     if mode not in ("per-phase", "final"):
         raise ValueError(f"audit mode must be 'per-phase' or 'final', got {mode!r}")
-    phases = result.trace if mode == "per-phase" else result.trace[-1:]
-    picked_before = {}
-    acc = []
-    for pt in result.trace:
-        picked_before[pt.phase] = list(acc)
-        acc.extend(pt.tight_link_ids)
+    last = len(result.trace) - 1
+    f_res = f  # the residual family at the start of the current phase
     reports = []
-    for pt in phases:
-        f_res = residual(f, [links[i] for i in picked_before[pt.phase]])
-        core_family = cores(f_res)
-        j_hat = minimal_cover(result.solution, core_family, links)
-        assignment = find_witness_laminar(j_hat, f_res, links, node_budget)
-        reports.append(crossing_density_audit(pt.phase, f_res, assignment, links))
+    for k, pt in enumerate(result.trace):
+        if mode == "per-phase" or k == last:
+            core_family = cores(f_res)
+            j_hat = minimal_cover(result.solution, core_family, links)
+            assignment = find_witness_laminar(j_hat, f_res, links, node_budget)
+            reports.append(crossing_density_audit(pt.phase, f_res, assignment, links))
+        if k < last:
+            f_res = residual(f_res, [links[i] for i in pt.tight_link_ids])
     return reports

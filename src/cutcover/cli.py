@@ -24,7 +24,7 @@ from fractions import Fraction
 from .certify import audit_run
 from .errors import CutCoverError
 from .exact import exact_optimum, ratio
-from .family import SetFamily, residual
+from .family import SetFamily, all_covered
 from .gen import RunConfig, gen_instance
 from .graph import CapGraph, Instance, enumerate_small_cuts
 from .pd import dual_feasible, solve
@@ -62,6 +62,14 @@ def _exact_rational(value) -> Fraction:
         raise ValueError(f"zero denominator in {value!r}") from None
 
 
+def _integer(value) -> int:
+    """A node id or a node count; anything but a plain integer is refused,
+    so that 1.5 or "1" is never read as node 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"node ids and n must be integers, got {value!r}")
+    return value
+
+
 def instance_from_obj(obj: dict) -> Instance:
     if not isinstance(obj, dict):
         raise ValueError("an instance must be a JSON object")
@@ -69,9 +77,10 @@ def instance_from_obj(obj: dict) -> Instance:
     if missing:
         raise ValueError(f"instance has no {', '.join(map(repr, missing))} key")
     graph = CapGraph(
-        int(obj["n"]), tuple((int(u), int(v), _exact_rational(c)) for u, v, c in obj["edges"])
+        _integer(obj["n"]),
+        tuple((_integer(u), _integer(v), _exact_rational(c)) for u, v, c in obj["edges"]),
     )
-    links = [(int(a), int(b), _exact_rational(c)) for a, b, c in obj["links"]]
+    links = [(_integer(a), _integer(b), _exact_rational(c)) for a, b, c in obj["links"]]
     return Instance.build(graph, _exact_rational(obj["lambda"]), links)
 
 
@@ -120,12 +129,22 @@ def _audit_obj(report) -> dict:
 
 
 def _single_drop_minimal(family: SetFamily, solution, links) -> bool:
-    """Independent minimality audit: dropping any one link uncovers a set."""
-    for lid in solution:
-        rest = [links[i] for i in solution if i != lid]
-        if len(residual(family, rest)) == 0:
-            return False
-    return True
+    """Independent minimality audit: dropping any one link uncovers a set.
+
+    Link lid is redundant when every member is crossed by some solution
+    link other than lid.
+    """
+    ends = [(lid, links[lid].a, links[lid].b) for lid in solution]
+    crossing = []  # per member, bit lid set when solution link lid crosses it
+    for m in family.masks:
+        bits = 0
+        for lid, a, b in ends:
+            if ((m >> a) ^ (m >> b)) & 1:
+                bits |= 1 << lid
+        crossing.append(bits)
+    return not any(
+        all(bits & ~(1 << lid) for bits in crossing) for lid in solution
+    )
 
 
 def pipeline_record(cfg: RunConfig, index: int) -> dict:
@@ -141,9 +160,7 @@ def pipeline_record(cfg: RunConfig, index: int) -> dict:
         "num_links": len(inst.links),
         "family_size": len(family),
     }
-    feasible = all(
-        any(((m >> l.a) ^ (m >> l.b)) & 1 for l in inst.links) for m in family.masks
-    )
+    feasible = all_covered(family, inst.links)
     record["feasible"] = feasible
     if not feasible:
         record["verdicts"] = {}
@@ -155,7 +172,7 @@ def pipeline_record(cfg: RunConfig, index: int) -> dict:
     record.update(_solution_obj(result))
 
     verdicts = {
-        "cover": len(residual(family, [inst.links[i] for i in result.solution])) == 0,
+        "cover": all_covered(family, [inst.links[i] for i in result.solution]),
         "minimal": _single_drop_minimal(family, result.solution, inst.links),
         "dual_feasible": dual_feasible(inst, family, result.dual),
         "cost_le_5_dual": result.cost <= 5 * result.dual.total,
@@ -271,7 +288,6 @@ def _add_generation_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--audit", choices=("per-phase", "final"), default="per-phase")
-    parser.add_argument("--sample-budget", type=int, default=100_000)
     parser.add_argument("--enum-limit", type=int, default=20)
     parser.add_argument("--exact-limit", type=int, default=24)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -307,7 +323,6 @@ def _config_from_args(args) -> RunConfig:
         cost_range=_int_range(args.cost_range),
         lambda_policy=args.lambda_policy,
         audit_mode=getattr(args, "audit", "per-phase"),
-        sample_budget=getattr(args, "sample_budget", 100_000),
         enum_limit=getattr(args, "enum_limit", 20),
         exact_limit=getattr(args, "exact_limit", 24),
         allow_infeasible=args.allow_infeasible,
@@ -378,7 +393,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
                 obj = instance_to_obj(inst)
                 if cfg.allow_infeasible:
                     family = enumerate_small_cuts(inst.graph, inst.threshold, cfg.enum_limit)
-                    obj["feasible"] = len(residual(family, inst.links)) == 0
+                    obj["feasible"] = all_covered(family, inst.links)
                 lines.append(json.dumps(obj, separators=(",", ":")))
             _emit("\n".join(lines) + ("\n" if lines else ""), args.out, stdout)
             return 0

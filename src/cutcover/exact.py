@@ -2,8 +2,14 @@
 
 The search branches on the covering links of a most-constrained core of
 the still-uncovered subfamily, partitioning by forbidding earlier
-branches' links, and prunes on current cost against the incumbent. It is
-enumeration-equivalent and is used as ground truth for the solver's
+branches' links, on costs scaled to integers over their common
+denominator. A node is pruned when its cost plus a lower bound reaches
+the incumbent: uncovered minimal members whose allowed links are pairwise
+disjoint each need a link of their own, so the cheapest allowed link of
+each is still to pay. Only a strictly cheaper cover replaces the
+incumbent, so the bound changes which nodes are explored but not the
+cover reported. The search takes nothing from the solver but an optional
+warm-start link set, and is used as ground truth for the solver's
 guarantee.
 """
 
@@ -11,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import kernels
 from .errors import Infeasible, TooManyLinks, ZeroOptimumViolation
@@ -39,16 +46,19 @@ def exact_optimum(inst: Instance, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT
         return ExactResult(Fraction(0), (), 0)
 
     # bit lid of cover_bits[i] is set when link lid crosses masks[i]
+    ends = [(link.a, link.b) for link in links]
     cover_bits = []
     for m in masks:
         bits = 0
-        for link in links:
-            if ((m >> link.a) ^ (m >> link.b)) & 1:
-                bits |= 1 << link.id
+        for lid, (a, b) in enumerate(ends):
+            if ((m >> a) ^ (m >> b)) & 1:
+                bits |= 1 << lid
         if bits == 0:
             raise Infeasible(NodeSet(m, f.n))
         cover_bits.append(bits)
-    costs = [link.cost for link in links]
+    denom = lcm(*(link.cost.denominator for link in links))
+    costs = [link.cost.numerator * (denom // link.cost.denominator) for link in links]
+    by_cost = sorted(range(len(links)), key=lambda lid: (costs[lid], lid))
 
     best_cost = None
     best_set = None
@@ -57,17 +67,20 @@ def exact_optimum(inst: Instance, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT
         for lid in warm_start:
             chosen |= 1 << lid
         if all(bits & chosen for bits in cover_bits):
-            best_cost = sum((costs[lid] for lid in warm_start), Fraction(0))
+            best_cost = sum(costs[lid] for lid in warm_start)
             best_set = tuple(sorted(set(warm_start)))
 
     nodes = 0
 
-    def search(chosen: int, cost: Fraction, forbidden: int) -> None:
+    def search(chosen: int, cost: int, forbidden: int, rows: list, added: int) -> None:
+        """Explore the covers that extend `chosen`, which has just gained the
+        link bit `added`, with no forbidden link; rows are the indices of
+        the members left uncovered before `added` joined."""
         nonlocal best_cost, best_set, nodes
         nodes += 1
         if best_cost is not None and cost >= best_cost:
             return
-        uncovered = [i for i, bits in enumerate(cover_bits) if not bits & chosen]
+        uncovered = [i for i in rows if not cover_bits[i] & added]
         if not uncovered:
             best_cost = cost
             best_set = tuple(
@@ -77,27 +90,31 @@ def exact_optimum(inst: Instance, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT
         minimal = kernels.minimal_flags([masks[i] for i in uncovered])
         branch_bits = None
         branch_count = 0
+        bound = 0
+        bound_links = 0  # union of the allowed links of the members in the bound
         for i, keep in zip(uncovered, minimal):
             if not keep:
                 continue
             allowed = cover_bits[i] & ~forbidden
+            if not allowed:
+                return
             cnt = allowed.bit_count()
             if branch_bits is None or cnt < branch_count:
                 branch_bits = allowed
                 branch_count = cnt
-        if not branch_bits:
+            if not allowed & bound_links:
+                bound_links |= allowed
+                bound += costs[next(lid for lid in by_cost if (allowed >> lid) & 1)]
+        if best_cost is not None and cost + bound >= best_cost:
             return
-        choices = sorted(
-            (lid for lid in range(len(links)) if (branch_bits >> lid) & 1),
-            key=lambda lid: (costs[lid], lid),
-        )
+        choices = [lid for lid in by_cost if (branch_bits >> lid) & 1]
         banned = forbidden
         for lid in choices:
-            search(chosen | (1 << lid), cost + costs[lid], banned)
+            search(chosen | (1 << lid), cost + costs[lid], banned, uncovered, 1 << lid)
             banned |= 1 << lid
 
-    search(0, Fraction(0), 0)
-    return ExactResult(best_cost, best_set, nodes)
+    search(0, 0, 0, list(range(len(masks))), 0)
+    return ExactResult(Fraction(best_cost, denom), best_set, nodes)
 
 
 def ratio(alg: SolveResult, opt: ExactResult) -> Fraction:

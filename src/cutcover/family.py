@@ -47,6 +47,18 @@ class SetFamily:
         object.__setattr__(self, "_masks", tuple(sorted(seen)))
         object.__setattr__(self, "_mask_set", frozenset(seen))
 
+    @classmethod
+    def _from_sorted(cls, n: int, masks) -> "SetFamily":
+        """Family of masks that are already ascending, distinct and
+        non-trivial, such as a filtered subsequence of a family's masks;
+        skips the validation and the sort."""
+        self = object.__new__(cls)
+        masks = tuple(masks)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_mask_set", frozenset(masks))
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("SetFamily is immutable")
 
@@ -123,15 +135,29 @@ def residual(f: SetFamily, cover_links) -> SetFamily:
                 break
         else:
             kept.append(m)
-    return SetFamily(f.n, kept)
+    return SetFamily._from_sorted(f.n, kept)
+
+
+def all_covered(f: SetFamily, links) -> bool:
+    """True when every member of f is crossed by some link: the links are a
+    feasible cover of f."""
+    _link_endpoints_ok(f, links)
+    pairs = [(link.a, link.b) for link in links]
+    for m in f.masks:
+        for a, b in pairs:
+            if ((m >> a) ^ (m >> b)) & 1:
+                break
+        else:
+            return False
+    return True
 
 
 def cores(f: SetFamily) -> SetFamily:
     """Inclusion-minimal members of f."""
     if len(f) == 0:
-        return SetFamily(f.n, ())
+        return f
     flags = kernels.minimal_flags(f.masks)
-    return SetFamily(f.n, (m for m, keep in zip(f.masks, flags) if keep))
+    return SetFamily._from_sorted(f.n, (m for m, keep in zip(f.masks, flags) if keep))
 
 
 def check_symmetry(f: SetFamily) -> PropertyReport:
@@ -214,21 +240,23 @@ def _check_remainder(f: SetFamily, budget: int, kmax: int, name: str, seed: int)
         return PropertyReport(name, False, sets, tuples, max_k, completed)
     if completed:
         return PropertyReport(name, True, None, tuples, max_k, True)
-    return _sample_remainder(f, budget, kmax, name, seed, tuples, max_k)
+    core_masks = [m for m, keep in zip(f.masks, flags) if keep]
+    return _sample_remainder(f, core_masks, budget, kmax, name, seed, tuples, max_k)
 
 
-def _sample_remainder(f: SetFamily, budget: int, kmax: int, name: str, seed: int,
-                      tuples: int, max_k: int) -> PropertyReport:
+def _sample_remainder(f: SetFamily, core_masks, budget: int, kmax: int, name: str,
+                      seed: int, tuples: int, max_k: int) -> PropertyReport:
     """Randomized configurations once exhaustive enumeration blew the budget.
 
     Draws a crossing (core, enclosing set) pair uniformly, then assembles a
     random disjoint subset selection from a shuffled candidate order.
+    core_masks are the inclusion-minimal members of f, ascending.
     """
     rng = random.Random(seed)
     full = (1 << f.n) - 1
 
     configs = []
-    for c in cores(f).masks:
+    for c in core_masks:
         crossers = [s for s in f.masks if s & c and s & ~c and c & ~s and full & ~(s | c)]
         for s0 in crossers:
             cand = tuple(t for t in crossers if t != s0 and t & ~s0 == 0)

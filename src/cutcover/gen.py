@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .errors import GenerationExhausted
 from .exact import DEFAULT_EXACT_LIMIT
-from .family import DEFAULT_SAMPLE_BUDGET, SetFamily
-from .graph import CapGraph, DEFAULT_ENUM_LIMIT, Instance, enumerate_small_cuts, nontrivial_cut_values
+from .family import all_covered
+from .graph import CapGraph, DEFAULT_ENUM_LIMIT, Instance, cut_table, distinct_cut_values, small_cut_family
 
 _MASK64 = (1 << 64) - 1
 
@@ -40,7 +40,6 @@ class RunConfig:
     cost_range: tuple = (1, 20)
     lambda_policy: str = "quantile:0.5"
     audit_mode: str = "per-phase"
-    sample_budget: int = DEFAULT_SAMPLE_BUDGET
     enum_limit: int = DEFAULT_ENUM_LIMIT
     exact_limit: int = DEFAULT_EXACT_LIMIT
     allow_infeasible: bool = False
@@ -78,21 +77,14 @@ def _parse_lambda_policy(policy: str):
     raise ValueError(f"lambda policy must be 'fixed:<q>' or 'quantile:<f>', got {policy!r}")
 
 
-def _pick_threshold(g: CapGraph, policy_kind: str, policy_arg: Fraction):
+def _pick_threshold(table, policy_kind: str, policy_arg: Fraction):
     if policy_kind == "fixed":
         return policy_arg
-    values = nontrivial_cut_values(g)
+    values = distinct_cut_values(table)
     if len(values) < 2:
         return None
     idx = int(policy_arg * (len(values) - 1))
     return values[max(1, min(len(values) - 1, idx))]
-
-
-def _family_feasible(family: SetFamily, links) -> bool:
-    for m in family.masks:
-        if not any(((m >> l.a) ^ (m >> l.b)) & 1 for l in links):
-            return False
-    return True
 
 
 def gen_instance(cfg: RunConfig, index: int) -> Instance:
@@ -113,10 +105,11 @@ def gen_instance(cfg: RunConfig, index: int) -> Instance:
                 if rng.random() < density:
                     edges.append((u, v, Fraction(rng.randint(*cfg.cap_range))))
         graph = CapGraph(n, tuple(edges))
-        threshold = _pick_threshold(graph, policy_kind, policy_arg)
+        table = cut_table(graph, cfg.enum_limit)
+        threshold = _pick_threshold(table, policy_kind, policy_arg)
         if threshold is None:
             continue
-        family = enumerate_small_cuts(graph, threshold, cfg.enum_limit)
+        family = small_cut_family(n, table, threshold)
         for _ in range(20):
             num_links = rng.randint(*cfg.link_range)
             specs = []
@@ -127,7 +120,7 @@ def gen_instance(cfg: RunConfig, index: int) -> Instance:
                     b += 1
                 specs.append((a, b, Fraction(rng.randint(*cfg.cost_range))))
             inst = Instance.build(graph, threshold, specs)
-            if cfg.allow_infeasible or _family_feasible(family, inst.links):
+            if cfg.allow_infeasible or all_covered(family, inst.links):
                 return inst
     raise GenerationExhausted(
         f"no feasible instance for (seed={cfg.seed}, index={index}) "

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 from typing import Iterable, Iterator
 
 from . import kernels
@@ -219,31 +219,52 @@ def delta_links(s: NodeSet, links) -> frozenset:
     return frozenset(link.id for link in links if covers(link, s))
 
 
-def _scaled_edges(g: CapGraph, extra: Fraction):
-    """Clear denominators: (u, v, integer weight) edges, extra scaled the
-    same way, and the common denominator."""
-    denom = lcm(extra.denominator, *(cap.denominator for _, _, cap in g.edges))
-    edges = [(u, v, int(cap * denom)) for u, v, cap in g.edges]
-    return edges, int(extra * denom), denom
+def cut_table(g: CapGraph, limit: int = DEFAULT_ENUM_LIMIT):
+    """Every cut of g from one single-bit-flip walk.
+
+    Returns (masks, values, denom): the masks of all subsets of
+    {0..n-2} in walk order, the empty set first, and the cut capacity of
+    each times denom, the common denominator of the capacities, as an
+    int. Every other non-trivial set is the complement of one of these
+    and has the same cut. Raises GroundSetTooLarge before walking when
+    n exceeds limit.
+    """
+    if g.n > limit:
+        raise GroundSetTooLarge(f"ground set of size {g.n} exceeds enumeration limit {limit}")
+    denom = lcm(*(cap.denominator for _, _, cap in g.edges))
+    if g.n == 0:
+        return [], [], denom
+    edges = [(u, v, cap.numerator * (denom // cap.denominator)) for u, v, cap in g.edges]
+    masks, values = kernels.gray_cut_values(g.n, edges)
+    return masks, values, denom
+
+
+def distinct_cut_values(table):
+    """Distinct cut capacities over the non-trivial sets of a `cut_table`,
+    ascending."""
+    _, values, denom = table
+    return tuple(Fraction(v, denom) for v in sorted(set(values[1:])))
+
+
+def small_cut_family(n: int, table, threshold):
+    """The non-trivial sets of a `cut_table` over [0, n) whose cut capacity
+    is strictly below the threshold; symmetric by construction."""
+    from .family import SetFamily
+
+    masks, values, denom = table
+    threshold = _rat(threshold)
+    # an integer cut v has v / denom < threshold exactly when v < lam
+    lam = ceil(threshold * denom)
+    full = (1 << n) - 1
+    small = [m for m, v in zip(masks[1:], values[1:]) if v < lam]
+    return SetFamily(n, small + [full ^ m for m in small])
 
 
 def enumerate_small_cuts(g: CapGraph, threshold, limit: int = DEFAULT_ENUM_LIMIT):
     """The family of non-trivial sets whose cut capacity is strictly below
     the threshold; symmetric by construction."""
-    from .family import SetFamily
-
     threshold = _rat(threshold)
-    if g.n > limit:
-        raise GroundSetTooLarge(f"ground set of size {g.n} exceeds enumeration limit {limit}")
-    n = g.n
-    if n < 2:
-        return SetFamily(n, ())
-    edges, lam, _ = _scaled_edges(g, threshold)
-    found = kernels.small_cut_masks(n, edges, lam)
-    full = (1 << n) - 1
-    masks = set(found)
-    masks.update(full ^ m for m in found)
-    return SetFamily(n, masks)
+    return small_cut_family(g.n, cut_table(g, limit), threshold)
 
 
 def incremental_cut_scan(g: CapGraph):
@@ -253,16 +274,10 @@ def incremental_cut_scan(g: CapGraph):
     Exposed so the incremental maintenance can be audited against
     from-scratch recomputation.
     """
-    if g.n == 0:
-        return (), ()
-    edges, _, denom = _scaled_edges(g, Fraction(0))
-    masks, vals = kernels.gray_cut_values(g.n, edges)
-    return tuple(masks), tuple(Fraction(v, denom) for v in vals)
+    masks, values, denom = cut_table(g)
+    return tuple(masks), tuple(Fraction(v, denom) for v in values)
 
 
 def nontrivial_cut_values(g: CapGraph):
     """Distinct cut capacities over all non-trivial subsets, ascending."""
-    if g.n < 2:
-        return ()
-    _, vals = incremental_cut_scan(g)
-    return tuple(sorted(set(vals[1:])))
+    return distinct_cut_values(cut_table(g))

@@ -17,14 +17,16 @@ from __future__ import annotations
 BACKEND = "python"
 
 
-def _gray_walk(n, edges):
-    """Yield (mask, cut value) after each flip of the single-bit-flip walk
-    over the subsets of {0..n-2}, starting from the empty set, which is not
-    yielded. edges are (u, v, integer weight) triples."""
+def gray_cut_values(n, edges):
+    """Every mask over {0..n-2} in single-bit-flip walk order, the empty set
+    first, and the cut value of each. edges are (u, v, integer weight)
+    triples."""
     adj = [[] for _ in range(n)]
     for u, v, w in edges:
         adj[u].append((v, w))
         adj[v].append((u, w))
+    masks = [0]
+    vals = [0]
     cur = 0
     cut = 0
     for i in range(1, 1 << (n - 1)):
@@ -36,22 +38,7 @@ def _gray_walk(n, edges):
             else:
                 cut -= w
         cur ^= 1 << b
-        yield cur, cut
-
-
-def small_cut_masks(n, edges, lam):
-    """Non-empty masks over {0..n-2} with cut weight strictly below lam, in
-    walk order; the caller mirrors them onto their complements."""
-    return [mask for mask, cut in _gray_walk(n, edges) if cut < lam]
-
-
-def gray_cut_values(n, edges):
-    """Every mask over {0..n-2} in walk order, the empty set first, and the
-    cut value of each."""
-    masks = [0]
-    vals = [0]
-    for mask, cut in _gray_walk(n, edges):
-        masks.append(mask)
+        masks.append(cur)
         vals.append(cut)
     return masks, vals
 

@@ -19,13 +19,21 @@ from .graph import Instance, Link, NodeSet, covers
 
 @dataclass
 class DualState:
-    """Dual variables keyed by the sets they were raised on."""
+    """Dual variables keyed by the sets they were raised on.
+
+    link_load holds, for each link that was a growth candidate in some
+    phase, the dual load pressing on it; `grow_phase` keeps it up to date
+    as it raises duals, for states it grows from empty. Once a link is
+    picked its entry is no longer updated. `load` recomputes a link's load
+    from y alone.
+    """
 
     y: dict = field(default_factory=dict)
     total: Fraction = Fraction(0)
+    link_load: dict = field(default_factory=dict)
 
     def load(self, link: Link) -> Fraction:
-        """Total dual weight pressing on a link."""
+        """Total dual weight pressing on a link, summed from scratch."""
         acc = Fraction(0)
         for s, val in self.y.items():
             if covers(link, s):
@@ -61,54 +69,65 @@ def grow_phase(state: DualState, core_family: SetFamily, links, already_picked):
     hits zero, ascending. Raises Infeasible when a core is crossed by no
     unpicked link.
     """
-    core_sets = core_family.members
-    if not core_sets:
+    core_masks = core_family.masks
+    if not core_masks:
         raise ValueError("grow_phase requires a non-empty core family")
+    n = core_family.n
 
     degree = {}
-    slack = {}
+    crossed = 0  # bit i is set once some unpicked link crosses core i
     for link in links:
         if link.id in already_picked:
             continue
-        d = sum(1 for c in core_sets if covers(link, c))
+        a, b = link.a, link.b
+        if a >= n or b >= n:
+            raise ValueError(f"link ({a}, {b}) outside ground set [0, {n})")
+        d = 0
+        for i, c in enumerate(core_masks):
+            if ((c >> a) ^ (c >> b)) & 1:
+                d += 1
+                crossed |= 1 << i
         if d:
             degree[link.id] = d
-            slack[link.id] = link.cost - state.load(link)
-    for c in core_sets:
-        if not any(covers(links[lid], c) for lid in degree):
-            raise Infeasible(c)
+    for i, c in enumerate(core_masks):
+        if not (crossed >> i) & 1:
+            raise Infeasible(NodeSet(c, n))
 
-    epsilon = min(slack[lid] / d for lid, d in degree.items())
-    newly_tight = sorted(
-        lid for lid, d in degree.items() if slack[lid] == epsilon * d
-    )
+    load = state.link_load
+    # the growth at which each candidate's slack reaches zero
+    reach = {lid: (links[lid].cost - load.get(lid, 0)) / d for lid, d in degree.items()}
+    epsilon = min(reach.values())
+    newly_tight = sorted(lid for lid, r in reach.items() if r == epsilon)
 
+    for lid, d in degree.items():
+        load[lid] = load.get(lid, 0) + epsilon * d
     if epsilon:
-        for c in core_sets:
+        for c in core_family.members:
             state.y[c] = state.y.get(c, Fraction(0)) + epsilon
-        state.total += epsilon * len(core_sets)
+        state.total += epsilon * len(core_masks)
     return epsilon, newly_tight
 
 
 def solve(inst: Instance, f: SetFamily) -> SolveResult:
-    """Cover the family with the phased growth / reverse-delete scheme."""
+    """Cover the family with the phased growth / reverse-delete scheme.
+
+    Each phase shrinks the residual family by the links it admitted, so
+    the residual is never rebuilt from f.
+    """
     if f.n != inst.graph.n:
         raise ValueError("family ground set does not match the instance graph")
     state = DualState()
     picked = []
     picked_set = set()
     trace = []
-    phase = 0
-    while True:
-        remaining = residual(f, [inst.links[i] for i in picked])
-        if len(remaining) == 0:
-            break
+    remaining = f
+    while len(remaining):
         core_family = cores(remaining)
         epsilon, tight = grow_phase(state, core_family, inst.links, picked_set)
         picked.extend(tight)
         picked_set.update(tight)
-        trace.append(PhaseTrace(phase, core_family, epsilon, tuple(tight), len(remaining)))
-        phase += 1
+        trace.append(PhaseTrace(len(trace), core_family, epsilon, tuple(tight), len(remaining)))
+        remaining = residual(remaining, [inst.links[i] for i in tight])
     solution = reverse_delete(picked, f, inst.links)
     cost = sum((inst.links[i].cost for i in solution), Fraction(0))
     return SolveResult(tuple(solution), cost, state, tuple(trace), tuple(picked))
@@ -122,25 +141,23 @@ def reverse_delete(addition_order, f: SetFamily, links):
     """
     if len(f) == 0:
         return []
-    counts = {}
+    ends = [(links[lid].a, links[lid].b) for lid in addition_order]
+    # bit k of a member's cover is set when addition_order[k] crosses it
+    cover = []
     for m in f.masks:
-        c = 0
-        for lid in addition_order:
-            link = links[lid]
-            if ((m >> link.a) ^ (m >> link.b)) & 1:
-                c += 1
-        if c == 0:
+        bits = 0
+        for k, (a, b) in enumerate(ends):
+            if ((m >> a) ^ (m >> b)) & 1:
+                bits |= 1 << k
+        if not bits:
             raise Infeasible(NodeSet(m, f.n), "addition order does not cover the family")
-        counts[m] = c
-    kept = set(addition_order)
-    for lid in reversed(addition_order):
-        link = links[lid]
-        hit = [m for m in f.masks if ((m >> link.a) ^ (m >> link.b)) & 1]
-        if all(counts[m] >= 2 for m in hit):
-            kept.remove(lid)
-            for m in hit:
-                counts[m] -= 1
-    return [lid for lid in addition_order if lid in kept]
+        cover.append(bits)
+    kept = (1 << len(ends)) - 1
+    for k in reversed(range(len(ends))):
+        rest = kept & ~(1 << k)
+        if all(bits & rest for bits in cover):
+            kept = rest
+    return [lid for k, lid in enumerate(addition_order) if (kept >> k) & 1]
 
 
 def dual_feasible(inst: Instance, f: SetFamily, state: DualState) -> bool:

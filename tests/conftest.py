@@ -50,26 +50,32 @@ def random_graph(rng: random.Random, n, density=0.5, max_cap=5, rational=False):
     return CapGraph(n, tuple(edges))
 
 
-def random_instance(rng: random.Random, n, num_links, density=0.5, max_cost=10):
+def random_instance(rng: random.Random, n, num_links, density=0.5, max_cost=10, rational=False):
     """Feasible instance over a random graph: the links include a random
     spanning star (which crosses every non-trivial set) plus extras; the
-    threshold sits at a high quantile of the distinct cut values."""
+    threshold sits at a high quantile of the distinct cut values. With
+    rational=True the capacities and costs have denominators 1 to 4."""
     from cutcover import nontrivial_cut_values
 
-    g = random_graph(rng, n, density)
+    def cost():
+        if rational:
+            return Fraction(rng.randint(1, max_cost), rng.randint(1, 4))
+        return Fraction(rng.randint(1, max_cost))
+
+    g = random_graph(rng, n, density, rational=rational)
     values = nontrivial_cut_values(g)
     threshold = values[(3 * len(values)) // 4] if len(values) > 1 else values[0] + 1
     specs = []
     center = rng.randrange(n)
     for v in range(n):
         if v != center:
-            specs.append((center, v, Fraction(rng.randint(1, max_cost))))
+            specs.append((center, v, cost()))
     for _ in range(num_links):
         a = rng.randrange(n)
         b = rng.randrange(n - 1)
         if b >= a:
             b += 1
-        specs.append((a, b, Fraction(rng.randint(1, max_cost))))
+        specs.append((a, b, cost()))
     rng.shuffle(specs)
     return Instance.build(g, threshold, specs)
 

@@ -262,6 +262,7 @@ def test_audit_flags_wrong_delta():
 
 
 def test_audit_run_over_random_solves(rng):
+    phases = 0
     for _ in range(12):
         inst = random_instance(rng, rng.randint(3, 7), rng.randint(0, 6))
         f = enumerate_small_cuts(inst.graph, inst.threshold)
@@ -272,10 +273,20 @@ def test_audit_run_over_random_solves(rng):
             assert r.passed
             assert r.crossing_pairs == r.lstar_size
             assert r.lstar_size <= 2 * r.num_cores
+        # each phase is audited on the residual of every link picked before it
+        picked = []
+        for pt, r in zip(result.trace, reports):
+            f_res = residual(f, [inst.links[i] for i in picked])
+            j_hat = minimal_cover(result.solution, cores(f_res), inst.links)
+            assignment = find_witness_laminar(j_hat, f_res, inst.links)
+            assert r == crossing_density_audit(pt.phase, f_res, assignment, inst.links)
+            picked.extend(pt.tight_link_ids)
+        phases += len(result.trace)
         final_only = audit_run(inst.links, f, result, mode="final")
         assert len(final_only) == min(1, len(result.trace))
         if final_only:
             assert final_only[0] == reports[-1]
+    assert phases > 24
 
 
 def test_audit_red_count_bounded_by_cores():

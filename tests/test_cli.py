@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ import pytest
 
 from cutcover import CapGraph, GenerationExhausted, Instance, RunConfig, gen_instance
 from cutcover.cli import (
+    _single_drop_minimal,
     dump_instance,
     instance_from_obj,
     instance_to_obj,
@@ -23,7 +25,7 @@ from cutcover.cli import (
 )
 from cutcover.family import residual
 from cutcover.graph import enumerate_small_cuts
-from conftest import many_link_path
+from conftest import many_link_path, random_instance
 
 
 def _cfg(**kw):
@@ -256,6 +258,34 @@ def test_cli_inexact_rational_rejected(tmp_path, text, shown):
     code, _, err = _run_main(["solve", str(path)])
     assert code == 2
     assert err.startswith("cutcover: error:") and shown in err
+
+
+@pytest.mark.parametrize("text, shown", [
+    ('{"n": 3, "edges": [[0, 1, 1]], "lambda": 2, "links": [[0, 1.5, 1]]}', "1.5"),
+    ('{"n": 2.0, "edges": [[0, 1, 1]], "lambda": 2, "links": [[0, 1, 1]]}', "2.0"),
+], ids=["float-endpoint", "float-n"])
+def test_cli_non_integer_node_id_rejected(tmp_path, text, shown):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = _run_main(["solve", str(path)])
+    assert code == 2
+    assert err.startswith("cutcover: error:") and shown in err
+
+
+def test_single_drop_minimal_matches_residual_definition():
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(40):
+        inst = random_instance(rng, rng.randint(3, 6), rng.randint(0, 4))
+        family = enumerate_small_cuts(inst.graph, inst.threshold)
+        ids = rng.sample(range(len(inst.links)), rng.randint(1, len(inst.links)))
+        expect = all(
+            len(residual(family, [inst.links[i] for i in ids if i != lid])) > 0
+            for lid in ids
+        )
+        assert _single_drop_minimal(family, ids, inst.links) == expect
+        verdicts.add(expect)
+    assert verdicts == {True, False}
 
 
 def test_cli_byte_identical_across_processes():

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 
 from cutcover import (
+    CapGraph,
     Infeasible,
     Instance,
     SetFamily,
@@ -22,12 +24,14 @@ from cutcover import (
     solve,
 )
 from cutcover.pd import DualState
-from conftest import k2, many_link_path, random_instance
+from conftest import fam, k2, many_link_path, random_instance
 
 
 def naive_optimum(inst, family):
-    """Vectorized enumeration of all link subsets; integer costs only."""
+    """Vectorized enumeration of all link subsets, with the costs scaled to
+    integers over their common denominator."""
     links = inst.links
+    denom = lcm(*(l.cost.denominator for l in links))
     num = len(links)
     cover_bits = np.zeros(len(family.masks), dtype=np.int64)
     for row, m in enumerate(family.masks):
@@ -41,11 +45,11 @@ def naive_optimum(inst, family):
     if not covered.any():
         return None
     costs = np.zeros(subsets.size, dtype=np.int64)
-    unit = np.array([int(l.cost) for l in links], dtype=np.int64)
+    unit = np.array([int(l.cost * denom) for l in links], dtype=np.int64)
     for lid in range(num):
         costs[(subsets >> lid) & 1 == 1] += unit[lid]
     candidates = np.flatnonzero(covered)
-    return int(costs[candidates].min())
+    return Fraction(int(costs[candidates].min()), denom)
 
 
 def _dummy_result(cost) -> SolveResult:
@@ -100,6 +104,39 @@ def test_exact_agrees_with_naive(seed):
         chosen = [inst.links[i] for i in got.opt_links]
         assert len(residual(f, chosen)) == 0
         assert sum((l.cost for l in chosen), Fraction(0)) == got.opt_cost
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_exact_agrees_with_naive_on_mixed_denominators(seed):
+    rng = random.Random(100 + seed)
+    denominators = set()
+    for _ in range(12):
+        inst = random_instance(rng, rng.randint(3, 7), rng.randint(0, 6), rational=True)
+        f = enumerate_small_cuts(inst.graph, inst.threshold)
+        got = exact_optimum(inst, f)
+        assert got.opt_cost == naive_optimum(inst, f)
+        chosen = [inst.links[i] for i in got.opt_links]
+        assert len(residual(f, chosen)) == 0
+        assert sum((l.cost for l in chosen), Fraction(0)) == got.opt_cost
+        denominators.update(l.cost.denominator for l in inst.links)
+    assert {2, 3} <= denominators
+
+
+def test_exact_closes_at_root_when_warm_start_meets_bound():
+    # the cores {0} and {2} have disjoint link sets {0, 1} and {2, 3}, so
+    # every cover pays at least 3/2 + 5/3, which the solver's cover meets
+    f = fam(4, (0,), (2,))
+    inst = Instance.build(
+        CapGraph(4, ()), 1,
+        [(0, 1, Fraction(3, 2)), (0, 3, 2), (2, 3, Fraction(5, 3)), (2, 1, 4)],
+    )
+    res = solve(inst, f)
+    assert res.cost == Fraction(3, 2) + Fraction(5, 3)
+    warm = exact_optimum(inst, f, warm_start=res.solution)
+    assert warm.nodes_explored == 1
+    assert (warm.opt_cost, warm.opt_links) == (res.cost, (0, 2))
+    cold = exact_optimum(inst, f)
+    assert (cold.opt_cost, cold.opt_links) == (warm.opt_cost, warm.opt_links)
 
 
 def test_warm_start_does_not_change_optimum(rng):

@@ -290,6 +290,7 @@ def test_gamma_star_sampling_mode():
     rep = check_gamma_star(f, sample_budget=60, seed=4)
     assert rep.holds and not rep.exhaustive
     assert rep.tuples_tested > 60
+    assert (rep.tuples_tested, rep.max_k) == (121, 3)
     assert rep == check_gamma_star(f, sample_budget=60, seed=4)
 
 

@@ -23,6 +23,8 @@ from cutcover import (
     incremental_cut_scan,
     nontrivial_cut_values,
 )
+from cutcover import kernels
+from cutcover.graph import cut_table
 from conftest import cycle, k2, ns, random_graph, triangle
 
 
@@ -232,6 +234,35 @@ def test_enumerate_random_matches_brute_force(rng):
         lam = Fraction(rng.randint(0, 8), rng.randint(1, 3))
         family = enumerate_small_cuts(g, lam)
         assert set(family.masks) == brute_small_cuts(g, lam)
+
+
+def test_cut_table_matches_brute_force_on_rational_graphs():
+    rng = random.Random(17)
+    fractional_lam = 0
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        g = random_graph(rng, n, density=rng.uniform(0.2, 0.9), rational=True)
+        full = (1 << n) - 1
+        cuts = {m: cut_capacity(g, NodeSet(m, n)) for m in range(1, full)}
+        assert nontrivial_cut_values(g) == tuple(sorted(set(cuts.values())))
+        _, _, denom = cut_table(g)
+        # 7/3 is a threshold whose scaled value is fractional unless 3 | denom
+        fractional_lam += (Fraction(7, 3) * denom).denominator != 1
+        for lam in {Fraction(7, 3), *cuts.values(), *(v + Fraction(1, 7) for v in cuts.values())}:
+            expect = {m for m, v in cuts.items() if v < lam}
+            assert set(enumerate_small_cuts(g, lam).masks) == expect
+    assert fractional_lam > 10
+
+
+def test_cut_table_refuses_before_walking(monkeypatch):
+    def no_walk(n, edges):
+        raise AssertionError("walked a ground set above the limit")
+
+    monkeypatch.setattr(kernels, "gray_cut_values", no_walk)
+    with pytest.raises(GroundSetTooLarge):
+        cut_table(CapGraph(9, ()), limit=8)
+    with pytest.raises(GroundSetTooLarge):
+        nontrivial_cut_values(CapGraph(21, ()))
 
 
 def test_enumerate_family_is_symmetric(rng):

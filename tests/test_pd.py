@@ -14,6 +14,7 @@ from cutcover import (
     Link,
     SetFamily,
     cores,
+    covers,
     dual_feasible,
     enumerate_small_cuts,
     grow_phase,
@@ -21,6 +22,7 @@ from cutcover import (
     reverse_delete,
     solve,
 )
+from cutcover import pd
 from conftest import cycle, fam, k2, ns, random_instance
 
 
@@ -209,3 +211,30 @@ def test_determinism():
     assert a.addition_order == b.addition_order
     assert a.trace == b.trace
     assert a.dual.y == b.dual.y
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_link_load_matches_from_scratch_load(seed, monkeypatch):
+    """After every phase, the load grow_phase keeps per candidate link is
+    the from-scratch sum over the raised duals."""
+    real_grow_phase = pd.grow_phase
+    checked = 0
+
+    def checking_grow_phase(state, core_family, links, already_picked):
+        nonlocal checked
+        out = real_grow_phase(state, core_family, links, already_picked)
+        for link in links:
+            crossing = any(covers(link, c) for c in core_family.members)
+            if link.id not in already_picked and crossing:
+                assert state.link_load[link.id] == state.load(link)
+                checked += 1
+        return out
+
+    monkeypatch.setattr(pd, "grow_phase", checking_grow_phase)
+    rng = random.Random(seed)
+    phases = 0
+    for _ in range(10):
+        inst = random_instance(rng, rng.randint(3, 7), rng.randint(0, 5), rational=True)
+        res = solve(inst, enumerate_small_cuts(inst.graph, inst.threshold))
+        phases += len(res.trace)
+    assert phases > 10 and checked > phases
