@@ -48,14 +48,11 @@ from .family import (
 from .pd import DualState, PhaseTrace, SolveResult, dual_feasible, grow_phase, reverse_delete, solve
 from .certify import (
     AuditReport,
-    LaminarFamily,
     WitnessAssignment,
-    WitnessTree,
     audit_run,
     build_tree,
     crossing_density_audit,
     find_witness_laminar,
-    minimal_cover,
     psi_map,
 )
 from .exact import ExactResult, exact_optimum, ratio
@@ -73,7 +70,6 @@ __all__ = [
     "GroundSetTooLarge",
     "Infeasible",
     "Instance",
-    "LaminarFamily",
     "Link",
     "NodeSet",
     "NotLaminar",
@@ -86,7 +82,6 @@ __all__ = [
     "TooManyLinks",
     "WitnessAssignment",
     "WitnessSearchExhausted",
-    "WitnessTree",
     "ZeroOptimumViolation",
     "audit_run",
     "build_tree",
@@ -110,7 +105,6 @@ __all__ = [
     "gen_instance",
     "grow_phase",
     "incremental_cut_scan",
-    "minimal_cover",
     "nontrivial_cut_values",
     "psi_map",
     "ratio",

@@ -75,11 +75,6 @@ class WitnessTree:
         return (self.root,) + tuple(self.parent)
 
 
-def minimal_cover(link_ids, target: SetFamily, links):
-    """Greedy reverse-scan pruning of a cover down to inclusion-minimality."""
-    return reverse_delete(list(link_ids), target, links)
-
-
 def find_witness_laminar(j_hat, f_res: SetFamily, links,
                          node_budget: int = DEFAULT_WITNESS_BUDGET) -> WitnessAssignment:
     """Backtracking search for a mutually laminar witness selection.
@@ -302,7 +297,7 @@ def audit_run(links, f: SetFamily, result: SolveResult, mode: str = "per-phase",
     for k, pt in enumerate(result.trace):
         if mode == "per-phase" or k == last:
             core_family = cores(f_res)
-            j_hat = minimal_cover(result.solution, core_family, links)
+            j_hat = reverse_delete(result.solution, core_family, links)
             assignment = find_witness_laminar(j_hat, f_res, links, node_budget)
             reports.append(crossing_density_audit(pt.phase, f_res, assignment, links))
         if k < last:

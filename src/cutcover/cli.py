@@ -70,18 +70,29 @@ def _integer(value) -> int:
     return value
 
 
+def _triples(obj: dict, key: str) -> list:
+    """The [u, v, c] entries of obj[key] as (node, node, rational) triples;
+    anything else is refused with a message that shows it."""
+    entries = obj[key]
+    if not isinstance(entries, list):
+        raise ValueError(f"{key!r} must be a list, got {entries!r}")
+    triples = []
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ValueError(f"each {key!r} entry must be a [u, v, c] list, got {entry!r}")
+        u, v, c = entry
+        triples.append((_integer(u), _integer(v), _exact_rational(c)))
+    return triples
+
+
 def instance_from_obj(obj: dict) -> Instance:
     if not isinstance(obj, dict):
         raise ValueError("an instance must be a JSON object")
     missing = [key for key in _INSTANCE_KEYS if key not in obj]
     if missing:
         raise ValueError(f"instance has no {', '.join(map(repr, missing))} key")
-    graph = CapGraph(
-        _integer(obj["n"]),
-        tuple((_integer(u), _integer(v), _exact_rational(c)) for u, v, c in obj["edges"]),
-    )
-    links = [(_integer(a), _integer(b), _exact_rational(c)) for a, b, c in obj["links"]]
-    return Instance.build(graph, _exact_rational(obj["lambda"]), links)
+    graph = CapGraph(_integer(obj["n"]), _triples(obj, "edges"))
+    return Instance.build(graph, _exact_rational(obj["lambda"]), _triples(obj, "links"))
 
 
 def dump_instance(inst: Instance) -> str:

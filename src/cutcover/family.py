@@ -7,6 +7,7 @@ check carries a counterexample tuple that replays the violated condition.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -160,20 +161,49 @@ def cores(f: SetFamily) -> SetFamily:
     return SetFamily._from_sorted(f.n, (m for m, keep in zip(f.masks, flags) if keep))
 
 
-def check_symmetry(f: SetFamily) -> PropertyReport:
-    """Every member's complement is also a member."""
+def _missing_complement(f: SetFamily) -> int | None:
+    """First member of f whose complement is not a member, or None when f
+    is symmetric.
+
+    A symmetric family lets the pair checkers scan only the members without
+    node n-1, one of each complement pair. Replacing B by V - B maps the
+    corners (A & B, A | B, A - B, B - A) to (A - B, V - (B - A), A & B,
+    V - (A | B)), so in a symmetric family the corner count, the crossing
+    test and both structural-submodularity clauses are unchanged; the same
+    holds for A. Violating pairs therefore come in complement classes, and
+    the first violating pair in ascending order has both members among
+    those without node n-1. Likewise S crosses a core C exactly when V - S
+    does, so the first member the sparse-crossing scan reports is one of
+    them too.
+    """
     full = (1 << f.n) - 1
     for m in f.masks:
         if not f.contains_mask(full ^ m):
-            return PropertyReport("symmetry", False, (NodeSet(m, f.n),))
-    return PropertyReport("symmetry", True)
+            return m
+    return None
+
+
+def _pair_scan_masks(f: SetFamily) -> tuple:
+    """The members a pair scan of f must visit: those without node n-1 when
+    f is symmetric (see `_missing_complement`), else all of them."""
+    if _missing_complement(f) is None:
+        return f.masks[:bisect_left(f.masks, 1 << (f.n - 1))]
+    return f.masks
+
+
+def check_symmetry(f: SetFamily) -> PropertyReport:
+    """Every member's complement is also a member."""
+    m = _missing_complement(f)
+    if m is None:
+        return PropertyReport("symmetry", True)
+    return PropertyReport("symmetry", False, (NodeSet(m, f.n),))
 
 
 def check_pliable(f: SetFamily) -> PropertyReport:
     """Every pair has at least two of its four corner sets in the family."""
     if len(f) < 2:
         return PropertyReport("pliable", True)
-    pair = kernels.pliable_violation(f.masks, f._mask_set)
+    pair = kernels.pliable_violation(_pair_scan_masks(f), f._mask_set)
     if pair is None:
         return PropertyReport("pliable", True)
     return PropertyReport("pliable", False, tuple(NodeSet(m, f.n) for m in pair))
@@ -184,7 +214,7 @@ def check_structural_submodularity(f: SetFamily) -> PropertyReport:
     side and the difference side."""
     if len(f) < 2:
         return PropertyReport("structural_submodularity", True)
-    pair = kernels.structsub_violation(f.masks, f._mask_set, (1 << f.n) - 1)
+    pair = kernels.structsub_violation(_pair_scan_masks(f), f._mask_set, (1 << f.n) - 1)
     if pair is None:
         return PropertyReport("structural_submodularity", True)
     return PropertyReport(
@@ -197,7 +227,8 @@ def check_sparse_crossing(f: SetFamily) -> PropertyReport:
     if len(f) == 0:
         return PropertyReport("sparse_crossing", True)
     flags = kernels.minimal_flags(f.masks)
-    triple = kernels.sparse_crossing_violation(f.masks, flags, (1 << f.n) - 1)
+    core_masks = [m for m, keep in zip(f.masks, flags) if keep]
+    triple = kernels.sparse_crossing_violation(_pair_scan_masks(f), core_masks, (1 << f.n) - 1)
     if triple is None:
         return PropertyReport("sparse_crossing", True)
     return PropertyReport("sparse_crossing", False, tuple(NodeSet(m, f.n) for m in triple))

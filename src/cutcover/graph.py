@@ -158,6 +158,8 @@ class CapGraph:
     edges: tuple = ()
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"the node count n must be non-negative, got {self.n}")
         canon = []
         for u, v, cap in self.edges:
             cap = _rat(cap)

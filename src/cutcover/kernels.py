@@ -2,10 +2,11 @@
 
 A set over the ground set [0, n) is an int whose bit v is set when v is a
 member, so the masks are exact at any ground-set size. A family arrives as
-its ascending tuple of masks plus a set of the same masks for membership
-tests. Every scan visits pairs in ascending mask order and reports the
-first violation it meets, which fixes the counterexamples the checkers
-print.
+the ascending tuple of the masks to scan (all of its members, or one of
+each complement pair when the family is symmetric) plus a set of all its
+masks for membership tests. Every scan visits pairs in ascending mask
+order and reports the first violation it meets, which fixes the
+counterexamples the checkers print.
 
 A pair (A, B) crosses when all four corners A & B, A - B, B - A and the
 outside of A | B are non-empty.
@@ -68,41 +69,52 @@ def pliable_violation(masks, members):
     A - B and B - A in the family, or None.
 
     Corners equal to the empty set or the ground set are never members, so
-    plain membership tests implement the corner-counting rule directly.
+    plain membership tests implement the corner-counting rule directly. A
+    nested pair has A & B and A | B in the family and a disjoint pair has
+    A - B = A and B - A = B, so neither can fail and both are skipped; B is
+    the larger mask, so only A can lie inside the other.
     """
     for i, a in enumerate(masks):
         for b in masks[i + 1:]:
-            count = (
-                ((a & b) in members)
-                + ((a | b) in members)
-                + ((a & ~b) in members)
-                + ((b & ~a) in members)
-            )
-            if count < 2:
-                return a, b
+            inter = a & b
+            if inter == a or not inter:
+                continue
+            # the corners A & B, A | B, A - B, B - A in turn, stopping at
+            # the second one that is a member
+            if inter in members:
+                if (a | b) in members or (a ^ inter) in members or (b ^ inter) in members:
+                    continue
+            elif (a | b) in members:
+                if (a ^ inter) in members or (b ^ inter) in members:
+                    continue
+            elif (a ^ inter) in members and (b ^ inter) in members:
+                continue
+            return a, b
     return None
 
 
 def structsub_violation(masks, members, full):
     """First crossing pair missing both of A & B and A | B, or both of
-    A - B and B - A, or None."""
+    A - B and B - A, or None. Nested and disjoint pairs do not cross and
+    are skipped as in `pliable_violation`."""
     for i, a in enumerate(masks):
         for b in masks[i + 1:]:
             inter = a & b
-            dab = a & ~b
-            dba = b & ~a
-            if inter and dab and dba and full & ~(a | b):
-                ok_in = inter in members or (a | b) in members
-                ok_diff = dab in members or dba in members
-                if not (ok_in and ok_diff):
-                    return a, b
+            if inter == a or not inter:
+                continue
+            if (inter in members or (a | b) in members) and (
+                (a ^ inter) in members or (b ^ inter) in members
+            ):
+                continue
+            # the pair crosses only when A | B leaves a node out
+            if a | b != full:
+                return a, b
     return None
 
 
-def sparse_crossing_violation(masks, minimal, full):
-    """First member S crossing two minimal members, as (S, C1, C2), or
-    None. minimal holds the flags of `minimal_flags`."""
-    core_masks = [c for c, keep in zip(masks, minimal) if keep]
+def sparse_crossing_violation(masks, core_masks, full):
+    """First member S crossing two of the core masks, as (S, C1, C2), or
+    None."""
     for s in masks:
         first = None
         for c in core_masks:

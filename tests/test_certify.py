@@ -22,9 +22,9 @@ from cutcover import (
     delta_links,
     enumerate_small_cuts,
     find_witness_laminar,
-    minimal_cover,
     psi_map,
     residual,
+    reverse_delete,
     solve,
 )
 from cutcover.certify import LaminarFamily
@@ -35,15 +35,15 @@ def _links(*pairs):
     return [Link(a, b, 1, i) for i, (a, b) in enumerate(pairs)]
 
 
-# ---------------------------------------------------------------- minimal_cover
+# ---------------------------------------------------------------- minimal cover
 
 def test_minimal_cover_single_link():
     f = fam(3, (0,))
-    assert minimal_cover([0], f, _links((0, 1))) == [0]
+    assert reverse_delete([0], f, _links((0, 1))) == [0]
 
 
 def test_minimal_cover_empty_target():
-    assert minimal_cover([0, 1], SetFamily(3, ()), _links((0, 1), (1, 2))) == []
+    assert reverse_delete([0, 1], SetFamily(3, ()), _links((0, 1), (1, 2))) == []
 
 
 def test_minimal_cover_random_single_drop_audit(rng):
@@ -52,7 +52,7 @@ def test_minimal_cover_random_single_drop_audit(rng):
         f = enumerate_small_cuts(inst.graph, inst.threshold)
         if len(f) == 0:
             continue
-        pruned = minimal_cover(range(len(inst.links)), f, inst.links)
+        pruned = reverse_delete(range(len(inst.links)), f, inst.links)
         assert len(residual(f, [inst.links[i] for i in pruned])) == 0
         for lid in pruned:
             rest = [inst.links[i] for i in pruned if i != lid]
@@ -77,7 +77,7 @@ def test_witness_four_cycle_run_validates():
     g = cycle(4)
     f = enumerate_small_cuts(g, 3)
     inst_links = _links((0, 1), (1, 2), (2, 3), (3, 0))
-    j = minimal_cover(range(4), f, inst_links)
+    j = reverse_delete(range(4), f, inst_links)
     assignment = find_witness_laminar(j, f, inst_links)
     # independent recheck of both invariants
     sets = assignment.sets()
@@ -118,7 +118,7 @@ def test_witness_budget_exceeded():
     g = cycle(6)
     f = enumerate_small_cuts(g, 3)
     inst_links = _links((0, 3), (1, 4), (2, 5), (0, 2), (3, 5))
-    j = minimal_cover(range(5), f, inst_links)
+    j = reverse_delete(range(5), f, inst_links)
     with pytest.raises(SearchBudgetExceeded):
         find_witness_laminar(j, f, inst_links, node_budget=1)
 
@@ -277,7 +277,7 @@ def test_audit_run_over_random_solves(rng):
         picked = []
         for pt, r in zip(result.trace, reports):
             f_res = residual(f, [inst.links[i] for i in picked])
-            j_hat = minimal_cover(result.solution, cores(f_res), inst.links)
+            j_hat = reverse_delete(result.solution, cores(f_res), inst.links)
             assignment = find_witness_laminar(j_hat, f_res, inst.links)
             assert r == crossing_density_audit(pt.phase, f_res, assignment, inst.links)
             picked.extend(pt.tight_link_ids)

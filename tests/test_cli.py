@@ -272,6 +272,26 @@ def test_cli_non_integer_node_id_rejected(tmp_path, text, shown):
     assert err.startswith("cutcover: error:") and shown in err
 
 
+@pytest.mark.parametrize("text, shown", [
+    ('{"n": 2, "edges": [5], "lambda": 2, "links": [[0, 1, 1]]}', "5"),
+    ('{"n": 2, "edges": [[0, 1, 1]], "lambda": 2, "links": [[0, 1]]}', "[0, 1]"),
+], ids=["edge-scalar", "link-short"])
+def test_cli_malformed_entry_rejected(tmp_path, text, shown):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = _run_main(["solve", str(path)])
+    assert code == 2
+    assert err.startswith("cutcover: error:") and "[u, v, c]" in err and shown in err
+
+
+def test_cli_negative_n_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": -1, "edges": [], "lambda": 1, "links": []}')
+    code, _, err = _run_main(["solve", str(path)])
+    assert code == 2
+    assert err.startswith("cutcover: error:") and "non-negative" in err and "-1" in err
+
+
 def test_single_drop_minimal_matches_residual_definition():
     rng = random.Random(5)
     verdicts = set()

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from cutcover import (
     Link,
     NodeSet,
+    PropertyReport,
     SetFamily,
     check_disjoint_cores,
     check_gamma,
@@ -19,6 +22,7 @@ from cutcover import (
     crosses,
     delta_links,
     enumerate_small_cuts,
+    kernels,
     residual,
 )
 from conftest import cycle, fam, ns, random_graph
@@ -206,6 +210,56 @@ def test_disjoint_cores_failure():
 
 def test_disjoint_cores_single_member():
     assert check_disjoint_cores(fam(4, (0, 1))).holds
+
+
+# ---------------------------------------------------------------- symmetric half-scan
+
+def _full_scan_reports(f):
+    """The pair checkers' reports built from the kernels run over every
+    member of f."""
+    masks, full = f.masks, (1 << f.n) - 1
+    members = frozenset(masks)
+    flags = kernels.minimal_flags(masks)
+    core_masks = [m for m, keep in zip(masks, flags) if keep]
+    found = (
+        ("pliable", kernels.pliable_violation(masks, members)),
+        ("structural_submodularity", kernels.structsub_violation(masks, members, full)),
+        ("sparse_crossing", kernels.sparse_crossing_violation(masks, core_masks, full)),
+    )
+    return tuple(
+        PropertyReport(name, True) if hit is None
+        else PropertyReport(name, False, tuple(NodeSet(m, f.n) for m in hit))
+        for name, hit in found
+    )
+
+
+def test_symmetric_half_scan_matches_full_scan():
+    rng = random.Random(7)
+    verdicts = set()
+    beyond_half = 0
+    for trial in range(400):
+        n = rng.randint(3, 8)
+        full = (1 << n) - 1
+        # members without node n-1, each with its complement
+        half = rng.sample(range(1, 1 << (n - 1)), rng.randint(1, min(10, (1 << (n - 1)) - 1)))
+        masks = {m for h in half for m in (h, full ^ h)}
+        symmetric = trial % 4 != 0
+        if not symmetric:
+            masks.discard(full ^ rng.choice(half))
+        f = SetFamily(n, masks)
+        assert check_symmetry(f).holds == symmetric
+        reports = (check_pliable(f), check_structural_submodularity(f), check_sparse_crossing(f))
+        assert reports == _full_scan_reports(f)
+        if symmetric:
+            verdicts.update((r.name, r.holds) for r in reports)
+        else:
+            # a counterexample the half-scan could not have reached
+            beyond_half += any(
+                r.counterexample and r.counterexample[0].bits >> (n - 1) for r in reports
+            )
+    names = ("pliable", "structural_submodularity", "sparse_crossing")
+    assert verdicts == {(name, ok) for name in names for ok in (True, False)}
+    assert beyond_half > 0
 
 
 # ---------------------------------------------------------------- gamma checks

@@ -141,10 +141,31 @@ def planted_gamma_family(rng):
     return tuple(sorted({c, s0, *cand, *leftovers})), 8
 
 
+def pair_kinds(masks, n):
+    """The kinds of pair the pair scans treat apart: nested and disjoint
+    pairs, which they skip, overlapping pairs whose union is the ground set,
+    which cross nothing, and crossing pairs."""
+    ground = frozenset(range(n))
+    kinds = set()
+    for i, a in enumerate(masks):
+        for b in masks[i + 1:]:
+            sa, sb = elems(a), elems(b)
+            if sa < sb:
+                kinds.add("nested")
+            elif not sa & sb:
+                kinds.add("disjoint")
+            elif sa | sb == ground:
+                kinds.add("union is ground")
+            else:
+                kinds.add("crossing")
+    return kinds
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_family_scan_parity(seed):
     rng = random.Random(seed)
     verdicts = set()
+    kinds = set()
     for _ in range(60):
         masks, n = random_family(rng)
         if not masks:
@@ -153,15 +174,19 @@ def test_family_scan_parity(seed):
         members = frozenset(masks)
         flags = kernels.minimal_flags(masks)
         assert flags == minimal_def(masks)
+        core_masks = [m for m, keep in zip(masks, flags) if keep]
         found = (
             kernels.pliable_violation(masks, members),
             kernels.structsub_violation(masks, members, full),
-            kernels.sparse_crossing_violation(masks, flags, full),
+            kernels.sparse_crossing_violation(masks, core_masks, full),
         )
         assert found == (pliable_def(masks), structsub_def(masks, n), sparse_crossing_def(masks, n))
         verdicts.update((k, v is None) for k, v in enumerate(found))
+        kinds |= pair_kinds(masks, n)
     # every scan both passed and failed on some family of this seed
     assert verdicts == {(k, ok) for k in range(3) for ok in (True, False)}
+    # and met every kind of pair the scans skip or test
+    assert kinds == {"nested", "disjoint", "union is ground", "crossing"}
 
 
 @pytest.mark.parametrize("kmax", [0, 1])
