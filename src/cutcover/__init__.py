@@ -29,8 +29,6 @@ from .graph import (
     cut_capacity,
     delta_links,
     enumerate_small_cuts,
-    incremental_cut_scan,
-    nontrivial_cut_values,
 )
 from .family import (
     PropertyReport,
@@ -104,8 +102,6 @@ __all__ = [
     "find_witness_laminar",
     "gen_instance",
     "grow_phase",
-    "incremental_cut_scan",
-    "nontrivial_cut_values",
     "psi_map",
     "ratio",
     "residual",

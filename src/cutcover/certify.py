@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import kernels
 from .errors import NotLaminar, SearchBudgetExceeded, WitnessSearchExhausted
 from .family import SetFamily, cores, residual
 from .graph import NodeSet, covers, crosses
@@ -22,21 +23,6 @@ DEFAULT_WITNESS_BUDGET = 1_000_000
 def _laminar_pair(a: int, b: int) -> bool:
     inter = a & b
     return inter == 0 or inter == a or inter == b
-
-
-@dataclass(frozen=True)
-class LaminarFamily:
-    """Family in which every pair is nested or disjoint."""
-
-    n: int
-    sets: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "sets", tuple(self.sets))
-        for i, s in enumerate(self.sets):
-            for t in self.sets[i + 1:]:
-                if not _laminar_pair(s.bits, t.bits):
-                    raise NotLaminar(f"{s} and {t} partially overlap")
 
 
 @dataclass(frozen=True)
@@ -54,10 +40,6 @@ class WitnessAssignment:
         """Witness sets in ascending link-id order (the map is injective)."""
         return tuple(self.witness[lid] for lid in sorted(self.witness))
 
-    def laminar_family(self) -> LaminarFamily:
-        """The image as a validated laminar family; raises NotLaminar."""
-        return LaminarFamily(self.n, self.sets())
-
 
 @dataclass(frozen=True)
 class WitnessTree:
@@ -69,10 +51,6 @@ class WitnessTree:
     parent: dict
     children: dict
     red: frozenset
-
-    @property
-    def nodes(self) -> tuple:
-        return (self.root,) + tuple(self.parent)
 
 
 def find_witness_laminar(j_hat, f_res: SetFamily, links,
@@ -88,17 +66,11 @@ def find_witness_laminar(j_hat, f_res: SetFamily, links,
         return WitnessAssignment(f_res.n, {})
 
     candidates = {lid: [] for lid in j_hat}
-    ends = [(lid, links[lid].a, links[lid].b) for lid in j_hat]
-    for m in f_res.masks:
-        owner = None
-        for lid, a, b in ends:
-            if ((m >> a) ^ (m >> b)) & 1:
-                if owner is not None:
-                    break
-                owner = lid
-        else:
-            if owner is not None:
-                candidates[owner].append(m)
+    rows = kernels.cover_bits(f_res.masks, [(links[lid].a, links[lid].b) for lid in j_hat], f_res.n)
+    for m, row in zip(f_res.masks, rows):
+        # a member that j_hat[k] alone crosses has the row 1 << k
+        if row and not row & (row - 1):
+            candidates[j_hat[row.bit_length() - 1]].append(m)
     for lid, cand in candidates.items():
         if not cand:
             raise WitnessSearchExhausted(

@@ -21,11 +21,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
+from . import kernels
 from .certify import audit_run
 from .errors import CutCoverError
 from .exact import exact_optimum, ratio
 from .family import SetFamily, all_covered
-from .gen import RunConfig, gen_instance
+from .gen import RunConfig, generate
 from .graph import CapGraph, Instance, enumerate_small_cuts
 from .pd import dual_feasible, solve
 
@@ -53,9 +54,12 @@ _INSTANCE_KEYS = ("n", "edges", "lambda", "links")
 
 def _exact_rational(value) -> Fraction:
     """An integer or a "p/q" string as a Fraction; a float is refused, since
-    its binary value is not the decimal the file shows."""
+    its binary value is not the decimal the file shows, and so is an
+    exponent, since "1e99999999" alone would build a 330M-bit integer."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"rationals must be integers or 'p/q' strings, got {value!r}")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"rationals may not carry an exponent, got {value!r}")
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -142,27 +146,22 @@ def _audit_obj(report) -> dict:
 def _single_drop_minimal(family: SetFamily, solution, links) -> bool:
     """Independent minimality audit: dropping any one link uncovers a set.
 
-    Link lid is redundant when every member is crossed by some solution
-    link other than lid.
+    Link solution[k] is redundant when every member is crossed by some
+    solution link other than it.
     """
-    ends = [(lid, links[lid].a, links[lid].b) for lid in solution]
-    crossing = []  # per member, bit lid set when solution link lid crosses it
-    for m in family.masks:
-        bits = 0
-        for lid, a, b in ends:
-            if ((m >> a) ^ (m >> b)) & 1:
-                bits |= 1 << lid
-        crossing.append(bits)
+    # per member, bit k set when solution[k] crosses it
+    crossing = kernels.cover_bits(
+        family.masks, [(links[lid].a, links[lid].b) for lid in solution], family.n
+    )
     return not any(
-        all(bits & ~(1 << lid) for bits in crossing) for lid in solution
+        all(bits & ~(1 << k) for bits in crossing) for k in range(len(solution))
     )
 
 
 def pipeline_record(cfg: RunConfig, index: int) -> dict:
     """Generate, solve, audit and (when within limits) exactly solve one
     instance; returns a JSON-ready record."""
-    inst = gen_instance(cfg, index)
-    family = enumerate_small_cuts(inst.graph, inst.threshold, cfg.enum_limit)
+    inst, family = generate(cfg, index)
     record = {
         "index": index,
         "n": inst.graph.n,
@@ -400,10 +399,9 @@ def main(argv=None, stdout=None, stderr=None) -> int:
             cfg = _config_from_args(args)
             lines = []
             for i in range(cfg.count):
-                inst = gen_instance(cfg, i)
+                inst, family = generate(cfg, i)
                 obj = instance_to_obj(inst)
                 if cfg.allow_infeasible:
-                    family = enumerate_small_cuts(inst.graph, inst.threshold, cfg.enum_limit)
                     obj["feasible"] = all_covered(family, inst.links)
                 lines.append(json.dumps(obj, separators=(",", ":")))
             _emit("\n".join(lines) + ("\n" if lines else ""), args.out, stdout)

@@ -46,16 +46,10 @@ def exact_optimum(inst: Instance, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT
         return ExactResult(Fraction(0), (), 0)
 
     # bit lid of cover_bits[i] is set when link lid crosses masks[i]
-    ends = [(link.a, link.b) for link in links]
-    cover_bits = []
-    for m in masks:
-        bits = 0
-        for lid, (a, b) in enumerate(ends):
-            if ((m >> a) ^ (m >> b)) & 1:
-                bits |= 1 << lid
+    cover_bits = kernels.cover_bits(masks, [(link.a, link.b) for link in links], f.n)
+    for m, bits in zip(masks, cover_bits):
         if bits == 0:
             raise Infeasible(NodeSet(m, f.n))
-        cover_bits.append(bits)
     denom = lcm(*(link.cost.denominator for link in links))
     costs = [link.cost.numerator * (denom // link.cost.denominator) for link in links]
     by_cost = sorted(range(len(links)), key=lambda lid: (costs[lid], lid))

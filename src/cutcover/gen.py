@@ -67,6 +67,9 @@ class RunConfig:
 
 def _parse_lambda_policy(policy: str):
     kind, _, arg = policy.partition(":")
+    if "e" in arg or "E" in arg:
+        # Fraction("1e99999999") alone would build a 330M-bit integer
+        raise ValueError(f"the lambda policy's value may not carry an exponent, got {arg!r}")
     if kind == "fixed":
         return "fixed", Fraction(arg)
     if kind == "quantile":
@@ -87,12 +90,15 @@ def _pick_threshold(table, policy_kind: str, policy_arg: Fraction):
     return values[max(1, min(len(values) - 1, idx))]
 
 
-def gen_instance(cfg: RunConfig, index: int) -> Instance:
-    """Instance number `index` of the batch; deterministic in (seed, index).
+def generate(cfg: RunConfig, index: int) -> tuple:
+    """Instance number `index` of the batch and its small-cut family, as
+    (Instance, SetFamily); deterministic in (seed, index).
 
     Feasibility (every small cut crossed by some link) is guaranteed by
     rejection sampling unless cfg.allow_infeasible, in which case the first
-    sample is returned as-is.
+    sample is returned as-is. The family is the one the feasibility test
+    ran on, equal to `enumerate_small_cuts(inst.graph, inst.threshold,
+    cfg.enum_limit)`.
     """
     rng = random.Random(_mix64(cfg.seed, index))
     policy_kind, policy_arg = _parse_lambda_policy(cfg.lambda_policy)
@@ -121,8 +127,13 @@ def gen_instance(cfg: RunConfig, index: int) -> Instance:
                 specs.append((a, b, Fraction(rng.randint(*cfg.cost_range))))
             inst = Instance.build(graph, threshold, specs)
             if cfg.allow_infeasible or all_covered(family, inst.links):
-                return inst
+                return inst, family
     raise GenerationExhausted(
         f"no feasible instance for (seed={cfg.seed}, index={index}) "
         f"after {cfg.max_retries} attempts"
     )
+
+
+def gen_instance(cfg: RunConfig, index: int) -> Instance:
+    """Instance number `index` of the batch, without its family."""
+    return generate(cfg, index)[0]

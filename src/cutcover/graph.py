@@ -268,18 +268,3 @@ def enumerate_small_cuts(g: CapGraph, threshold, limit: int = DEFAULT_ENUM_LIMIT
     threshold = _rat(threshold)
     return small_cut_family(g.n, cut_table(g, limit), threshold)
 
-
-def incremental_cut_scan(g: CapGraph):
-    """Masks and exact cut values of the representative subset half, in
-    single-bit-flip order starting from the empty set.
-
-    Exposed so the incremental maintenance can be audited against
-    from-scratch recomputation.
-    """
-    masks, values, denom = cut_table(g)
-    return tuple(masks), tuple(Fraction(v, denom) for v in values)
-
-
-def nontrivial_cut_values(g: CapGraph):
-    """Distinct cut capacities over all non-trivial subsets, ascending."""
-    return distinct_cut_values(cut_table(g))

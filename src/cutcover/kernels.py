@@ -44,6 +44,36 @@ def gray_cut_values(n, edges):
     return masks, vals
 
 
+def cover_bits(masks, ends, n):
+    """For each mask over [0, n), an int whose bit k is set when link
+    ends[k] = (a, b) has exactly one endpoint in the mask.
+
+    A row is the XOR, over the mask's nodes, of each node's incidence mask
+    (the bits of the links that end at that node): a link with both
+    endpoints inside is XORed twice and drops out. A link crosses a set
+    exactly when it crosses the complement, so the XOR runs over the
+    smaller of the two.
+    """
+    incidence = [0] * n
+    for k, (a, b) in enumerate(ends):
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"link ({a}, {b}) outside ground set [0, {n})")
+        incidence[a] ^= 1 << k
+        incidence[b] ^= 1 << k
+    full = (1 << n) - 1
+    rows = []
+    for m in masks:
+        if 2 * m.bit_count() > n:
+            m ^= full
+        row = 0
+        while m:
+            low = m & -m
+            row ^= incidence[low.bit_length() - 1]
+            m ^= low
+        rows.append(row)
+    return rows
+
+
 def minimal_flags(masks):
     """flags[i] is True when no other of the ascending, distinct masks is a
     subset of masks[i].

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import kernels
 from .errors import Infeasible
 from .family import SetFamily, cores, residual
 from .graph import Instance, Link, NodeSet, covers
@@ -74,24 +75,18 @@ def grow_phase(state: DualState, core_family: SetFamily, links, already_picked):
         raise ValueError("grow_phase requires a non-empty core family")
     n = core_family.n
 
-    degree = {}
-    crossed = 0  # bit i is set once some unpicked link crosses core i
-    for link in links:
-        if link.id in already_picked:
-            continue
-        a, b = link.a, link.b
-        if a >= n or b >= n:
-            raise ValueError(f"link ({a}, {b}) outside ground set [0, {n})")
-        d = 0
-        for i, c in enumerate(core_masks):
-            if ((c >> a) ^ (c >> b)) & 1:
-                d += 1
-                crossed |= 1 << i
-        if d:
-            degree[link.id] = d
-    for i, c in enumerate(core_masks):
-        if not (crossed >> i) & 1:
+    unpicked = [link for link in links if link.id not in already_picked]
+    # bit k of a core's row is set when unpicked[k] crosses the core
+    rows = kernels.cover_bits(core_masks, [(link.a, link.b) for link in unpicked], n)
+    counts = [0] * len(unpicked)
+    for c, row in zip(core_masks, rows):
+        if not row:
             raise Infeasible(NodeSet(c, n))
+        while row:
+            low = row & -row
+            counts[low.bit_length() - 1] += 1
+            row ^= low
+    degree = {link.id: d for link, d in zip(unpicked, counts) if d}
 
     load = state.link_load
     # the growth at which each candidate's slack reaches zero
@@ -143,15 +138,10 @@ def reverse_delete(addition_order, f: SetFamily, links):
         return []
     ends = [(links[lid].a, links[lid].b) for lid in addition_order]
     # bit k of a member's cover is set when addition_order[k] crosses it
-    cover = []
-    for m in f.masks:
-        bits = 0
-        for k, (a, b) in enumerate(ends):
-            if ((m >> a) ^ (m >> b)) & 1:
-                bits |= 1 << k
+    cover = kernels.cover_bits(f.masks, ends, f.n)
+    for m, bits in zip(f.masks, cover):
         if not bits:
             raise Infeasible(NodeSet(m, f.n), "addition order does not cover the family")
-        cover.append(bits)
     kept = (1 << len(ends)) - 1
     for k in reversed(range(len(ends))):
         rest = kept & ~(1 << k)

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cutcover
 from cutcover import CapGraph, Instance, NodeSet, SetFamily
+
+
+def child_env():
+    """The environment for a child Python that must import this cutcover:
+    PYTHONPATH leads with the src directory the package was imported from."""
+    src = str(Path(cutcover.__file__).resolve().parent.parent)
+    rest = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + rest if rest else src)
 
 
 def ns(n, *elements):
@@ -55,7 +66,7 @@ def random_instance(rng: random.Random, n, num_links, density=0.5, max_cost=10, 
     spanning star (which crosses every non-trivial set) plus extras; the
     threshold sits at a high quantile of the distinct cut values. With
     rational=True the capacities and costs have denominators 1 to 4."""
-    from cutcover import nontrivial_cut_values
+    from cutcover.graph import cut_table, distinct_cut_values
 
     def cost():
         if rational:
@@ -63,7 +74,7 @@ def random_instance(rng: random.Random, n, num_links, density=0.5, max_cost=10, 
         return Fraction(rng.randint(1, max_cost))
 
     g = random_graph(rng, n, density, rational=rational)
-    values = nontrivial_cut_values(g)
+    values = distinct_cut_values(cut_table(g))
     threshold = values[(3 * len(values)) // 4] if len(values) > 1 else values[0] + 1
     specs = []
     center = rng.randrange(n)

@@ -27,7 +27,6 @@ from cutcover import (
     reverse_delete,
     solve,
 )
-from cutcover.certify import LaminarFamily
 from conftest import cycle, fam, ns, random_instance
 
 
@@ -93,9 +92,7 @@ def test_witness_four_cycle_run_validates():
 def test_witness_assignment_laminar_family():
     f = fam(3, (0,))
     assignment = find_witness_laminar([0], f, _links((0, 1)))
-    assert assignment.laminar_family().sets == (ns(3, 0),)
-    with pytest.raises(NotLaminar):
-        WitnessAssignment(4, {0: ns(4, 0, 1), 1: ns(4, 1, 2)}).laminar_family()
+    assert assignment.sets() == (ns(3, 0),)
 
 
 def test_witness_exhausted_on_forced_non_laminar():
@@ -124,12 +121,6 @@ def test_witness_budget_exceeded():
 
 
 # ---------------------------------------------------------------- laminar tree
-
-def test_laminar_family_validation():
-    LaminarFamily(4, (ns(4, 0), ns(4, 0, 1), ns(4, 2)))
-    with pytest.raises(NotLaminar):
-        LaminarFamily(4, (ns(4, 0, 1), ns(4, 1, 2)))
-
 
 def test_build_tree_empty():
     t = build_tree(SetFamily(4, ()))

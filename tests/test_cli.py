@@ -24,8 +24,9 @@ from cutcover.cli import (
     run_pipeline,
 )
 from cutcover.family import residual
+from cutcover.gen import generate
 from cutcover.graph import enumerate_small_cuts
-from conftest import many_link_path, random_instance
+from conftest import child_env, many_link_path, random_instance
 
 
 def _cfg(**kw):
@@ -81,6 +82,25 @@ def test_gen_feasibility_scan():
         assert len(family) > 0  # quantile policy keeps the family non-empty
 
 
+@pytest.mark.parametrize("kw", [
+    dict(lambda_policy="quantile:0.5"),
+    dict(lambda_policy="fixed:15/2"),
+    dict(lambda_policy="quantile:0.3", link_range=(0, 3), allow_infeasible=True),
+], ids=["quantile", "fixed", "allow-infeasible"])
+def test_generate_returns_the_small_cut_family(kw):
+    cfg = _cfg(count=12, **kw)
+    feasible = set()
+    nonempty = 0
+    for i in range(cfg.count):
+        inst, family = generate(cfg, i)
+        assert inst == gen_instance(cfg, i)
+        assert family == enumerate_small_cuts(inst.graph, inst.threshold, cfg.enum_limit)
+        feasible.add(len(residual(family, inst.links)) == 0)
+        nonempty += len(family) > 0
+    assert feasible == ({True, False} if cfg.allow_infeasible else {True})
+    assert nonempty > cfg.count // 2
+
+
 def test_gen_exhausted_when_infeasible_forced():
     cfg = _cfg(link_range=(0, 0), max_retries=5)
     with pytest.raises(GenerationExhausted):
@@ -98,6 +118,9 @@ def test_config_validation():
         RunConfig(n_range=(5, 3))
     with pytest.raises(ValueError):
         RunConfig(lambda_policy="median")
+    for policy in ("fixed:1e400", "quantile:5E-1"):
+        with pytest.raises(ValueError, match="exponent"):
+            RunConfig(lambda_policy=policy)
     with pytest.raises(ValueError):
         RunConfig(audit_mode="never")
 
@@ -251,7 +274,8 @@ def test_cli_missing_key_rejected(tmp_path):
 @pytest.mark.parametrize("text, shown", [
     ('{"n": 2, "edges": [[0, 1, 1.5]], "lambda": 2, "links": [[0, 1, 1]]}', "1.5"),
     ('{"n": 2, "edges": [[0, 1, 1]], "lambda": "1/0", "links": [[0, 1, 1]]}', "1/0"),
-], ids=["float", "zero-denominator"])
+    ('{"n": 2, "edges": [[0, 1, 1]], "lambda": "1e400", "links": [[0, 1, 1]]}', "1e400"),
+], ids=["float", "zero-denominator", "exponent"])
 def test_cli_inexact_rational_rejected(tmp_path, text, shown):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -313,6 +337,6 @@ def test_cli_byte_identical_across_processes():
         sys.executable, "-m", "cutcover.cli", "bench",
         "--seed", "21", "--count", "4", "--n-range", "4:6",
     ]
-    a = subprocess.run(cmd, capture_output=True, check=True)
-    b = subprocess.run(cmd, capture_output=True, check=True)
+    a = subprocess.run(cmd, capture_output=True, check=True, env=child_env())
+    b = subprocess.run(cmd, capture_output=True, check=True, env=child_env())
     assert a.stdout == b.stdout

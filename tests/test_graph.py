@@ -20,11 +20,9 @@ from cutcover import (
     cut_capacity,
     delta_links,
     enumerate_small_cuts,
-    incremental_cut_scan,
-    nontrivial_cut_values,
 )
 from cutcover import kernels
-from cutcover.graph import cut_table
+from cutcover.graph import cut_table, distinct_cut_values
 from conftest import cycle, k2, ns, random_graph, triangle
 
 
@@ -244,8 +242,9 @@ def test_cut_table_matches_brute_force_on_rational_graphs():
         g = random_graph(rng, n, density=rng.uniform(0.2, 0.9), rational=True)
         full = (1 << n) - 1
         cuts = {m: cut_capacity(g, NodeSet(m, n)) for m in range(1, full)}
-        assert nontrivial_cut_values(g) == tuple(sorted(set(cuts.values())))
-        _, _, denom = cut_table(g)
+        table = cut_table(g)
+        assert distinct_cut_values(table) == tuple(sorted(set(cuts.values())))
+        denom = table[2]
         # 7/3 is a threshold whose scaled value is fractional unless 3 | denom
         fractional_lam += (Fraction(7, 3) * denom).denominator != 1
         for lam in {Fraction(7, 3), *cuts.values(), *(v + Fraction(1, 7) for v in cuts.values())}:
@@ -262,7 +261,7 @@ def test_cut_table_refuses_before_walking(monkeypatch):
     with pytest.raises(GroundSetTooLarge):
         cut_table(CapGraph(9, ()), limit=8)
     with pytest.raises(GroundSetTooLarge):
-        nontrivial_cut_values(CapGraph(21, ()))
+        cut_table(CapGraph(21, ()))
 
 
 def test_enumerate_family_is_symmetric(rng):
@@ -300,15 +299,15 @@ def test_incremental_scan_matches_scratch(rng):
     for _ in range(12):
         n = rng.randint(2, 8)
         g = random_graph(rng, n, density=rng.uniform(0.2, 0.8), rational=True)
-        masks, vals = incremental_cut_scan(g)
+        masks, vals, denom = cut_table(g)
         assert len(masks) == 1 << (n - 1)
         assert masks[0] == 0 and vals[0] == 0
         for m, v in zip(masks, vals):
-            assert v == cut_capacity(g, NodeSet(m, n))
+            assert Fraction(v, denom) == cut_capacity(g, NodeSet(m, n))
         # single-bit-flip order
         for prev, cur in zip(masks, masks[1:]):
             assert (prev ^ cur).bit_count() == 1
 
 
 def test_nontrivial_cut_values_four_cycle():
-    assert nontrivial_cut_values(cycle(4)) == (2, 4)
+    assert distinct_cut_values(cut_table(cycle(4))) == (2, 4)

@@ -13,7 +13,10 @@ from itertools import combinations
 
 import pytest
 
-from cutcover import CapGraph, Link, NodeSet, cut_capacity, enumerate_small_cuts, kernels, residual
+from cutcover import (
+    CapGraph, Link, NodeSet, covers, cut_capacity, enumerate_small_cuts, kernels, residual,
+)
+from conftest import child_env
 
 
 def elems(mask):
@@ -239,7 +242,40 @@ def test_cut_kernel_parity():
         assert vals == [cut_capacity(graph, NodeSet(m, n)) for m in masks]
 
 
+def test_cover_bits_parity():
+    rng = random.Random(29)
+    rows_seen = set()
+    ends_seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        links = []
+        for k in range(rng.randint(0, 2 * n) if n > 1 else 0):
+            if links and rng.random() < 0.2:
+                # a parallel link, sometimes with its ends swapped
+                twin = rng.choice(links)
+                a, b = (twin.a, twin.b) if rng.random() < 0.5 else (twin.b, twin.a)
+                ends_seen.add("parallel")
+            else:
+                a, b = rng.sample(range(n), 2)
+            links.append(Link(a, b, 1, k))
+        masks = [rng.randrange(1 << n) for _ in range(rng.randint(1, 20))]
+        rows = kernels.cover_bits(masks, [(l.a, l.b) for l in links], n)
+        for m, row in zip(masks, rows):
+            s = NodeSet(m, n)
+            assert row == sum(1 << k for k, l in enumerate(links) if covers(l, s))
+            rows_seen.add("zero" if not row else "single" if row.bit_count() == 1 else "multi")
+            for l in links:
+                ends_seen.add({0: "neither inside", 1: "one inside", 2: "both inside"}[
+                    (l.a in s) + (l.b in s)])
+    assert rows_seen == {"zero", "single", "multi"}
+    assert ends_seen == {"parallel", "neither inside", "one inside", "both inside"}
+    for ends in ([(0, 4)], [(4, 0)], [(0, 1), (2, 4)]):
+        with pytest.raises(ValueError, match="outside ground set"):
+            kernels.cover_bits([1], ends, 4)
+
+
 def test_import_leaves_numpy_unloaded():
     code = "import sys, cutcover; print('numpy' in sys.modules, 'numba' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=child_env())
     assert out.stdout.split() == ["False", "False"]
