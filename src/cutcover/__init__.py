@@ -43,7 +43,7 @@ from .family import (
     cores,
     residual,
 )
-from .pd import DualState, PhaseTrace, SolveResult, dual_feasible, grow_phase, reverse_delete, solve
+from .pd import DualState, PhaseTrace, SolveResult, dual_feasible, reverse_delete, solve
 from .certify import (
     AuditReport,
     WitnessAssignment,
@@ -101,7 +101,6 @@ __all__ = [
     "exact_optimum",
     "find_witness_laminar",
     "gen_instance",
-    "grow_phase",
     "psi_map",
     "ratio",
     "residual",

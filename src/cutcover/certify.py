@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import kernels
 from .errors import NotLaminar, SearchBudgetExceeded, WitnessSearchExhausted
-from .family import SetFamily, cores, residual
+from .family import SetFamily, cores, crossing_table
 from .graph import NodeSet, covers, crosses
 from .pd import SolveResult, reverse_delete
 
@@ -54,23 +53,31 @@ class WitnessTree:
 
 
 def find_witness_laminar(j_hat, f_res: SetFamily, links,
-                         node_budget: int = DEFAULT_WITNESS_BUDGET) -> WitnessAssignment:
+                         node_budget: int = DEFAULT_WITNESS_BUDGET,
+                         table=None) -> WitnessAssignment:
     """Backtracking search for a mutually laminar witness selection.
 
     Candidates for each link are the residual members covered by that link
     and no other link of the cover; inclusion-minimality of the cover makes
     every candidate list non-empty. Candidates are tried smallest first.
+    table maps each member of f_res to its `crossing_table` row over
+    links, and is built here when not given.
     """
     j_hat = list(j_hat)
     if not j_hat:
         return WitnessAssignment(f_res.n, {})
+    if table is None:
+        table = crossing_table(f_res, links)
 
     candidates = {lid: [] for lid in j_hat}
-    rows = kernels.cover_bits(f_res.masks, [(links[lid].a, links[lid].b) for lid in j_hat], f_res.n)
-    for m, row in zip(f_res.masks, rows):
-        # a member that j_hat[k] alone crosses has the row 1 << k
+    j_bits = 0
+    for lid in j_hat:
+        j_bits |= 1 << lid
+    for m in f_res.masks:
+        # a member that link lid of the cover alone crosses has the row 1 << lid
+        row = table[m] & j_bits
         if row and not row & (row - 1):
-            candidates[j_hat[row.bit_length() - 1]].append(m)
+            candidates[row.bit_length() - 1].append(m)
     for lid, cand in candidates.items():
         if not cand:
             raise WitnessSearchExhausted(
@@ -175,10 +182,12 @@ class AuditReport:
 
 
 def crossing_density_audit(phase: int, f_res: SetFamily, assignment: WitnessAssignment,
-                           links) -> AuditReport:
-    """Audit one phase's residual family against the witness assignment."""
+                           links, core_family=None) -> AuditReport:
+    """Audit one phase's residual family against the witness assignment;
+    core_family is `cores(f_res)`, computed here when not given."""
     n = f_res.n
-    core_family = cores(f_res)
+    if core_family is None:
+        core_family = cores(f_res)
     core_sets = core_family.members
 
     j_hat = assignment.link_ids()
@@ -255,23 +264,32 @@ def crossing_density_audit(phase: int, f_res: SetFamily, assignment: WitnessAssi
 
 
 def audit_run(links, f: SetFamily, result: SolveResult, mode: str = "per-phase",
-              node_budget: int = DEFAULT_WITNESS_BUDGET):
+              node_budget: int = DEFAULT_WITNESS_BUDGET, table=None):
     """Audit every phase of a solve (or only the last, mode="final").
 
     Each phase is audited against the final solution pruned to an
-    inclusion-minimal cover of that phase's cores.
+    inclusion-minimal cover of that phase's cores. table is f's
+    `crossing_table` over links, built here when not given; the residual
+    shrink, the reverse delete and the witness candidates read its rows.
     """
     if mode not in ("per-phase", "final"):
         raise ValueError(f"audit mode must be 'per-phase' or 'final', got {mode!r}")
+    if table is None:
+        table = crossing_table(f, links)
     last = len(result.trace) - 1
     f_res = f  # the residual family at the start of the current phase
     reports = []
     for k, pt in enumerate(result.trace):
         if mode == "per-phase" or k == last:
             core_family = cores(f_res)
-            j_hat = reverse_delete(result.solution, core_family, links)
-            assignment = find_witness_laminar(j_hat, f_res, links, node_budget)
-            reports.append(crossing_density_audit(pt.phase, f_res, assignment, links))
+            j_hat = reverse_delete(result.solution, core_family, links, table)
+            assignment = find_witness_laminar(j_hat, f_res, links, node_budget, table)
+            reports.append(
+                crossing_density_audit(pt.phase, f_res, assignment, links, core_family)
+            )
         if k < last:
-            f_res = residual(f_res, [links[i] for i in pt.tight_link_ids])
+            tight_bits = sum(1 << lid for lid in pt.tight_link_ids)
+            f_res = SetFamily._from_sorted(
+                f.n, [m for m in f_res.masks if not table[m] & tight_bits]
+            )
     return reports

@@ -18,14 +18,15 @@ import io
 import json
 import os
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from itertools import islice
 
-from . import kernels
 from .certify import audit_run
 from .errors import CutCoverError
 from .exact import exact_optimum, ratio
-from .family import SetFamily, all_covered
+from .family import SetFamily, all_covered, crossing_table
 from .gen import RunConfig, generate
 from .graph import CapGraph, Instance, enumerate_small_cuts
 from .pd import dual_feasible, solve
@@ -143,18 +144,22 @@ def _audit_obj(report) -> dict:
     }
 
 
-def _single_drop_minimal(family: SetFamily, solution, links) -> bool:
+def _single_drop_minimal(family: SetFamily, solution, links, table=None) -> bool:
     """Independent minimality audit: dropping any one link uncovers a set.
 
-    Link solution[k] is redundant when every member is crossed by some
-    solution link other than it.
+    A solution link is redundant when every member is crossed by some
+    solution link other than it. table is the family's `crossing_table`
+    over links, built here when not given.
     """
-    # per member, bit k set when solution[k] crosses it
-    crossing = kernels.cover_bits(
-        family.masks, [(links[lid].a, links[lid].b) for lid in solution], family.n
-    )
+    if table is None:
+        table = crossing_table(family, links)
+    chosen = 0
+    for lid in solution:
+        chosen |= 1 << lid
+    # per member, the bits of the solution links that cross it
+    crossing = [table[m] & chosen for m in family.masks]
     return not any(
-        all(bits & ~(1 << k) for bits in crossing) for k in range(len(solution))
+        all(bits & ~(1 << lid) for bits in crossing) for lid in solution
     )
 
 
@@ -177,25 +182,29 @@ def pipeline_record(cfg: RunConfig, index: int) -> dict:
         record["pass"] = True
         return record
 
-    result = solve(inst, family)
+    # one crossing row per member, shared by the solve, the audits and the
+    # exact search; the cover and dual-feasibility verdicts stay from scratch
+    table = crossing_table(family, inst.links)
+    result = solve(inst, family, table)
     record["phases"] = len(result.trace)
     record.update(_solution_obj(result))
 
     verdicts = {
         "cover": all_covered(family, [inst.links[i] for i in result.solution]),
-        "minimal": _single_drop_minimal(family, result.solution, inst.links),
+        "minimal": _single_drop_minimal(family, result.solution, inst.links, table),
         "dual_feasible": dual_feasible(inst, family, result.dual),
         "cost_le_5_dual": result.cost <= 5 * result.dual.total,
     }
 
-    audits = audit_run(inst.links, family, result, cfg.audit_mode)
+    audits = audit_run(inst.links, family, result, cfg.audit_mode, table=table)
     record["audits"] = [_audit_obj(r) for r in audits]
     verdicts["audits"] = all(r.passed for r in audits)
     quotients = [Fraction(r.lstar_size, r.num_cores) for r in audits if r.num_cores]
     record["max_density_quotient"] = _rat_str(max(quotients)) if quotients else None
 
     if len(inst.links) <= cfg.exact_limit:
-        opt = exact_optimum(inst, family, cfg.exact_limit, warm_start=result.solution)
+        opt = exact_optimum(inst, family, cfg.exact_limit, warm_start=result.solution,
+                            table=table)
         record["opt_cost"] = _rat_str(opt.opt_cost)
         record["opt_links"] = list(opt.opt_links)
         try:
@@ -241,23 +250,40 @@ def _summarize(records) -> dict:
     }
 
 
+def _pooled_records(cfg: RunConfig):
+    """The batch's records in index order from a process pool, submitted
+    lazily with at most two per worker in flight; the futures still
+    pending when the caller stops are cancelled."""
+    indices = iter(range(cfg.count))
+    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        pending = deque(
+            pool.submit(pipeline_record, cfg, index)
+            for index in islice(indices, 2 * cfg.workers)
+        )
+        try:
+            while pending:
+                record = pending.popleft().result()
+                index = next(indices, None)
+                if index is not None:
+                    pending.append(pool.submit(pipeline_record, cfg, index))
+                yield record
+        finally:
+            for future in pending:
+                future.cancel()
+
+
 def run_pipeline(cfg: RunConfig):
     """Run the whole batch; returns (records, summary)."""
-    indices = range(cfg.count)
-    records = []
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for record in pool.map(pipeline_record, [cfg] * cfg.count, indices):
-                records.append(record)
-                if cfg.fail_fast and not record["pass"]:
-                    pool.shutdown(cancel_futures=True)
-                    break
+        stream = _pooled_records(cfg)
     else:
-        for index in indices:
-            record = pipeline_record(cfg, index)
-            records.append(record)
-            if cfg.fail_fast and not record["pass"]:
-                break
+        stream = (pipeline_record(cfg, index) for index in range(cfg.count))
+    records = []
+    for record in stream:
+        records.append(record)
+        if cfg.fail_fast and not record["pass"]:
+            break
+    stream.close()
     return records, _summarize(records)
 
 

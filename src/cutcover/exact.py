@@ -21,7 +21,7 @@ from math import lcm
 
 from . import kernels
 from .errors import Infeasible, TooManyLinks, ZeroOptimumViolation
-from .family import SetFamily
+from .family import SetFamily, crossing_table
 from .graph import Instance, NodeSet
 from .pd import SolveResult
 
@@ -36,8 +36,12 @@ class ExactResult:
 
 
 def exact_optimum(inst: Instance, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
-                  warm_start=None) -> ExactResult:
-    """Minimum-cost link set covering f, with optional warm-start incumbent."""
+                  warm_start=None, table=None) -> ExactResult:
+    """Minimum-cost link set covering f, with optional warm-start incumbent.
+
+    table is f's `crossing_table` over inst.links, built here when not
+    given.
+    """
     links = inst.links
     if len(links) > limit:
         raise TooManyLinks(f"{len(links)} links exceed the exact-search limit {limit}")
@@ -45,8 +49,10 @@ def exact_optimum(inst: Instance, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT
     if not masks:
         return ExactResult(Fraction(0), (), 0)
 
+    if table is None:
+        table = crossing_table(f, links)
     # bit lid of cover_bits[i] is set when link lid crosses masks[i]
-    cover_bits = kernels.cover_bits(masks, [(link.a, link.b) for link in links], f.n)
+    cover_bits = [table[m] for m in masks]
     for m, bits in zip(masks, cover_bits):
         if bits == 0:
             raise Infeasible(NodeSet(m, f.n))

@@ -153,6 +153,14 @@ def all_covered(f: SetFamily, links) -> bool:
     return True
 
 
+def crossing_table(f: SetFamily, links) -> dict:
+    """Each member mask of f to its crossing row: an int whose bit k is set
+    when links[k] crosses the member. Instance links carry their position
+    as id, so bit k stands for link id k."""
+    rows = kernels.cover_bits(f.masks, [(link.a, link.b) for link in links], f.n)
+    return dict(zip(f.masks, rows))
+
+
 def cores(f: SetFamily) -> SetFamily:
     """Inclusion-minimal members of f."""
     if len(f) == 0:

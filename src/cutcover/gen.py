@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import GenerationExhausted
 from .exact import DEFAULT_EXACT_LIMIT
 from .family import all_covered
-from .graph import CapGraph, DEFAULT_ENUM_LIMIT, Instance, cut_table, distinct_cut_values, small_cut_family
+from .graph import CapGraph, DEFAULT_ENUM_LIMIT, Instance, cut_table, small_cut_family
 
 _MASK64 = (1 << 64) - 1
 
@@ -54,6 +54,8 @@ class RunConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.count < 0:
             raise ValueError("count must be non-negative")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         for name in ("n_range", "density_range", "cap_range", "link_range", "cost_range"):
             lo, hi = getattr(self, name)
             if lo > hi:
@@ -83,11 +85,13 @@ def _parse_lambda_policy(policy: str):
 def _pick_threshold(table, policy_kind: str, policy_arg: Fraction):
     if policy_kind == "fixed":
         return policy_arg
-    values = distinct_cut_values(table)
+    _, values, denom = table
+    # the distinct non-trivial cut values, as integers over denom
+    values = sorted(set(values[1:]))
     if len(values) < 2:
         return None
     idx = int(policy_arg * (len(values) - 1))
-    return values[max(1, min(len(values) - 1, idx))]
+    return Fraction(values[max(1, min(len(values) - 1, idx))], denom)
 
 
 def generate(cfg: RunConfig, index: int) -> tuple:

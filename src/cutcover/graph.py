@@ -19,6 +19,8 @@ DEFAULT_ENUM_LIMIT = 20
 
 
 def _rat(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("exact rational required, got float; pass Fraction, int or 'p/q' string")
     return Fraction(value)

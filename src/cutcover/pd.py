@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
-from . import kernels
 from .errors import Infeasible
-from .family import SetFamily, cores, residual
+from .family import SetFamily, cores, crossing_table
 from .graph import Instance, Link, NodeSet, covers
 
 
@@ -23,10 +23,10 @@ class DualState:
     """Dual variables keyed by the sets they were raised on.
 
     link_load holds, for each link that was a growth candidate in some
-    phase, the dual load pressing on it; `grow_phase` keeps it up to date
-    as it raises duals, for states it grows from empty. Once a link is
-    picked its entry is no longer updated. `load` recomputes a link's load
-    from y alone.
+    phase, the dual load pressing on it; once a link is picked its load no
+    longer grows. `solve` fills y, total and link_load once, from the
+    integer state it grows them in. `load` recomputes a link's load from y
+    alone.
     """
 
     y: dict = field(default_factory=dict)
@@ -63,91 +63,111 @@ class SolveResult:
     addition_order: tuple
 
 
-def grow_phase(state: DualState, core_family: SetFamily, links, already_picked):
-    """Raise duals uniformly on all cores until some unpicked link goes tight.
-
-    Returns the exact growth amount and the ids of every link whose slack
-    hits zero, ascending. Raises Infeasible when a core is crossed by no
-    unpicked link.
-    """
-    core_masks = core_family.masks
-    if not core_masks:
-        raise ValueError("grow_phase requires a non-empty core family")
-    n = core_family.n
-
-    unpicked = [link for link in links if link.id not in already_picked]
-    # bit k of a core's row is set when unpicked[k] crosses the core
-    rows = kernels.cover_bits(core_masks, [(link.a, link.b) for link in unpicked], n)
-    counts = [0] * len(unpicked)
-    for c, row in zip(core_masks, rows):
-        if not row:
-            raise Infeasible(NodeSet(c, n))
-        while row:
-            low = row & -row
-            counts[low.bit_length() - 1] += 1
-            row ^= low
-    degree = {link.id: d for link, d in zip(unpicked, counts) if d}
-
-    load = state.link_load
-    # the growth at which each candidate's slack reaches zero
-    reach = {lid: (links[lid].cost - load.get(lid, 0)) / d for lid, d in degree.items()}
-    epsilon = min(reach.values())
-    newly_tight = sorted(lid for lid, r in reach.items() if r == epsilon)
-
-    for lid, d in degree.items():
-        load[lid] = load.get(lid, 0) + epsilon * d
-    if epsilon:
-        for c in core_family.members:
-            state.y[c] = state.y.get(c, Fraction(0)) + epsilon
-        state.total += epsilon * len(core_masks)
-    return epsilon, newly_tight
-
-
-def solve(inst: Instance, f: SetFamily) -> SolveResult:
+def solve(inst: Instance, f: SetFamily, table=None) -> SolveResult:
     """Cover the family with the phased growth / reverse-delete scheme.
 
-    Each phase shrinks the residual family by the links it admitted, so
-    the residual is never rebuilt from f.
+    Each phase raises the duals of all cores of the residual family
+    uniformly until some unpicked link goes tight, admits every tight link
+    and shrinks the residual by them. table is f's `crossing_table` over
+    inst.links, built here when not given; core degrees, the residual
+    shrink and the reverse delete are bit tests on its rows.
+
+    The duals grow on integers: costs, loads, y and the total are
+    numerators over one common denominator, which a phase multiplies by
+    the reduced denominator of its growth amount when that is not 1. The
+    least slack / degree, and the links that reach it, are found by
+    cross-multiplying slack against degree.
     """
     if f.n != inst.graph.n:
         raise ValueError("family ground set does not match the instance graph")
-    state = DualState()
+    links = inst.links
+    if table is None:
+        table = crossing_table(f, links)
+    n = f.n
+    den = lcm(*(link.cost.denominator for link in links))
+    costs = [link.cost.numerator * (den // link.cost.denominator) for link in links]
+    load = {}  # link id -> load numerator, for every link that was a candidate
+    y = {}  # core mask -> dual numerator, for every core raised above zero
+    total = 0
+    unpicked = (1 << len(links)) - 1
     picked = []
-    picked_set = set()
     trace = []
     remaining = f
     while len(remaining):
         core_family = cores(remaining)
-        epsilon, tight = grow_phase(state, core_family, inst.links, picked_set)
+        degree = [0] * len(links)
+        for c in core_family.masks:
+            row = table[c] & unpicked
+            if not row:
+                raise Infeasible(NodeSet(c, n))
+            while row:
+                low = row & -row
+                degree[low.bit_length() - 1] += 1
+                row ^= low
+        # (link id, degree, slack) of every candidate, in ascending id order
+        cand = [(lid, d, costs[lid] - load.get(lid, 0)) for lid, d in enumerate(degree) if d]
+        _, best_d, best_s = cand[0]
+        for _, d, s in cand:
+            if s * best_d < best_s * d:
+                best_d, best_s = d, s
+        tight = [lid for lid, d, s in cand if s * best_d == best_s * d]
+
+        g = gcd(best_s, best_d)
+        step, scale = best_s // g, best_d // g
+        if scale > 1:
+            den *= scale
+            costs = [c * scale for c in costs]
+            load = {lid: v * scale for lid, v in load.items()}
+            y = {c: v * scale for c, v in y.items()}
+            total *= scale
+        for lid, d, _ in cand:
+            load[lid] = load.get(lid, 0) + step * d
+        if step:
+            for c in core_family.masks:
+                y[c] = y.get(c, 0) + step
+            total += step * len(core_family)
+
         picked.extend(tight)
-        picked_set.update(tight)
-        trace.append(PhaseTrace(len(trace), core_family, epsilon, tuple(tight), len(remaining)))
-        remaining = residual(remaining, [inst.links[i] for i in tight])
-    solution = reverse_delete(picked, f, inst.links)
-    cost = sum((inst.links[i].cost for i in solution), Fraction(0))
+        tight_bits = sum(1 << lid for lid in tight)
+        unpicked &= ~tight_bits
+        trace.append(PhaseTrace(len(trace), core_family, Fraction(step, den), tuple(tight),
+                                len(remaining)))
+        remaining = SetFamily._from_sorted(
+            n, [m for m in remaining.masks if not table[m] & tight_bits]
+        )
+    state = DualState(
+        {NodeSet(c, n): Fraction(v, den) for c, v in y.items()},
+        Fraction(total, den),
+        {lid: Fraction(v, den) for lid, v in load.items()},
+    )
+    solution = reverse_delete(picked, f, links, table)
+    cost = sum((links[i].cost for i in solution), Fraction(0))
     return SolveResult(tuple(solution), cost, state, tuple(trace), tuple(picked))
 
 
-def reverse_delete(addition_order, f: SetFamily, links):
+def reverse_delete(addition_order, f: SetFamily, links, table=None):
     """Drop links in reverse addition order whenever the rest still covers f.
 
     The result is an inclusion-minimal cover of f, returned in the original
-    addition order.
+    addition order. table maps each member of f to its `crossing_table`
+    row over links, and is built here when not given.
     """
     if len(f) == 0:
         return []
-    ends = [(links[lid].a, links[lid].b) for lid in addition_order]
-    # bit k of a member's cover is set when addition_order[k] crosses it
-    cover = kernels.cover_bits(f.masks, ends, f.n)
-    for m, bits in zip(f.masks, cover):
-        if not bits:
+    if table is None:
+        table = crossing_table(f, links)
+    kept = 0
+    for lid in addition_order:
+        kept |= 1 << lid
+    rows = [table[m] for m in f.masks]
+    for m, row in zip(f.masks, rows):
+        if not row & kept:
             raise Infeasible(NodeSet(m, f.n), "addition order does not cover the family")
-    kept = (1 << len(ends)) - 1
-    for k in reversed(range(len(ends))):
-        rest = kept & ~(1 << k)
-        if all(bits & rest for bits in cover):
+    for lid in reversed(addition_order):
+        rest = kept & ~(1 << lid)
+        if all(row & rest for row in rows):
             kept = rest
-    return [lid for k, lid in enumerate(addition_order) if (kept >> k) & 1]
+    return [lid for lid in addition_order if (kept >> lid) & 1]
 
 
 def dual_feasible(inst: Instance, f: SetFamily, state: DualState) -> bool:

@@ -7,6 +7,8 @@ tolerance); the batch is fully determined by the seed below.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -258,3 +260,23 @@ def test_criterion_7_determinism(batch):
         ok,
         f"{len(text_first.encode())} report bytes compared",
     )
+
+
+#: sha256 of the seeded batch's JSON-lines report in each audit mode
+REPORT_SHA256 = {
+    "per-phase": "4524e37edd5814fc368734572aeab126808faf9ad2a5a8f4d9c1636bb65cc182",
+    "final": "1445e0a7af0d6dc3157bd8f93012d3c2be45865ab7d2903fcd3ec94158fc895f",
+}
+
+
+def test_seeded_reports_pinned(batch):
+    """The batch reports are pinned byte for byte, so a change to the
+    solver, the audits or the oracle that moves any reported value fails
+    here even when every verdict still passes."""
+    final = run_pipeline(dataclasses.replace(BATCH, audit_mode="final"))
+    digests = {
+        "per-phase": report_lines(batch["records"], batch["summary"]),
+        "final": report_lines(*final),
+    }
+    digests = {mode: hashlib.sha256(text.encode()).hexdigest() for mode, text in digests.items()}
+    assert digests == REPORT_SHA256

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from cutcover import CapGraph, GenerationExhausted, Instance, RunConfig, gen_instance
+from cutcover import CapGraph, GenerationExhausted, Instance, RunConfig, cli, gen_instance
 from cutcover.cli import (
     _single_drop_minimal,
     dump_instance,
@@ -156,6 +156,88 @@ def test_pipeline_workers_match_serial():
     cfg_serial = _cfg(count=6)
     cfg_far = _cfg(count=6, workers=2)
     assert report_lines(*run_pipeline(cfg_serial)) == report_lines(*run_pipeline(cfg_far))
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor without starting a process: a
+    submitted call runs when its result is asked for. Records the indices
+    submitted and cancelled and the most calls in flight at once."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.submitted = []
+        self.cancelled = []
+        self.resolved = 0
+        self.peak = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, cfg, index):
+        self.submitted.append(index)
+        self.peak = max(self.peak, len(self.submitted) - self.resolved)
+        pool = self
+
+        class Pending:
+            def result(self):
+                pool.resolved += 1
+                return fn(cfg, index)
+
+            def cancel(self):
+                pool.cancelled.append(index)
+                return True
+
+        return Pending()
+
+
+def _stub_record(cfg, index):
+    return {"index": index, "feasible": False, "verdicts": {}, "pass": index != 3}
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pooled_pipeline_submits_lazily(monkeypatch, workers):
+    """A count far past memory runs lazily: at most two calls per worker in
+    flight, records in index order, and fail_fast stops at the first failed
+    record and cancels the calls still pending."""
+    pools = []
+
+    def inline_pool(max_workers):
+        pools.append(_InlinePool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool)
+    monkeypatch.setattr(cli, "pipeline_record", _stub_record)
+    records, summary = run_pipeline(_cfg(count=10**20, workers=workers, fail_fast=True))
+    pool = pools[-1]
+    assert pool.max_workers == workers
+    assert [r["index"] for r in records] == [0, 1, 2, 3]
+    assert summary["failed_instances"] == [3]
+    assert pool.peak == 2 * workers
+    assert pool.submitted == list(range(4 + 2 * workers))
+    assert pool.cancelled == list(range(4, 4 + 2 * workers))
+
+    records, summary = run_pipeline(_cfg(count=10, workers=workers))
+    assert [r["index"] for r in records] == list(range(10))
+    assert summary["failed_instances"] == [3]
+    assert pools[-1].cancelled == []
+
+    code, out, err = _run_main(
+        ["bench", "--count", str(10**20), "--workers", str(workers), "--fail-fast"]
+    )
+    assert code == 1 and "Traceback" not in err
+    assert len(out.splitlines()) == 5 and "FAILURES: [3]" in err
+
+
+def test_workers_below_one_rejected():
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            _cfg(workers=workers)
+    code, out, err = _run_main(["bench", "--count", "1", "--workers", "0"])
+    assert code == 2 and out == ""
+    assert err.startswith("cutcover: error:") and "workers" in err
 
 
 def test_report_csv_columns():

@@ -8,21 +8,23 @@ from fractions import Fraction
 import pytest
 
 from cutcover import (
+    CapGraph,
     DualState,
     Infeasible,
     Instance,
     Link,
     SetFamily,
+    audit_run,
     cores,
     covers,
     dual_feasible,
     enumerate_small_cuts,
-    grow_phase,
+    exact_optimum,
     residual,
     reverse_delete,
     solve,
 )
-from cutcover import pd
+from cutcover.family import crossing_table
 from conftest import cycle, fam, k2, ns, random_instance
 
 
@@ -52,34 +54,35 @@ def test_solve_k2_single_phase_dual():
     assert res.dual.load(inst.links[0]) == 7  # tight
 
 
+def _one_phase(n, f, link_specs):
+    """Solve f over an edgeless graph on n nodes; returns the result."""
+    return solve(Instance.build(CapGraph(n, ()), 1, link_specs), f)
+
+
 def test_grow_phase_single_core():
-    links = [Link(0, 1, 5, 0)]
-    state = DualState()
-    eps, tight = grow_phase(state, fam(3, (0,)), links, set())
-    assert eps == 5 and tight == [0]
-    assert state.y == {ns(3, 0): 5} and state.total == 5
+    res = _one_phase(3, fam(3, (0,)), [(0, 1, 5)])
+    pt = res.trace[0]
+    assert pt.epsilon == 5 and pt.tight_link_ids == (0,)
+    assert res.dual.y == {ns(3, 0): 5} and res.dual.total == 5
 
 
 def test_grow_phase_two_cores_half_slack():
-    links = [Link(0, 1, 7, 0)]
-    state = DualState()
-    eps, tight = grow_phase(state, fam(2, (0,), (1,)), links, set())
-    assert eps == Fraction(7, 2) and tight == [0]
-    assert state.total == 7
+    res = _one_phase(2, fam(2, (0,), (1,)), [(0, 1, 7)])
+    pt = res.trace[0]
+    assert pt.epsilon == Fraction(7, 2) and pt.tight_link_ids == (0,)
+    assert res.dual.total == 7
 
 
 def test_grow_phase_zero_slack_link():
-    links = [Link(0, 1, 0, 0)]
-    state = DualState()
-    eps, tight = grow_phase(state, fam(3, (0,)), links, set())
-    assert eps == 0 and tight == [0]
-    assert state.y == {} and state.total == 0  # nothing actually raised
+    res = _one_phase(3, fam(3, (0,)), [(0, 1, 0)])
+    pt = res.trace[0]
+    assert pt.epsilon == 0 and pt.tight_link_ids == (0,)
+    assert res.dual.y == {} and res.dual.total == 0  # nothing actually raised
 
 
 def test_grow_phase_infeasible():
-    links = [Link(1, 2, 1, 0)]
     with pytest.raises(Infeasible) as err:
-        grow_phase(DualState(), fam(4, (0,), (1,)), links, set())
+        _one_phase(4, fam(4, (0,), (1,)), [(1, 2, 1)])
     assert err.value.uncovered == ns(4, 0)
 
 
@@ -213,28 +216,93 @@ def test_determinism():
     assert a.dual.y == b.dual.y
 
 
+def _reference_solve(inst, f):
+    """The phase loop in Fractions, from the definitions: each phase's
+    epsilon is the least (cost - load) / degree over the unpicked links,
+    with the load summed from scratch over the raised duals and the degree
+    counted through `covers`. Returns the per-phase (epsilon, tight ids,
+    residual size), the dual state and the ids of every link that was a
+    candidate."""
+    state = DualState()
+    picked = set()
+    candidates = set()
+    phases = []
+    remaining = f
+    while len(remaining):
+        core_sets = cores(remaining).members
+        reach = {}
+        for link in inst.links:
+            degree = sum(1 for c in core_sets if covers(link, c))
+            if link.id not in picked and degree:
+                reach[link.id] = (link.cost - state.load(link)) / degree
+        epsilon = min(reach.values())
+        tight = tuple(sorted(lid for lid, r in reach.items() if r == epsilon))
+        if epsilon:
+            for c in core_sets:
+                state.y[c] = state.y.get(c, Fraction(0)) + epsilon
+            state.total += epsilon * len(core_sets)
+        phases.append((epsilon, tight, len(remaining)))
+        candidates.update(reach)
+        picked.update(tight)
+        remaining = residual(remaining, [inst.links[i] for i in tight])
+    return phases, state, candidates
+
+
+def _rational_instance_with_ties(rng):
+    """A seeded instance with rational costs where some links cost 0 and
+    some repeat another link's cost."""
+    inst = random_instance(rng, rng.randint(3, 7), rng.randint(0, 5), rational=True)
+    specs = []
+    for link in inst.links:
+        roll = rng.random()
+        if roll < 0.15:
+            cost = 0
+        elif roll < 0.4 and specs:
+            cost = rng.choice(specs)[2]
+        else:
+            cost = link.cost
+        specs.append((link.a, link.b, cost))
+    return Instance.build(inst.graph, inst.threshold, specs)
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_link_load_matches_from_scratch_load(seed, monkeypatch):
-    """After every phase, the load grow_phase keeps per candidate link is
-    the from-scratch sum over the raised duals."""
-    real_grow_phase = pd.grow_phase
-    checked = 0
-
-    def checking_grow_phase(state, core_family, links, already_picked):
-        nonlocal checked
-        out = real_grow_phase(state, core_family, links, already_picked)
-        for link in links:
-            crossing = any(covers(link, c) for c in core_family.members)
-            if link.id not in already_picked and crossing:
-                assert state.link_load[link.id] == state.load(link)
-                checked += 1
-        return out
-
-    monkeypatch.setattr(pd, "grow_phase", checking_grow_phase)
+def test_link_load_matches_from_scratch_load(seed):
+    """The integer phase loop of `solve` against its Fraction reference:
+    every phase's epsilon, tight ids and residual size, then y, the total,
+    and each candidate's link_load against the from-scratch load."""
     rng = random.Random(seed)
-    phases = 0
-    for _ in range(10):
-        inst = random_instance(rng, rng.randint(3, 7), rng.randint(0, 5), rational=True)
-        res = solve(inst, enumerate_small_cuts(inst.graph, inst.threshold))
-        phases += len(res.trace)
-    assert phases > 10 and checked > phases
+    phases = zero_phases = ties = 0
+    for _ in range(12):
+        inst = _rational_instance_with_ties(rng)
+        f = enumerate_small_cuts(inst.graph, inst.threshold)
+        res = solve(inst, f)
+        expected, state, candidates = _reference_solve(inst, f)
+        assert [(pt.epsilon, pt.tight_link_ids, pt.residual_size) for pt in res.trace] == expected
+        assert res.dual.y == state.y and res.dual.total == state.total
+        assert set(res.dual.link_load) == candidates
+        for lid, load in res.dual.link_load.items():
+            assert load == res.dual.load(inst.links[lid])
+        phases += len(expected)
+        zero_phases += sum(1 for eps, _, _ in expected if eps == 0)
+        ties += sum(1 for _, tight, _ in expected if len(tight) > 1)
+    assert phases > 20 and zero_phases and ties
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shared_table_matches_own_table(seed):
+    """solve, audit_run and exact_optimum give the same results with a
+    crossing table handed in as with the one they build themselves."""
+    rng = random.Random(seed)
+    for _ in range(6):
+        inst = _rational_instance_with_ties(rng)
+        f = enumerate_small_cuts(inst.graph, inst.threshold)
+        table = crossing_table(f, inst.links)
+        res = solve(inst, f)
+        assert solve(inst, f, table) == res
+        for mode in ("per-phase", "final"):
+            assert audit_run(inst.links, f, res, mode, table=table) == audit_run(
+                inst.links, f, res, mode
+            )
+        assert exact_optimum(inst, f, warm_start=res.solution, table=table) == exact_optimum(
+            inst, f, warm_start=res.solution
+        )
