@@ -48,10 +48,8 @@ from .certify import (
     AuditReport,
     WitnessAssignment,
     audit_run,
-    build_tree,
     crossing_density_audit,
     find_witness_laminar,
-    psi_map,
 )
 from .exact import ExactResult, exact_optimum, ratio
 from .gen import RunConfig, gen_instance
@@ -82,7 +80,6 @@ __all__ = [
     "WitnessSearchExhausted",
     "ZeroOptimumViolation",
     "audit_run",
-    "build_tree",
     "check_disjoint_cores",
     "check_gamma",
     "check_gamma_star",
@@ -101,7 +98,6 @@ __all__ = [
     "exact_optimum",
     "find_witness_laminar",
     "gen_instance",
-    "psi_map",
     "ratio",
     "residual",
     "reverse_delete",

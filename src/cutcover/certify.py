@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import NotLaminar, SearchBudgetExceeded, WitnessSearchExhausted
 from .family import SetFamily, cores, crossing_table
-from .graph import NodeSet, covers, crosses
+from .graph import NodeSet
 from .pd import SolveResult, reverse_delete
 
 DEFAULT_WITNESS_BUDGET = 1_000_000
@@ -38,18 +38,6 @@ class WitnessAssignment:
     def sets(self) -> tuple:
         """Witness sets in ascending link-id order (the map is injective)."""
         return tuple(self.witness[lid] for lid in sorted(self.witness))
-
-
-@dataclass(frozen=True)
-class WitnessTree:
-    """Rooted containment tree over the crossing witness sets plus the
-    ground set; a node is red when some core maps to its set."""
-
-    n: int
-    root: NodeSet
-    parent: dict
-    children: dict
-    red: frozenset
 
 
 def find_witness_laminar(j_hat, f_res: SetFamily, links,
@@ -114,47 +102,40 @@ def find_witness_laminar(j_hat, f_res: SetFamily, links,
     return WitnessAssignment(f_res.n, assignment)
 
 
-def build_tree(l_star: SetFamily, red=frozenset()) -> WitnessTree:
-    """Containment tree of the family plus the ground set as root."""
-    n = l_star.n
-    masks = l_star.masks
-    for i, a in enumerate(masks):
-        for b in masks[i + 1:]:
+def _size_order(m: int):
+    return (m.bit_count(), m)
+
+
+def _crosses(a: int, b: int, full: int) -> bool:
+    return bool(a & b and a & ~b and b & ~a and full & ~(a | b))
+
+
+def _build_tree(n: int, l_star) -> dict:
+    """The containment tree of the masks of l_star, with the ground set as
+    root: each mask to its children, ascending. A mask's parent is its
+    smallest proper superset in l_star, by size and then by mask, or the
+    root when it has none. Raises NotLaminar when two masks partially
+    overlap."""
+    for i, a in enumerate(l_star):
+        for b in l_star[i + 1:]:
             if not _laminar_pair(a, b):
-                raise NotLaminar(
-                    f"{NodeSet(a, n)} and {NodeSet(b, n)} partially overlap"
-                )
-    root = NodeSet.full(n)
-    parent = {}
-    for m in masks:
-        supersets = [q for q in masks if q != m and m & ~q == 0]
-        if supersets:
-            best = min(supersets, key=lambda q: (q.bit_count(), q))
-            parent[NodeSet(m, n)] = NodeSet(best, n)
-        else:
-            parent[NodeSet(m, n)] = root
-    children = {node: [] for node in list(parent) + [root]}
-    for child, par in parent.items():
-        children[par].append(child)
-    children = {node: tuple(sorted(kids, key=lambda s: s.bits)) for node, kids in children.items()}
-    return WitnessTree(n, root, parent, children, frozenset(red))
+                raise NotLaminar(f"{NodeSet(a, n)} and {NodeSet(b, n)} partially overlap")
+    children = {m: [] for m in l_star}
+    for m in l_star:
+        parent = min((q for q in l_star if q != m and m & ~q == 0), key=_size_order,
+                     default=None)
+        if parent is not None:
+            children[parent].append(m)
+    return {m: sorted(kids) for m, kids in children.items()}
 
 
-def psi_map(core_family: SetFamily, l_star: SetFamily) -> dict:
-    """Each core to the smallest crossing-witness set containing it (the
-    ground set when none does)."""
-    if core_family.n != l_star.n:
-        raise ValueError("mixed ground sets")
-    n = l_star.n
-    result = {}
-    for c in core_family.masks:
-        containers = [s for s in l_star.masks if c & ~s == 0]
-        if containers:
-            best = min(containers, key=lambda s: (s.bit_count(), s))
-            result[NodeSet(c, n)] = NodeSet(best, n)
-        else:
-            result[NodeSet(c, n)] = NodeSet.full(n)
-    return result
+def _psi_map(core_masks, l_star, full: int) -> dict:
+    """Each core mask to the smallest mask of l_star containing it, by size
+    and then by mask; to full, the ground set, when none does."""
+    return {
+        c: min((s for s in l_star if c & ~s == 0), key=_size_order, default=full)
+        for c in core_masks
+    }
 
 
 @dataclass(frozen=True)
@@ -184,58 +165,68 @@ class AuditReport:
 def crossing_density_audit(phase: int, f_res: SetFamily, assignment: WitnessAssignment,
                            links, core_family=None) -> AuditReport:
     """Audit one phase's residual family against the witness assignment;
-    core_family is `cores(f_res)`, computed here when not given."""
+    core_family is `cores(f_res)`, computed here when not given.
+
+    Every set is a mask. The witness re-check runs from scratch: each
+    witness must be a member of f_res that exactly one cover link, its own,
+    crosses, by the parity of the link's endpoints in the mask.
+    """
     n = f_res.n
+    full = (1 << n) - 1
     if core_family is None:
         core_family = cores(f_res)
-    core_sets = core_family.members
+    core_masks = core_family.masks
+    for s in assignment.witness.values():
+        if s.n != n:
+            raise ValueError(f"witness set over ground set {s.n}, family over {n}")
+    witness = {lid: s.bits for lid, s in assignment.witness.items()}
 
     j_hat = assignment.link_ids()
+    ends = [(links[j].a, links[j].b) for j in j_hat]
+    for a, b in ends:
+        if a >= n or b >= n:
+            raise ValueError(f"link ({a}, {b}) outside ground set [0, {n})")
     witness_valid = True
-    for lid, s in assignment.witness.items():
-        if s not in f_res:
+    for lid, s in witness.items():
+        if not f_res.contains_mask(s):
             witness_valid = False
             break
-        delta = [j for j in j_hat if covers(links[j], s)]
+        delta = [j for j, (a, b) in zip(j_hat, ends) if ((s >> a) ^ (s >> b)) & 1]
         if delta != [lid]:
             witness_valid = False
             break
-    l_hat = assignment.sets()
+    l_hat = [witness[lid] for lid in j_hat]
     if witness_valid:
         for i, s in enumerate(l_hat):
-            for t in l_hat[i + 1:]:
-                if not _laminar_pair(s.bits, t.bits):
-                    witness_valid = False
-                    break
-            if not witness_valid:
+            if not all(_laminar_pair(s, t) for t in l_hat[i + 1:]):
+                witness_valid = False
                 break
 
-    crossing_of = {s: [c for c in core_sets if crosses(s, c)] for s in l_hat}
+    crossing_of = {s: [c for c in core_masks if _crosses(s, c, full)] for s in l_hat}
     l_star = [s for s in l_hat if crossing_of[s]]
     crossing_pairs = sum(len(v) for v in crossing_of.values())
     sparse_ok = all(len(v) <= 1 for v in crossing_of.values())
-    density_ok = len(l_star) <= 2 * len(core_sets)
+    density_ok = len(l_star) <= 2 * len(core_masks)
 
     red_ok = remainder_ok = disjoint_ok = witness_valid and sparse_ok
-    if witness_valid and sparse_ok:
-        l_star_family = SetFamily(n, l_star)
-        psi = psi_map(core_family, l_star_family)
-        red = frozenset(psi.values())
-        tree = build_tree(l_star_family, red)
+    if red_ok and l_star:
+        red = set(_psi_map(core_masks, l_star, full).values())
+        children = _build_tree(n, l_star)
         for s0 in l_star:
+            # each lemma speaks only of a crossing witness that is not red
+            if s0 in red:
+                continue
             c0 = crossing_of[s0][0]
-            kids = tree.children[s0]
-            is_red = s0 in red
-            if not is_red and not any(k in red for k in kids):
+            kids = children[s0]
+            if not any(k in red for k in kids):
                 red_ok = False
-            if not is_red:
-                crossed_kids = [k for k in kids if crosses(k, c0)]
-                remainder = s0.bits & ~c0.bits
-                for k in crossed_kids:
-                    remainder &= ~k.bits
-                if not crossed_kids or remainder != 0:
-                    remainder_ok = False
-            if any((k.bits & c0.bits) == 0 for k in kids) and not is_red:
+            crossed_kids = [k for k in kids if _crosses(k, c0, full)]
+            remainder = s0 & ~c0
+            for k in crossed_kids:
+                remainder &= ~k
+            if not crossed_kids or remainder:
+                remainder_ok = False
+            if any(not k & c0 for k in kids):
                 disjoint_ok = False
 
     passed = (
@@ -249,7 +240,7 @@ def crossing_density_audit(phase: int, f_res: SetFamily, assignment: WitnessAssi
     )
     return AuditReport(
         phase=phase,
-        num_cores=len(core_sets),
+        num_cores=len(core_masks),
         lhat_size=len(l_hat),
         lstar_size=len(l_star),
         crossing_pairs=crossing_pairs,

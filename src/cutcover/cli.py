@@ -163,6 +163,10 @@ def _single_drop_minimal(family: SetFamily, solution, links, table=None) -> bool
     )
 
 
+def _ends(links) -> list:
+    return [(link.a, link.b) for link in links]
+
+
 def pipeline_record(cfg: RunConfig, index: int) -> dict:
     """Generate, solve, audit and (when within limits) exactly solve one
     instance; returns a JSON-ready record."""
@@ -175,7 +179,8 @@ def pipeline_record(cfg: RunConfig, index: int) -> dict:
         "num_links": len(inst.links),
         "family_size": len(family),
     }
-    feasible = all_covered(family, inst.links)
+    # generate returns only feasible draws unless allow_infeasible is set
+    feasible = not cfg.allow_infeasible or all_covered(family, _ends(inst.links))
     record["feasible"] = feasible
     if not feasible:
         record["verdicts"] = {}
@@ -190,7 +195,7 @@ def pipeline_record(cfg: RunConfig, index: int) -> dict:
     record.update(_solution_obj(result))
 
     verdicts = {
-        "cover": all_covered(family, [inst.links[i] for i in result.solution]),
+        "cover": all_covered(family, _ends(inst.links[i] for i in result.solution)),
         "minimal": _single_drop_minimal(family, result.solution, inst.links, table),
         "dual_feasible": dual_feasible(inst, family, result.dual),
         "cost_le_5_dual": result.cost <= 5 * result.dual.total,
@@ -428,7 +433,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
                 inst, family = generate(cfg, i)
                 obj = instance_to_obj(inst)
                 if cfg.allow_infeasible:
-                    obj["feasible"] = all_covered(family, inst.links)
+                    obj["feasible"] = all_covered(family, _ends(inst.links))
                 lines.append(json.dumps(obj, separators=(",", ":")))
             _emit("\n".join(lines) + ("\n" if lines else ""), args.out, stdout)
             return 0

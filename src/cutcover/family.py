@@ -139,11 +139,13 @@ def residual(f: SetFamily, cover_links) -> SetFamily:
     return SetFamily._from_sorted(f.n, kept)
 
 
-def all_covered(f: SetFamily, links) -> bool:
-    """True when every member of f is crossed by some link: the links are a
-    feasible cover of f."""
-    _link_endpoints_ok(f, links)
-    pairs = [(link.a, link.b) for link in links]
+def all_covered(f: SetFamily, ends) -> bool:
+    """True when every member of f is crossed by some link, given by its
+    (a, b) endpoint pair: the links are a feasible cover of f."""
+    pairs = list(ends)
+    for a, b in pairs:
+        if not (0 <= a < f.n and 0 <= b < f.n):
+            raise ValueError(f"link ({a}, {b}) outside ground set [0, {f.n})")
     for m in f.masks:
         for a, b in pairs:
             if ((m >> a) ^ (m >> b)) & 1:

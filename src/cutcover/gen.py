@@ -7,6 +7,7 @@ workers can generate independently.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +18,10 @@ from .family import all_covered
 from .graph import CapGraph, DEFAULT_ENUM_LIMIT, Instance, cut_table, small_cut_family
 
 _MASK64 = (1 << 64) - 1
+
+#: the most worker processes a batch may ask for: a process pool forks all
+#: of its workers at its first submit
+MAX_WORKERS = 4 * (os.cpu_count() or 1)
 
 
 def _mix64(seed: int, index: int) -> int:
@@ -54,8 +59,10 @@ class RunConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.count < 0:
             raise ValueError("count must be non-negative")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(
+                f"workers must lie in [1, {MAX_WORKERS}] (four per CPU), got {self.workers}"
+            )
         for name in ("n_range", "density_range", "cap_range", "link_range", "cost_range"):
             lo, hi = getattr(self, name)
             if lo > hi:
@@ -85,7 +92,7 @@ def _parse_lambda_policy(policy: str):
 def _pick_threshold(table, policy_kind: str, policy_arg: Fraction):
     if policy_kind == "fixed":
         return policy_arg
-    _, values, denom = table
+    values, denom = table
     # the distinct non-trivial cut values, as integers over denom
     values = sorted(set(values[1:]))
     if len(values) < 2:
@@ -122,16 +129,19 @@ def generate(cfg: RunConfig, index: int) -> tuple:
         family = small_cut_family(n, table, threshold)
         for _ in range(20):
             num_links = rng.randint(*cfg.link_range)
-            specs = []
+            ends = []
+            costs = []
             for _ in range(num_links):
                 a = rng.randrange(n)
                 b = rng.randrange(n - 1)
                 if b >= a:
                     b += 1
-                specs.append((a, b, Fraction(rng.randint(*cfg.cost_range))))
-            inst = Instance.build(graph, threshold, specs)
-            if cfg.allow_infeasible or all_covered(family, inst.links):
-                return inst, family
+                ends.append((a, b))
+                costs.append(rng.randint(*cfg.cost_range))
+            # links are built only for the draw that is returned
+            if cfg.allow_infeasible or all_covered(family, ends):
+                specs = [(a, b, c) for (a, b), c in zip(ends, costs)]
+                return Instance.build(graph, threshold, specs), family
     raise GenerationExhausted(
         f"no feasible instance for (seed={cfg.seed}, index={index}) "
         f"after {cfg.max_retries} attempts"

@@ -7,6 +7,7 @@ exact.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
@@ -16,6 +17,9 @@ from . import kernels
 from .errors import GroundSetTooLarge
 
 DEFAULT_ENUM_LIMIT = 20
+
+#: the most memory a `cut_table` may take, in bytes
+CUT_TABLE_BYTES = 1 << 30
 
 
 def _rat(value) -> Fraction:
@@ -224,30 +228,31 @@ def delta_links(s: NodeSet, links) -> frozenset:
 
 
 def cut_table(g: CapGraph, limit: int = DEFAULT_ENUM_LIMIT):
-    """Every cut of g from one single-bit-flip walk.
+    """Every cut of g, indexed by mask.
 
-    Returns (masks, values, denom): the masks of all subsets of
-    {0..n-2} in walk order, the empty set first, and the cut capacity of
-    each times denom, the common denominator of the capacities, as an
-    int. Every other non-trivial set is the complement of one of these
-    and has the same cut. Raises GroundSetTooLarge before walking when
-    n exceeds limit.
+    Returns (values, denom): values[mask] is the cut capacity of each
+    subset of {0..n-2} times denom, the common denominator of the
+    capacities, as an int. Every other non-trivial set is the complement of
+    one of these and has the same cut. Raises GroundSetTooLarge before
+    building anything when n exceeds limit or the table would exceed
+    CUT_TABLE_BYTES.
     """
     if g.n > limit:
         raise GroundSetTooLarge(f"ground set of size {g.n} exceeds enumeration limit {limit}")
     denom = lcm(*(cap.denominator for _, _, cap in g.edges))
     if g.n == 0:
-        return [], [], denom
+        return [], denom
     edges = [(u, v, cap.numerator * (denom // cap.denominator)) for u, v, cap in g.edges]
-    masks, values = kernels.gray_cut_values(g.n, edges)
-    return masks, values, denom
-
-
-def distinct_cut_values(table):
-    """Distinct cut capacities over the non-trivial sets of a `cut_table`,
-    ascending."""
-    _, values, denom = table
-    return tuple(Fraction(v, denom) for v in sorted(set(values[1:])))
+    # a list slot and an int as wide as the total weight per entry, twice:
+    # the last doubling step holds two half-size rows beside the table
+    entry_bytes = 2 * (8 + sys.getsizeof(sum(w for _, _, w in edges)))
+    # 2^(n-1) entries fit when n-1 is below the bit length of the entry budget
+    if g.n - 1 >= (CUT_TABLE_BYTES // entry_bytes).bit_length():
+        raise GroundSetTooLarge(
+            f"a cut table over {g.n} nodes needs 2^{g.n - 1} entries of about "
+            f"{entry_bytes} bytes, more than the budget of {CUT_TABLE_BYTES} bytes"
+        )
+    return kernels.cut_values(g.n, edges), denom
 
 
 def small_cut_family(n: int, table, threshold):
@@ -255,13 +260,15 @@ def small_cut_family(n: int, table, threshold):
     is strictly below the threshold; symmetric by construction."""
     from .family import SetFamily
 
-    masks, values, denom = table
+    values, denom = table
     threshold = _rat(threshold)
     # an integer cut v has v / denom < threshold exactly when v < lam
     lam = ceil(threshold * denom)
     full = (1 << n) - 1
-    small = [m for m, v in zip(masks[1:], values[1:]) if v < lam]
-    return SetFamily(n, small + [full ^ m for m in small])
+    small = [m for m, v in enumerate(values) if v < lam and m]
+    # the complements all contain node n-1, so they follow the small masks,
+    # and reversing the small masks puts them in ascending order
+    return SetFamily._from_sorted(n, small + [full ^ m for m in reversed(small)])
 
 
 def enumerate_small_cuts(g: CapGraph, threshold, limit: int = DEFAULT_ENUM_LIMIT):

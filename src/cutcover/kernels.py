@@ -18,30 +18,34 @@ from __future__ import annotations
 BACKEND = "python"
 
 
-def gray_cut_values(n, edges):
-    """Every mask over {0..n-2} in single-bit-flip walk order, the empty set
-    first, and the cut value of each. edges are (u, v, integer weight)
-    triples."""
-    adj = [[] for _ in range(n)]
+def cut_values(n, edges):
+    """The cut value of every mask over {0..n-2}, indexed by the mask, for
+    n >= 1. edges are (u, v, integer weight) triples.
+
+    The table doubles once per node k < n-1: for S within {0..k-1},
+    cut(S | {k}) = cut(S) + deg(k) - 2 w(k, S), and the row of 2 w(k, S)
+    over those S doubles in the same way, once per node below k.
+    """
+    weight = [[0] * n for _ in range(n)]
+    degree = [0] * n
     for u, v, w in edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    masks = [0]
+        weight[u][v] += w
+        weight[v][u] += w
+        degree[u] += w
+        degree[v] += w
     vals = [0]
-    cur = 0
-    cut = 0
-    for i in range(1, 1 << (n - 1)):
-        b = (i & -i).bit_length() - 1
-        side = (cur >> b) & 1
-        for v, w in adj[b]:
-            if (cur >> v) & 1 == side:
-                cut += w
+    for k in range(n - 1):
+        # twice the weight from k into each subset of {0..k-1}, by mask
+        into = [0]
+        for w in weight[k][:k]:
+            if w:
+                w2 = 2 * w
+                into += [x + w2 for x in into]
             else:
-                cut -= w
-        cur ^= 1 << b
-        masks.append(cur)
-        vals.append(cut)
-    return masks, vals
+                into += into
+        d = degree[k]
+        vals += [v + d - x for v, x in zip(vals, into)]
+    return vals
 
 
 def cover_bits(masks, ends, n):

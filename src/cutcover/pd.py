@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 from .errors import Infeasible
 from .family import SetFamily, cores, crossing_table
-from .graph import Instance, Link, NodeSet, covers
+from .graph import Instance, NodeSet
 
 
 @dataclass
@@ -25,21 +25,12 @@ class DualState:
     link_load holds, for each link that was a growth candidate in some
     phase, the dual load pressing on it; once a link is picked its load no
     longer grows. `solve` fills y, total and link_load once, from the
-    integer state it grows them in. `load` recomputes a link's load from y
-    alone.
+    integer state it grows them in.
     """
 
     y: dict = field(default_factory=dict)
     total: Fraction = Fraction(0)
     link_load: dict = field(default_factory=dict)
-
-    def load(self, link: Link) -> Fraction:
-        """Total dual weight pressing on a link, summed from scratch."""
-        acc = Fraction(0)
-        for s, val in self.y.items():
-            if covers(link, s):
-                acc += val
-        return acc
 
 
 @dataclass(frozen=True)
@@ -171,5 +162,22 @@ def reverse_delete(addition_order, f: SetFamily, links, table=None):
 
 
 def dual_feasible(inst: Instance, f: SetFamily, state: DualState) -> bool:
-    """Every link carries dual load at most its cost, exactly."""
-    return all(state.load(link) <= link.cost for link in inst.links)
+    """Every link carries dual load at most its cost, exactly.
+
+    A link's load is summed from scratch over state.y, never read from
+    link_load: the duals and the costs are scaled to integers over one
+    common denominator, and the load of a link is the sum of the scaled
+    duals of the sets it has exactly one endpoint in.
+    """
+    if f.n != inst.graph.n:
+        raise ValueError("family ground set does not match the instance graph")
+    links = inst.links
+    den = lcm(*(v.denominator for v in state.y.values()),
+              *(link.cost.denominator for link in links))
+    duals = [(s.bits, v.numerator * (den // v.denominator)) for s, v in state.y.items()]
+    for link in links:
+        a, b = link.a, link.b
+        load = sum(v for m, v in duals if ((m >> a) ^ (m >> b)) & 1)
+        if load > link.cost.numerator * (den // link.cost.denominator):
+            return False
+    return True

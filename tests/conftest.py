@@ -11,6 +11,7 @@ import pytest
 
 import cutcover
 from cutcover import CapGraph, Instance, NodeSet, SetFamily
+from cutcover.graph import cut_table
 
 
 def child_env():
@@ -61,12 +62,18 @@ def random_graph(rng: random.Random, n, density=0.5, max_cap=5, rational=False):
     return CapGraph(n, tuple(edges))
 
 
+def distinct_cut_values(g):
+    """The distinct cut capacities of g over its non-trivial sets, ascending,
+    read off `cut_table`: mask 0 is the empty set."""
+    values, denom = cut_table(g)
+    return tuple(Fraction(v, denom) for v in sorted(set(values[1:])))
+
+
 def random_instance(rng: random.Random, n, num_links, density=0.5, max_cost=10, rational=False):
     """Feasible instance over a random graph: the links include a random
     spanning star (which crosses every non-trivial set) plus extras; the
     threshold sits at a high quantile of the distinct cut values. With
     rational=True the capacities and costs have denominators 1 to 4."""
-    from cutcover.graph import cut_table, distinct_cut_values
 
     def cost():
         if rational:
@@ -74,7 +81,7 @@ def random_instance(rng: random.Random, n, num_links, density=0.5, max_cost=10, 
         return Fraction(rng.randint(1, max_cost))
 
     g = random_graph(rng, n, density, rational=rational)
-    values = distinct_cut_values(cut_table(g))
+    values = distinct_cut_values(g)
     threshold = values[(3 * len(values)) // 4] if len(values) > 1 else values[0] + 1
     specs = []
     center = rng.randrange(n)

@@ -1,0 +1,159 @@
+"""Reference implementations on NodeSet and Fraction objects, written from
+the definitions, that the int-mask and scaled-integer code is tested
+against."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from cutcover import AuditReport, NodeSet, NotLaminar, SetFamily, cores, covers, crosses
+
+
+def load(y: dict, link) -> Fraction:
+    """Total dual weight pressing on a link: the sum of y over the sets it
+    has exactly one endpoint in."""
+    acc = Fraction(0)
+    for s, val in y.items():
+        if covers(link, s):
+            acc += val
+    return acc
+
+
+def _laminar_pair(a: int, b: int) -> bool:
+    inter = a & b
+    return inter == 0 or inter == a or inter == b
+
+
+@dataclass(frozen=True)
+class WitnessTree:
+    """Rooted containment tree over the crossing witness sets plus the
+    ground set; a node is red when some core maps to its set."""
+
+    n: int
+    root: NodeSet
+    parent: dict
+    children: dict
+    red: frozenset
+
+
+def build_tree(l_star: SetFamily, red=frozenset()) -> WitnessTree:
+    """Containment tree of the family plus the ground set as root."""
+    n = l_star.n
+    masks = l_star.masks
+    for i, a in enumerate(masks):
+        for b in masks[i + 1:]:
+            if not _laminar_pair(a, b):
+                raise NotLaminar(f"{NodeSet(a, n)} and {NodeSet(b, n)} partially overlap")
+    root = NodeSet.full(n)
+    parent = {}
+    for m in masks:
+        supersets = [q for q in masks if q != m and m & ~q == 0]
+        if supersets:
+            best = min(supersets, key=lambda q: (q.bit_count(), q))
+            parent[NodeSet(m, n)] = NodeSet(best, n)
+        else:
+            parent[NodeSet(m, n)] = root
+    children = {node: [] for node in list(parent) + [root]}
+    for child, par in parent.items():
+        children[par].append(child)
+    children = {node: tuple(sorted(kids, key=lambda s: s.bits)) for node, kids in children.items()}
+    return WitnessTree(n, root, parent, children, frozenset(red))
+
+
+def psi_map(core_family: SetFamily, l_star: SetFamily) -> dict:
+    """Each core to the smallest crossing-witness set containing it (the
+    ground set when none does)."""
+    if core_family.n != l_star.n:
+        raise ValueError("mixed ground sets")
+    n = l_star.n
+    result = {}
+    for c in core_family.masks:
+        containers = [s for s in l_star.masks if c & ~s == 0]
+        if containers:
+            best = min(containers, key=lambda s: (s.bit_count(), s))
+            result[NodeSet(c, n)] = NodeSet(best, n)
+        else:
+            result[NodeSet(c, n)] = NodeSet.full(n)
+    return result
+
+
+def crossing_density_audit(phase, f_res: SetFamily, assignment, links, core_family=None):
+    """The per-phase crossing-density audit on NodeSets, with `covers`
+    deciding every witness's crossing links."""
+    n = f_res.n
+    if core_family is None:
+        core_family = cores(f_res)
+    core_sets = core_family.members
+
+    j_hat = assignment.link_ids()
+    witness_valid = True
+    for lid, s in assignment.witness.items():
+        if s not in f_res:
+            witness_valid = False
+            break
+        delta = [j for j in j_hat if covers(links[j], s)]
+        if delta != [lid]:
+            witness_valid = False
+            break
+    l_hat = assignment.sets()
+    if witness_valid:
+        for i, s in enumerate(l_hat):
+            for t in l_hat[i + 1:]:
+                if not _laminar_pair(s.bits, t.bits):
+                    witness_valid = False
+                    break
+            if not witness_valid:
+                break
+
+    crossing_of = {s: [c for c in core_sets if crosses(s, c)] for s in l_hat}
+    l_star = [s for s in l_hat if crossing_of[s]]
+    crossing_pairs = sum(len(v) for v in crossing_of.values())
+    sparse_ok = all(len(v) <= 1 for v in crossing_of.values())
+    density_ok = len(l_star) <= 2 * len(core_sets)
+
+    red_ok = remainder_ok = disjoint_ok = witness_valid and sparse_ok
+    if witness_valid and sparse_ok:
+        l_star_family = SetFamily(n, l_star)
+        psi = psi_map(core_family, l_star_family)
+        red = frozenset(psi.values())
+        tree = build_tree(l_star_family, red)
+        for s0 in l_star:
+            c0 = crossing_of[s0][0]
+            kids = tree.children[s0]
+            is_red = s0 in red
+            if not is_red and not any(k in red for k in kids):
+                red_ok = False
+            if not is_red:
+                crossed_kids = [k for k in kids if crosses(k, c0)]
+                remainder = s0.bits & ~c0.bits
+                for k in crossed_kids:
+                    remainder &= ~k.bits
+                if not crossed_kids or remainder != 0:
+                    remainder_ok = False
+            if any((k.bits & c0.bits) == 0 for k in kids) and not is_red:
+                disjoint_ok = False
+
+    passed = (
+        witness_valid
+        and sparse_ok
+        and density_ok
+        and red_ok
+        and remainder_ok
+        and disjoint_ok
+        and crossing_pairs == len(l_star)
+    )
+    return AuditReport(
+        phase=phase,
+        num_cores=len(core_sets),
+        lhat_size=len(l_hat),
+        lstar_size=len(l_star),
+        crossing_pairs=crossing_pairs,
+        witness_valid=witness_valid,
+        sparse_crossing_ok=sparse_ok,
+        density_bound_ok=density_ok,
+        red_cover_ok=red_ok,
+        empty_remainder_ok=remainder_ok,
+        disjoint_child_ok=disjoint_ok,
+        passed=passed,
+    )

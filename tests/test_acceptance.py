@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import random
 import time
 from fractions import Fraction
@@ -31,7 +32,7 @@ from cutcover import (
     residual,
     solve,
 )
-from cutcover.cli import report_lines, run_pipeline
+from cutcover.cli import main, report_lines, run_pipeline
 from cutcover.gen import RunConfig
 from cutcover.graph import cut_table
 from conftest import random_graph, random_instance
@@ -202,9 +203,9 @@ def test_criterion_6a_incremental_cut_oracle():
     for n in range(2, 13):
         for _ in range(2):
             g = random_graph(rng, n, density=rng.uniform(0.2, 0.8), rational=(n <= 8))
-            masks, vals, denom = cut_table(g)
-            ok = ok and len(masks) == 1 << (n - 1)
-            for m, v in zip(masks, vals):
+            vals, denom = cut_table(g)
+            ok = ok and len(vals) == 1 << (n - 1)
+            for m, v in enumerate(vals):
                 if Fraction(v, denom) != cut_capacity(g, NodeSet(m, n)):
                     ok = False
                     break
@@ -280,3 +281,24 @@ def test_seeded_reports_pinned(batch):
     }
     digests = {mode: hashlib.sha256(text.encode()).hexdigest() for mode, text in digests.items()}
     assert digests == REPORT_SHA256
+
+
+#: sha256 of the standard output of two generator-path commands: infeasible
+#: draws with few links, and a fixed threshold instead of a quantile
+COMMAND_SHA256 = {
+    "gen --seed 5 --count 30 --link-range 0:4 --allow-infeasible":
+        "37862e1eba8c0bf7c5570c8135a10b82ac2944eb1a8bff7f4fc59c4fdbde13cf",
+    "bench --seed 3 --count 100 --allow-infeasible --link-range 2:6 --lambda-policy fixed:5/2":
+        "5c9500c127116f5b82dd0f28689b747724b9f863f1e52ceedfafdbf0041abb29",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_SHA256))
+def test_seeded_commands_pinned(command, monkeypatch):
+    """The generator's output, and a bench over it, pinned byte for byte,
+    so that a change to the cut table, the threshold pick or the link draws
+    that moves any instance fails here."""
+    monkeypatch.delenv("CUTCOVER_SEED", raising=False)
+    out, err = io.StringIO(), io.StringIO()
+    assert main(command.split(), stdout=out, stderr=err) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == COMMAND_SHA256[command]

@@ -15,19 +15,20 @@ from cutcover import (
     WitnessAssignment,
     WitnessSearchExhausted,
     audit_run,
-    build_tree,
     cores,
+    covers,
     crosses,
     crossing_density_audit,
     delta_links,
     enumerate_small_cuts,
     find_witness_laminar,
-    psi_map,
     residual,
     reverse_delete,
     solve,
 )
+from cutcover.certify import _build_tree, _psi_map
 from conftest import cycle, fam, ns, random_instance
+import reference
 
 
 def _links(*pairs):
@@ -123,75 +124,84 @@ def test_witness_budget_exceeded():
 # ---------------------------------------------------------------- laminar tree
 
 def test_build_tree_empty():
-    t = build_tree(SetFamily(4, ()))
-    assert t.root == NodeSet.full(4)
-    assert t.parent == {} and t.children[t.root] == ()
+    assert _build_tree(4, []) == {}
 
 
 def test_build_tree_chain():
-    t = build_tree(fam(4, (0,), (0, 1)))
-    assert t.parent[ns(4, 0)] == ns(4, 0, 1)
-    assert t.parent[ns(4, 0, 1)] == t.root
-    assert t.children[ns(4, 0, 1)] == (ns(4, 0),)
+    assert _build_tree(4, [0b0011, 0b0001]) == {0b0011: [0b0001], 0b0001: []}
 
 
 def test_build_tree_siblings():
-    t = build_tree(fam(4, (0,), (2,)))
-    assert t.parent[ns(4, 0)] == t.root
-    assert t.parent[ns(4, 2)] == t.root
-    assert set(t.children[t.root]) == {ns(4, 0), ns(4, 2)}
+    # both sets hang off the root: neither is the other's child
+    assert _build_tree(4, [0b0001, 0b0100]) == {0b0001: [], 0b0100: []}
 
 
 def test_build_tree_rejects_crossing():
     with pytest.raises(NotLaminar):
-        build_tree(fam(4, (0, 1), (1, 2)))
+        _build_tree(4, [0b0011, 0b0110])
 
 
 # ---------------------------------------------------------------- psi map
 
 def test_psi_empty_lstar_maps_to_ground_set():
-    m = psi_map(fam(4, (0,), (2,)), SetFamily(4, ()))
-    assert m == {ns(4, 0): NodeSet.full(4), ns(4, 2): NodeSet.full(4)}
+    assert _psi_map([0b0001, 0b0100], [], 0b1111) == {0b0001: 0b1111, 0b0100: 0b1111}
 
 
 def test_psi_smallest_container():
-    m = psi_map(fam(4, (0,)), fam(4, (0, 1), (0, 1, 2)))
-    assert m[ns(4, 0)] == ns(4, 0, 1)
+    assert _psi_map([0b0001], [0b0111, 0b0011], 0b1111) == {0b0001: 0b0011}
 
 
 def test_psi_uncontained_core():
-    m = psi_map(fam(4, (0, 3)), fam(4, (0, 1)))
-    assert m[ns(4, 0, 3)] == NodeSet.full(4)
+    assert _psi_map([0b1001], [0b0011], 0b1111) == {0b1001: 0b1111}
+
+
+def _random_laminar_masks(rng, n):
+    """A random laminar family over [0, n): nested intervals of a shuffled
+    node order."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    sets = set()
+    for _ in range(rng.randint(1, 6)):
+        lo = rng.randrange(n)
+        hi = rng.randint(lo, n - 1)
+        m = 0
+        for i in range(lo, hi + 1):
+            m |= 1 << perm[i]
+        if 0 < m < (1 << n) - 1 and all(
+            (m & o == 0) or (m | o == m) or (m | o == o) for o in sets
+        ):
+            sets.add(m)
+    return sorted(sets)
 
 
 def test_psi_brute_force(rng):
     for _ in range(20):
         n = rng.randint(3, 8)
-        # random laminar family: nested intervals over a shuffled order
-        perm = list(range(n))
-        rng.shuffle(perm)
-        sets = set()
-        for _ in range(rng.randint(1, 6)):
-            lo = rng.randrange(n)
-            hi = rng.randint(lo, n - 1)
-            m = 0
-            for i in range(lo, hi + 1):
-                m |= 1 << perm[i]
-            if 0 < m < (1 << n) - 1:
-                ok = all(
-                    (m & o == 0) or (m | o == m) or (m | o == o) for o in sets
-                )
-                if ok:
-                    sets.add(m)
-        lam = SetFamily(n, sets)
-        core_family = fam(n, (rng.randrange(n),))
-        psi = psi_map(core_family, lam)
-        for c_set, target in psi.items():
-            containers = [
-                NodeSet(s, n) for s in lam.masks if c_set.bits & ~s == 0
-            ] + [NodeSet.full(n)]
-            smallest = min(containers, key=lambda s: (len(s), s.bits))
+        lam = _random_laminar_masks(rng, n)
+        core_masks = [1 << rng.randrange(n), rng.randrange(1, 1 << n)]
+        psi = _psi_map(core_masks, lam, (1 << n) - 1)
+        for c, target in psi.items():
+            containers = [s for s in lam if c & ~s == 0] + [(1 << n) - 1]
+            smallest = min(containers, key=lambda s: (s.bit_count(), s))
             assert target == smallest
+
+
+def test_tree_and_psi_match_reference(rng):
+    """The mask helpers against the NodeSet tree and core map: the same
+    children under every witness set and the same image of every core."""
+    for _ in range(40):
+        n = rng.randint(3, 8)
+        lam = _random_laminar_masks(rng, n)
+        rng.shuffle(lam)
+        tree = reference.build_tree(SetFamily(n, lam))
+        assert _build_tree(n, lam) == {
+            m: [k.bits for k in tree.children[NodeSet(m, n)]] for m in lam
+        }
+        core_family = SetFamily(n, [rng.randrange(1, (1 << n) - 1) for _ in range(3)])
+        psi = reference.psi_map(core_family, SetFamily(n, lam))
+        assert _psi_map(core_family.masks, lam, (1 << n) - 1) == {
+            c.bits: s.bits for c, s in psi.items()
+        }
 
 
 # ---------------------------------------------------------------- audits
@@ -289,7 +299,7 @@ def test_audit_red_count_bounded_by_cores():
     l_star = SetFamily(8, [
         s for s in assignment.sets() if any(crosses(s, c) for c in core_family)
     ])
-    psi = psi_map(core_family, l_star)
+    psi = _psi_map(core_family.masks, l_star.masks, (1 << 8) - 1)
     red = set(psi.values())
     assert len(red) <= len(core_family)
 
@@ -300,3 +310,129 @@ def test_audit_mode_validated(rng):
     result = solve(inst, f)
     with pytest.raises(ValueError):
         audit_run(inst.links, f, result, mode="sometimes")
+
+
+# ---------------------------------------------------------------- parity with the NodeSet audit
+
+def _crossing_first_assignment(j_hat, f_res, links, core_masks):
+    """A laminar witness selection that prefers, for each link, candidates
+    crossing some core: the choice that makes |L*| > 0, where the solver's
+    smallest-first search seldom does. None when no laminar selection
+    exists."""
+    full = (1 << f_res.n) - 1
+    candidates = []
+    for lid in j_hat:
+        cand = [
+            m for m in f_res.masks
+            if [j for j in j_hat if covers(links[j], NodeSet(m, f_res.n))] == [lid]
+        ]
+        crossing = {m for m in cand for c in core_masks
+                    if m & c and m & ~c and c & ~m and full & ~(m | c)}
+        cand.sort(key=lambda m: (m not in crossing, m.bit_count(), m))
+        candidates.append(cand)
+    chosen = []
+
+    def assign(pos):
+        if pos == len(j_hat):
+            return True
+        for m in candidates[pos]:
+            inter = [m & prev for prev in chosen]
+            if all(i == 0 or i == m or i == prev for i, prev in zip(inter, chosen)):
+                chosen.append(m)
+                if assign(pos + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not assign(0):
+        return None
+    return WitnessAssignment(f_res.n, {lid: NodeSet(m, f_res.n) for lid, m in zip(j_hat, chosen)})
+
+
+def _assert_same_audit(phase, f_res, assignment, links, core_family):
+    got = crossing_density_audit(phase, f_res, assignment, links, core_family)
+    assert got == reference.crossing_density_audit(phase, f_res, assignment, links, core_family)
+    assert got == crossing_density_audit(phase, f_res, assignment, links)
+    return got
+
+
+#: hand-picked witness maps over arbitrary families that the random draws
+#: below seldom reach, as (n, member masks, link ends, link id -> witness
+#: mask):
+#: - a valid laminar map whose crossing witness 14 = {1,2,3} has no red
+#:   node at or below it, so red cover fails;
+#: - a valid map where S0 = {1,...,5} crosses the core {5,6} and is not red,
+#:   and of its children {1,2} and {4,5} only the first is disjoint from
+#:   that core, so the disjoint-child lemma fails on one child of two;
+#: - one set claimed by five links that crosses one of the two cores, so
+#:   |L*| = 5 > 2 * 2.
+_HAND_AUDITS = (
+    (6, (8, 10, 14, 15, 18, 32, 33, 43, 46, 56, 59), ((0, 5), (2, 1), (0, 2)),
+     {0: 15, 1: 10, 2: 14}),
+    (8, (0b00111110, 0b00000110, 0b00110000, 0b01100000, 0b11000101),
+     ((3, 0), (1, 3), (4, 3)), {0: 0b00111110, 1: 0b00000110, 2: 0b00110000}),
+    (4, (0b0011, 0b0110), ((0, 1),) * 5, dict.fromkeys(range(5), 0b0011)),
+)
+
+
+def test_mask_audit_matches_reference():
+    """The mask audit against the NodeSet audit in tests/reference.py: on
+    every solve phase of seeded instances with crossing-first witnesses,
+    which reach |L*| > 0; on hand-picked witness maps; and on seeded
+    arbitrary families with drawn witness maps, valid or not. Every
+    verdict of the report takes both values."""
+    rng = random.Random(71)
+    small_cut = []
+    for _ in range(40):
+        inst = random_instance(rng, rng.randint(4, 7), rng.randint(2, 7))
+        f = enumerate_small_cuts(inst.graph, inst.threshold)
+        result = solve(inst, f)
+        picked = []
+        for pt in result.trace:
+            f_res = residual(f, [inst.links[i] for i in picked])
+            core_family = cores(f_res)
+            j_hat = sorted(reverse_delete(result.solution, core_family, inst.links))
+            assignment = _crossing_first_assignment(j_hat, f_res, inst.links, core_family.masks)
+            if assignment is not None:
+                small_cut.append(_assert_same_audit(pt.phase, f_res, assignment, inst.links,
+                                                    core_family))
+            picked.extend(pt.tight_link_ids)
+    assert len(small_cut) > 100 and all(r.passed for r in small_cut)
+    assert any(r.lstar_size > 0 for r in small_cut)
+
+    hand = []
+    for n, masks, ends, witness in _HAND_AUDITS:
+        f = SetFamily(n, masks)
+        assignment = WitnessAssignment(n, {lid: NodeSet(m, n) for lid, m in witness.items()})
+        hand.append(_assert_same_audit(0, f, assignment, _links(*ends), cores(f)))
+    assert hand[0].witness_valid and not hand[0].red_cover_ok
+    assert hand[1].witness_valid and hand[1].red_cover_ok and not hand[1].disjoint_child_ok
+    assert not hand[2].density_bound_ok
+
+    drawn = []
+    for _ in range(600):
+        n = rng.randint(3, 6)
+        full = (1 << n) - 1
+        f = SetFamily(n, rng.sample(range(1, full), rng.randint(1, min(10, full - 1))))
+        links = _links(*(rng.sample(range(n), 2) for _ in range(rng.randint(1, 4))))
+        j_hat = sorted(rng.sample(range(len(links)), rng.randint(1, len(links))))
+        witness = {}
+        for lid in j_hat:
+            own = [m for m in f.masks
+                   if [j for j in j_hat if covers(links[j], NodeSet(m, n))] == [lid]]
+            roll = rng.random()
+            if own and roll < 0.8:
+                witness[lid] = NodeSet(rng.choice(own), n)
+            elif roll < 0.9:
+                witness[lid] = NodeSet(rng.choice(f.masks), n)
+            else:
+                witness[lid] = NodeSet(rng.randrange(1, full), n)
+        drawn.append(_assert_same_audit(0, f, WitnessAssignment(n, witness), links, cores(f)))
+    # the tree lemmas are evaluated on a valid map with |L*| > 0
+    assert sum(1 for r in drawn if r.witness_valid and r.sparse_crossing_ok and r.lstar_size) > 20
+
+    reports = small_cut + hand + drawn
+    flags = ("witness_valid", "sparse_crossing_ok", "density_bound_ok", "red_cover_ok",
+             "empty_remainder_ok", "disjoint_child_ok", "passed")
+    for flag in flags:
+        assert {getattr(r, flag) for r in reports} == {True, False}, flag

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from cutcover import CapGraph, GenerationExhausted, Instance, RunConfig, cli, gen_instance
+from cutcover import CapGraph, GenerationExhausted, Instance, RunConfig, cli, gen, gen_instance
 from cutcover.cli import (
     _single_drop_minimal,
     dump_instance,
@@ -237,6 +238,25 @@ def test_workers_below_one_rejected():
             _cfg(workers=workers)
     code, out, err = _run_main(["bench", "--count", "1", "--workers", "0"])
     assert code == 2 and out == ""
+    assert err.startswith("cutcover: error:") and "workers" in err
+
+
+def test_workers_above_bound_rejected(monkeypatch):
+    """A worker count above four per CPU is refused before any pool exists:
+    a process pool would fork all of its workers at its first submit."""
+    assert gen.MAX_WORKERS == 4 * (os.cpu_count() or 1)
+    assert _cfg(workers=gen.MAX_WORKERS).workers == gen.MAX_WORKERS
+    with pytest.raises(ValueError, match="workers"):
+        _cfg(workers=gen.MAX_WORKERS + 1)
+    pools = []
+
+    def inline_pool(max_workers):
+        pools.append(_InlinePool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool)
+    code, out, err = _run_main(["bench", "--count", "1", "--workers", "100000"])
+    assert code == 2 and out == "" and pools == []
     assert err.startswith("cutcover: error:") and "workers" in err
 
 

@@ -22,8 +22,8 @@ from cutcover import (
     enumerate_small_cuts,
 )
 from cutcover import kernels
-from cutcover.graph import cut_table, distinct_cut_values
-from conftest import cycle, k2, ns, random_graph, triangle
+from cutcover.graph import CUT_TABLE_BYTES, cut_table
+from conftest import cycle, distinct_cut_values, k2, ns, random_graph, triangle
 
 
 # ---------------------------------------------------------------- NodeSet
@@ -242,9 +242,8 @@ def test_cut_table_matches_brute_force_on_rational_graphs():
         g = random_graph(rng, n, density=rng.uniform(0.2, 0.9), rational=True)
         full = (1 << n) - 1
         cuts = {m: cut_capacity(g, NodeSet(m, n)) for m in range(1, full)}
-        table = cut_table(g)
-        assert distinct_cut_values(table) == tuple(sorted(set(cuts.values())))
-        denom = table[2]
+        assert distinct_cut_values(g) == tuple(sorted(set(cuts.values())))
+        denom = cut_table(g)[1]
         # 7/3 is a threshold whose scaled value is fractional unless 3 | denom
         fractional_lam += (Fraction(7, 3) * denom).denominator != 1
         for lam in {Fraction(7, 3), *cuts.values(), *(v + Fraction(1, 7) for v in cuts.values())}:
@@ -257,11 +256,30 @@ def test_cut_table_refuses_before_walking(monkeypatch):
     def no_walk(n, edges):
         raise AssertionError("walked a ground set above the limit")
 
-    monkeypatch.setattr(kernels, "gray_cut_values", no_walk)
+    monkeypatch.setattr(kernels, "cut_values", no_walk)
     with pytest.raises(GroundSetTooLarge):
         cut_table(CapGraph(9, ()), limit=8)
     with pytest.raises(GroundSetTooLarge):
         cut_table(CapGraph(21, ()))
+
+
+def test_cut_table_refuses_above_byte_budget(monkeypatch):
+    """Past the enumeration limit, the byte budget still refuses a table
+    before anything is built: by ground-set size, and sooner when the
+    capacities are wide ints. The walk is replaced, so nothing is built
+    either way."""
+    walked = []
+    monkeypatch.setattr(kernels, "cut_values", lambda n, edges: walked.append(n))
+    # 2^(n-1) entries of 2 * (8 + 28) bytes pass 2^30 bytes from n = 25
+    assert CUT_TABLE_BYTES == 1 << 30
+    cut_table(CapGraph(24, ()), limit=10**6)
+    for n in (25, 64, 10**6):
+        with pytest.raises(GroundSetTooLarge, match="budget"):
+            cut_table(CapGraph(n, ()), limit=10**6)
+    cut_table(CapGraph(16, ((0, 1, 1 << 100_000),)), limit=64)
+    with pytest.raises(GroundSetTooLarge, match="budget"):
+        cut_table(CapGraph(17, ((0, 1, 1 << 100_000),)), limit=64)
+    assert walked == [24, 16]
 
 
 def test_enumerate_family_is_symmetric(rng):
@@ -299,15 +317,12 @@ def test_incremental_scan_matches_scratch(rng):
     for _ in range(12):
         n = rng.randint(2, 8)
         g = random_graph(rng, n, density=rng.uniform(0.2, 0.8), rational=True)
-        masks, vals, denom = cut_table(g)
-        assert len(masks) == 1 << (n - 1)
-        assert masks[0] == 0 and vals[0] == 0
-        for m, v in zip(masks, vals):
+        vals, denom = cut_table(g)
+        assert len(vals) == 1 << (n - 1)
+        assert vals[0] == 0
+        for m, v in enumerate(vals):
             assert Fraction(v, denom) == cut_capacity(g, NodeSet(m, n))
-        # single-bit-flip order
-        for prev, cur in zip(masks, masks[1:]):
-            assert (prev ^ cur).bit_count() == 1
 
 
 def test_nontrivial_cut_values_four_cycle():
-    assert distinct_cut_values(cut_table(cycle(4))) == (2, 4)
+    assert distinct_cut_values(cycle(4)) == (2, 4)

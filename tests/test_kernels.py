@@ -235,11 +235,8 @@ def test_cut_kernel_parity():
             if u != v:
                 edges.append((u, v, rng.randint(0, 9) * scale))
         graph = CapGraph(n, tuple(edges))
-        masks, vals = kernels.gray_cut_values(n, edges)
-        assert masks[0] == 0 and sorted(masks) == list(range(1 << (n - 1)))
-        for prev, cur in zip(masks, masks[1:]):
-            assert (prev ^ cur).bit_count() == 1
-        assert vals == [cut_capacity(graph, NodeSet(m, n)) for m in masks]
+        vals = kernels.cut_values(n, edges)
+        assert vals == [cut_capacity(graph, NodeSet(m, n)) for m in range(1 << (n - 1))]
 
 
 def test_cover_bits_parity():

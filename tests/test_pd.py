@@ -26,6 +26,7 @@ from cutcover import (
 )
 from cutcover.family import crossing_table
 from conftest import cycle, fam, k2, ns, random_instance
+from reference import load
 
 
 def test_solve_empty_family():
@@ -51,7 +52,7 @@ def test_solve_k2_single_phase_dual():
     assert pt.tight_link_ids == (0,)
     assert set(pt.cores_snapshot.members) == {ns(2, 0), ns(2, 1)}
     assert dual_feasible(inst, f, res.dual)
-    assert res.dual.load(inst.links[0]) == 7  # tight
+    assert load(res.dual.y, inst.links[0]) == 7  # tight
 
 
 def _one_phase(n, f, link_specs):
@@ -234,7 +235,7 @@ def _reference_solve(inst, f):
         for link in inst.links:
             degree = sum(1 for c in core_sets if covers(link, c))
             if link.id not in picked and degree:
-                reach[link.id] = (link.cost - state.load(link)) / degree
+                reach[link.id] = (link.cost - load(state.y, link)) / degree
         epsilon = min(reach.values())
         tight = tuple(sorted(lid for lid, r in reach.items() if r == epsilon))
         if epsilon:
@@ -280,8 +281,8 @@ def test_link_load_matches_from_scratch_load(seed):
         assert [(pt.epsilon, pt.tight_link_ids, pt.residual_size) for pt in res.trace] == expected
         assert res.dual.y == state.y and res.dual.total == state.total
         assert set(res.dual.link_load) == candidates
-        for lid, load in res.dual.link_load.items():
-            assert load == res.dual.load(inst.links[lid])
+        for lid, link_load in res.dual.link_load.items():
+            assert link_load == load(res.dual.y, inst.links[lid])
         phases += len(expected)
         zero_phases += sum(1 for eps, _, _ in expected if eps == 0)
         ties += sum(1 for _, tight, _ in expected if len(tight) > 1)
@@ -306,3 +307,29 @@ def test_shared_table_matches_own_table(seed):
         assert exact_optimum(inst, f, warm_start=res.solution, table=table) == exact_optimum(
             inst, f, warm_start=res.solution
         )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dual_feasible_matches_fraction_reference(seed):
+    """dual_feasible on scaled integers against the Fraction sums of
+    tests/reference.py: the solved duals, where tight links carry exactly
+    their cost, and the same duals with one set raised or every set scaled
+    by a rational, which pushes some tight link just past its cost."""
+    rng = random.Random(seed)
+    outcomes = []
+    for _ in range(10):
+        inst = _rational_instance_with_ties(rng)
+        f = enumerate_small_cuts(inst.graph, inst.threshold)
+        y = solve(inst, f).dual.y
+        states = [y]
+        if y:
+            bumped = dict(y)
+            s = rng.choice(list(bumped))
+            bumped[s] += Fraction(1, rng.randint(2, 997))
+            factor = Fraction(rng.randint(1, 40), 37)
+            states += [bumped, {s: v * factor for s, v in y.items()}]
+        for y_state in states:
+            expect = all(load(y_state, link) <= link.cost for link in inst.links)
+            assert dual_feasible(inst, f, DualState(y_state)) == expect
+            outcomes.append(expect)
+    assert set(outcomes) == {True, False}
