@@ -46,7 +46,6 @@ from .family import (
 from .pd import DualState, PhaseTrace, SolveResult, dual_feasible, reverse_delete, solve
 from .certify import (
     AuditReport,
-    WitnessAssignment,
     audit_run,
     crossing_density_audit,
     find_witness_laminar,
@@ -76,7 +75,6 @@ __all__ = [
     "SetFamily",
     "SolveResult",
     "TooManyLinks",
-    "WitnessAssignment",
     "WitnessSearchExhausted",
     "ZeroOptimumViolation",
     "audit_run",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotLaminar, SearchBudgetExceeded, WitnessSearchExhausted
-from .family import SetFamily, cores, crossing_table
+from .family import SetFamily, _link_endpoints_ok, cores, crossing_table
 from .graph import NodeSet
 from .pd import SolveResult, reverse_delete
 
@@ -24,26 +24,12 @@ def _laminar_pair(a: int, b: int) -> bool:
     return inter == 0 or inter == a or inter == b
 
 
-@dataclass(frozen=True)
-class WitnessAssignment:
-    """Maps each link of an inclusion-minimal cover to its witness set: the
-    unique residual-family member that this link alone covers."""
-
-    n: int
-    witness: dict
-
-    def link_ids(self) -> tuple:
-        return tuple(sorted(self.witness))
-
-    def sets(self) -> tuple:
-        """Witness sets in ascending link-id order (the map is injective)."""
-        return tuple(self.witness[lid] for lid in sorted(self.witness))
-
-
 def find_witness_laminar(j_hat, f_res: SetFamily, links,
                          node_budget: int = DEFAULT_WITNESS_BUDGET,
-                         table=None) -> WitnessAssignment:
-    """Backtracking search for a mutually laminar witness selection.
+                         table=None) -> dict:
+    """Backtracking search for a mutually laminar witness selection: each
+    link of an inclusion-minimal cover to its witness mask, a residual
+    member that this link alone covers.
 
     Candidates for each link are the residual members covered by that link
     and no other link of the cover; inclusion-minimality of the cover makes
@@ -53,7 +39,7 @@ def find_witness_laminar(j_hat, f_res: SetFamily, links,
     """
     j_hat = list(j_hat)
     if not j_hat:
-        return WitnessAssignment(f_res.n, {})
+        return {}
     if table is None:
         table = crossing_table(f_res, links)
 
@@ -98,8 +84,7 @@ def find_witness_laminar(j_hat, f_res: SetFamily, links,
         raise WitnessSearchExhausted(
             "no laminar witness selection exists; this signals a defect"
         )
-    assignment = {lid: NodeSet(m, f_res.n) for lid, m in zip(order, chosen)}
-    return WitnessAssignment(f_res.n, assignment)
+    return dict(zip(order, chosen))
 
 
 def _size_order(m: int):
@@ -142,7 +127,7 @@ def _psi_map(core_masks, l_star, full: int) -> dict:
 class AuditReport:
     """Per-phase crossing-density audit.
 
-    passed requires: the witness assignment re-checks (membership,
+    passed requires: the witness map re-checks (membership,
     uniqueness, laminarity), every witness set crosses at most one core,
     the crossing-witness count is at most twice the core count, and the
     three tree lemmas (red cover, empty remainder, disjoint child) hold.
@@ -162,10 +147,11 @@ class AuditReport:
     passed: bool
 
 
-def crossing_density_audit(phase: int, f_res: SetFamily, assignment: WitnessAssignment,
+def crossing_density_audit(phase: int, f_res: SetFamily, witness: dict,
                            links, core_family=None) -> AuditReport:
-    """Audit one phase's residual family against the witness assignment;
-    core_family is `cores(f_res)`, computed here when not given.
+    """Audit one phase's residual family against the witness map, each
+    cover link id to its witness mask; core_family is `cores(f_res)`,
+    computed here when not given.
 
     Every set is a mask. The witness re-check runs from scratch: each
     witness must be a member of f_res that exactly one cover link, its own,
@@ -176,16 +162,10 @@ def crossing_density_audit(phase: int, f_res: SetFamily, assignment: WitnessAssi
     if core_family is None:
         core_family = cores(f_res)
     core_masks = core_family.masks
-    for s in assignment.witness.values():
-        if s.n != n:
-            raise ValueError(f"witness set over ground set {s.n}, family over {n}")
-    witness = {lid: s.bits for lid, s in assignment.witness.items()}
 
-    j_hat = assignment.link_ids()
+    j_hat = sorted(witness)
+    _link_endpoints_ok(f_res, [links[j] for j in j_hat])
     ends = [(links[j].a, links[j].b) for j in j_hat]
-    for a, b in ends:
-        if a >= n or b >= n:
-            raise ValueError(f"link ({a}, {b}) outside ground set [0, {n})")
     witness_valid = True
     for lid, s in witness.items():
         if not f_res.contains_mask(s):
@@ -274,10 +254,8 @@ def audit_run(links, f: SetFamily, result: SolveResult, mode: str = "per-phase",
         if mode == "per-phase" or k == last:
             core_family = cores(f_res)
             j_hat = reverse_delete(result.solution, core_family, links, table)
-            assignment = find_witness_laminar(j_hat, f_res, links, node_budget, table)
-            reports.append(
-                crossing_density_audit(pt.phase, f_res, assignment, links, core_family)
-            )
+            witness = find_witness_laminar(j_hat, f_res, links, node_budget, table)
+            reports.append(crossing_density_audit(pt.phase, f_res, witness, links, core_family))
         if k < last:
             tight_bits = sum(1 << lid for lid in pt.tight_link_ids)
             f_res = SetFamily._from_sorted(

@@ -25,10 +25,10 @@ from itertools import islice
 
 from .certify import audit_run
 from .errors import CutCoverError
-from .exact import exact_optimum, ratio
+from .exact import DEFAULT_EXACT_LIMIT, exact_optimum, ratio
 from .family import SetFamily, all_covered, crossing_table
 from .gen import RunConfig, generate
-from .graph import CapGraph, Instance, enumerate_small_cuts
+from .graph import DEFAULT_ENUM_LIMIT, CapGraph, Instance, enumerate_small_cuts
 from .pd import dual_feasible, solve
 
 _CSV_COLUMNS = (
@@ -190,14 +190,14 @@ def pipeline_record(cfg: RunConfig, index: int) -> dict:
     # one crossing row per member, shared by the solve, the audits and the
     # exact search; the cover and dual-feasibility verdicts stay from scratch
     table = crossing_table(family, inst.links)
-    result = solve(inst, family, table)
+    result = solve(inst.links, family, table)
     record["phases"] = len(result.trace)
     record.update(_solution_obj(result))
 
     verdicts = {
         "cover": all_covered(family, _ends(inst.links[i] for i in result.solution)),
         "minimal": _single_drop_minimal(family, result.solution, inst.links, table),
-        "dual_feasible": dual_feasible(inst, family, result.dual),
+        "dual_feasible": dual_feasible(inst.links, family, result.dual),
         "cost_le_5_dual": result.cost <= 5 * result.dual.total,
     }
 
@@ -208,7 +208,7 @@ def pipeline_record(cfg: RunConfig, index: int) -> dict:
     record["max_density_quotient"] = _rat_str(max(quotients)) if quotients else None
 
     if len(inst.links) <= cfg.exact_limit:
-        opt = exact_optimum(inst, family, cfg.exact_limit, warm_start=result.solution,
+        opt = exact_optimum(inst.links, family, cfg.exact_limit, warm_start=result.solution,
                             table=table)
         record["opt_cost"] = _rat_str(opt.opt_cost)
         record["opt_links"] = list(opt.opt_links)
@@ -328,9 +328,10 @@ def _add_generation_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--audit", choices=("per-phase", "final"), default="per-phase")
-    parser.add_argument("--enum-limit", type=int, default=20)
-    parser.add_argument("--exact-limit", type=int, default=24)
+    parser.add_argument("--audit", dest="audit_mode", choices=("per-phase", "final"),
+                        default="per-phase")
+    parser.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
+    parser.add_argument("--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--fail-fast", action="store_true")
     parser.add_argument("--workers", type=int, default=1)
@@ -349,11 +350,17 @@ def _float_range(text: str):
     return (float(lo), float(hi)) if hi else (float(lo), float(lo))
 
 
+#: RunConfig fields that only some subcommands take a flag for; the others
+#: keep RunConfig's default
+_RUN_FIELDS = ("audit_mode", "enum_limit", "exact_limit", "fail_fast", "workers")
+
+
 def _config_from_args(args) -> RunConfig:
     seed = args.seed
     env_seed = os.environ.get("CUTCOVER_SEED")
     if env_seed is not None:
         seed = int(env_seed)
+    flags = {name: getattr(args, name) for name in _RUN_FIELDS if hasattr(args, name)}
     return RunConfig(
         seed=seed,
         count=args.count,
@@ -363,14 +370,8 @@ def _config_from_args(args) -> RunConfig:
         link_range=_int_range(args.link_range),
         cost_range=_int_range(args.cost_range),
         lambda_policy=args.lambda_policy,
-        audit_mode=getattr(args, "audit", "per-phase"),
-        enum_limit=getattr(args, "enum_limit", 20),
-        exact_limit=getattr(args, "exact_limit", 24),
         allow_infeasible=args.allow_infeasible,
-        fail_fast=getattr(args, "fail_fast", False),
-        workers=getattr(args, "workers", 1),
-        output=getattr(args, "out", None),
-        csv_output=getattr(args, "csv_out", None),
+        **flags,
     )
 
 
@@ -401,22 +402,22 @@ def main(argv=None, stdout=None, stderr=None) -> int:
 
     p_gen = sub.add_parser("gen", help="emit generated instances as JSON lines")
     _add_generation_args(p_gen)
-    p_gen.add_argument("--enum-limit", type=int, default=20)
+    p_gen.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
     p_gen.add_argument("--out", default=None)
 
     p_solve = sub.add_parser("solve", help="solve one instance file")
     p_solve.add_argument("instance", help="instance file path, or - for stdin")
-    p_solve.add_argument("--enum-limit", type=int, default=20)
+    p_solve.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
 
     p_audit = sub.add_parser("audit", help="solve one instance and audit every phase")
     p_audit.add_argument("instance")
     p_audit.add_argument("--audit", choices=("per-phase", "final"), default="per-phase")
-    p_audit.add_argument("--enum-limit", type=int, default=20)
+    p_audit.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
 
     p_exact = sub.add_parser("exact", help="exact optimum of one instance file")
     p_exact.add_argument("instance")
-    p_exact.add_argument("--enum-limit", type=int, default=20)
-    p_exact.add_argument("--exact-limit", type=int, default=24)
+    p_exact.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
+    p_exact.add_argument("--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT)
 
     p_bench = sub.add_parser("bench", help="generate, solve, audit and compare "
                              "against the exact optimum over a batch")
@@ -441,14 +442,14 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         if args.command == "solve":
             inst = _read_instance_arg(args.instance)
             family = enumerate_small_cuts(inst.graph, inst.threshold, args.enum_limit)
-            result = solve(inst, family)
+            result = solve(inst.links, family)
             stdout.write(json.dumps(_solution_obj(result), separators=(",", ":")) + "\n")
             return 0
 
         if args.command == "exact":
             inst = _read_instance_arg(args.instance)
             family = enumerate_small_cuts(inst.graph, inst.threshold, args.enum_limit)
-            opt = exact_optimum(inst, family, args.exact_limit)
+            opt = exact_optimum(inst.links, family, args.exact_limit)
             stdout.write(json.dumps({
                 "opt_cost": _rat_str(opt.opt_cost),
                 "opt_links": list(opt.opt_links),
@@ -459,7 +460,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         if args.command == "audit":
             inst = _read_instance_arg(args.instance)
             family = enumerate_small_cuts(inst.graph, inst.threshold, args.enum_limit)
-            result = solve(inst, family)
+            result = solve(inst.links, family)
             reports = audit_run(inst.links, family, result, args.audit)
             obj = _solution_obj(result)
             obj["audits"] = [_audit_obj(r) for r in reports]
@@ -474,12 +475,12 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         csv_text = report_csv(records)
         if args.format == "csv":
             _emit(csv_text, None, stdout)
-            if cfg.output:
-                _emit(text, cfg.output, stdout)
+            if args.out:
+                _emit(text, args.out, stdout)
         else:
-            _emit(text, cfg.output, stdout)
-        if cfg.csv_output:
-            _emit(csv_text, cfg.csv_output, stdout)
+            _emit(text, args.out, stdout)
+        if args.csv_out:
+            _emit(csv_text, args.csv_out, stdout)
         print(
             f"cutcover bench: {summary['instances']} instances, "
             f"max ratio {summary['max_ratio']}, "

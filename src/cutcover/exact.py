@@ -22,7 +22,7 @@ from math import lcm
 from . import kernels
 from .errors import Infeasible, TooManyLinks, ZeroOptimumViolation
 from .family import SetFamily, crossing_table
-from .graph import Instance, NodeSet
+from .graph import NodeSet
 from .pd import SolveResult
 
 DEFAULT_EXACT_LIMIT = 24
@@ -35,22 +35,20 @@ class ExactResult:
     nodes_explored: int
 
 
-def exact_optimum(inst: Instance, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
+def exact_optimum(links, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
                   warm_start=None, table=None) -> ExactResult:
     """Minimum-cost link set covering f, with optional warm-start incumbent.
 
-    table is f's `crossing_table` over inst.links, built here when not
-    given.
+    table is f's `crossing_table` over links, built here when not given.
     """
-    links = inst.links
     if len(links) > limit:
         raise TooManyLinks(f"{len(links)} links exceed the exact-search limit {limit}")
+    if table is None:
+        table = crossing_table(f, links)
     masks = f.masks
     if not masks:
         return ExactResult(Fraction(0), (), 0)
 
-    if table is None:
-        table = crossing_table(f, links)
     # bit lid of cover_bits[i] is set when link lid crosses masks[i]
     cover_bits = [table[m] for m in masks]
     for m, bits in zip(masks, cover_bits):

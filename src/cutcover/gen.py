@@ -15,7 +15,14 @@ from fractions import Fraction
 from .errors import GenerationExhausted
 from .exact import DEFAULT_EXACT_LIMIT
 from .family import all_covered
-from .graph import CapGraph, DEFAULT_ENUM_LIMIT, Instance, cut_table, small_cut_family
+from .graph import (
+    CapGraph,
+    DEFAULT_ENUM_LIMIT,
+    Instance,
+    check_ground_set,
+    cut_table,
+    small_cut_family,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -51,8 +58,6 @@ class RunConfig:
     max_retries: int = 200
     fail_fast: bool = False
     workers: int = 1
-    output: str | None = None
-    csv_output: str | None = None
 
     def __post_init__(self):
         if not 0 <= self.seed <= _MASK64:
@@ -115,6 +120,8 @@ def generate(cfg: RunConfig, index: int) -> tuple:
     policy_kind, policy_arg = _parse_lambda_policy(cfg.lambda_policy)
     for _ in range(cfg.max_retries):
         n = rng.randint(*cfg.n_range)
+        # refuse a ground set no edges could make fit before drawing them
+        check_ground_set(n, cfg.enum_limit)
         density = rng.uniform(*cfg.density_range)
         edges = []
         for u in range(n):

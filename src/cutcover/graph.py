@@ -227,6 +227,25 @@ def delta_links(s: NodeSet, links) -> frozenset:
     return frozenset(link.id for link in links if covers(link, s))
 
 
+def check_ground_set(n: int, limit: int, total_weight: int = 0) -> None:
+    """Raise GroundSetTooLarge when a `cut_table` over n nodes exceeds the
+    enumeration limit, or CUT_TABLE_BYTES when its total weight, an int
+    over the common denominator, is total_weight; the default 0 gives the
+    smallest entry, so a ground set it refuses is refused whatever the
+    edges."""
+    if n > limit:
+        raise GroundSetTooLarge(f"ground set of size {n} exceeds enumeration limit {limit}")
+    # a list slot and an int as wide as the total weight per entry, twice:
+    # the last doubling step holds two half-size rows beside the table
+    entry_bytes = 2 * (8 + sys.getsizeof(total_weight))
+    # 2^(n-1) entries fit when n-1 is below the bit length of the entry budget
+    if n - 1 >= (CUT_TABLE_BYTES // entry_bytes).bit_length():
+        raise GroundSetTooLarge(
+            f"a cut table over {n} nodes needs 2^{n - 1} entries of about "
+            f"{entry_bytes} bytes, more than the budget of {CUT_TABLE_BYTES} bytes"
+        )
+
+
 def cut_table(g: CapGraph, limit: int = DEFAULT_ENUM_LIMIT):
     """Every cut of g, indexed by mask.
 
@@ -234,24 +253,15 @@ def cut_table(g: CapGraph, limit: int = DEFAULT_ENUM_LIMIT):
     subset of {0..n-2} times denom, the common denominator of the
     capacities, as an int. Every other non-trivial set is the complement of
     one of these and has the same cut. Raises GroundSetTooLarge before
-    building anything when n exceeds limit or the table would exceed
-    CUT_TABLE_BYTES.
+    building anything when `check_ground_set` refuses g.
     """
-    if g.n > limit:
-        raise GroundSetTooLarge(f"ground set of size {g.n} exceeds enumeration limit {limit}")
+    # refused by size alone before the capacities are scaled, then by width
+    check_ground_set(g.n, limit)
     denom = lcm(*(cap.denominator for _, _, cap in g.edges))
+    edges = [(u, v, cap.numerator * (denom // cap.denominator)) for u, v, cap in g.edges]
+    check_ground_set(g.n, limit, sum(w for _, _, w in edges))
     if g.n == 0:
         return [], denom
-    edges = [(u, v, cap.numerator * (denom // cap.denominator)) for u, v, cap in g.edges]
-    # a list slot and an int as wide as the total weight per entry, twice:
-    # the last doubling step holds two half-size rows beside the table
-    entry_bytes = 2 * (8 + sys.getsizeof(sum(w for _, _, w in edges)))
-    # 2^(n-1) entries fit when n-1 is below the bit length of the entry budget
-    if g.n - 1 >= (CUT_TABLE_BYTES // entry_bytes).bit_length():
-        raise GroundSetTooLarge(
-            f"a cut table over {g.n} nodes needs 2^{g.n - 1} entries of about "
-            f"{entry_bytes} bytes, more than the budget of {CUT_TABLE_BYTES} bytes"
-        )
     return kernels.cut_values(g.n, edges), denom
 
 

@@ -14,23 +14,19 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import Infeasible
-from .family import SetFamily, cores, crossing_table
-from .graph import Instance, NodeSet
+from .family import SetFamily, _link_endpoints_ok, cores, crossing_table
+from .graph import NodeSet
 
 
 @dataclass
 class DualState:
-    """Dual variables keyed by the sets they were raised on.
+    """Dual variables keyed by the mask of the core they were raised on.
 
-    link_load holds, for each link that was a growth candidate in some
-    phase, the dual load pressing on it; once a link is picked its load no
-    longer grows. `solve` fills y, total and link_load once, from the
-    integer state it grows them in.
+    `solve` fills y and total once, from the integer state it grows them in.
     """
 
     y: dict = field(default_factory=dict)
     total: Fraction = Fraction(0)
-    link_load: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -54,30 +50,27 @@ class SolveResult:
     addition_order: tuple
 
 
-def solve(inst: Instance, f: SetFamily, table=None) -> SolveResult:
+def solve(links, f: SetFamily, table=None) -> SolveResult:
     """Cover the family with the phased growth / reverse-delete scheme.
 
     Each phase raises the duals of all cores of the residual family
     uniformly until some unpicked link goes tight, admits every tight link
     and shrinks the residual by them. table is f's `crossing_table` over
-    inst.links, built here when not given; core degrees, the residual
+    links, built here when not given; core degrees, the residual
     shrink and the reverse delete are bit tests on its rows.
 
-    The duals grow on integers: costs, loads, y and the total are
+    The duals grow on integers: slacks, y and the total are
     numerators over one common denominator, which a phase multiplies by
     the reduced denominator of its growth amount when that is not 1. The
     least slack / degree, and the links that reach it, are found by
     cross-multiplying slack against degree.
     """
-    if f.n != inst.graph.n:
-        raise ValueError("family ground set does not match the instance graph")
-    links = inst.links
     if table is None:
         table = crossing_table(f, links)
     n = f.n
     den = lcm(*(link.cost.denominator for link in links))
-    costs = [link.cost.numerator * (den // link.cost.denominator) for link in links]
-    load = {}  # link id -> load numerator, for every link that was a candidate
+    # link id -> numerator of its cost minus its dual load
+    slack = [link.cost.numerator * (den // link.cost.denominator) for link in links]
     y = {}  # core mask -> dual numerator, for every core raised above zero
     total = 0
     unpicked = (1 << len(links)) - 1
@@ -96,7 +89,7 @@ def solve(inst: Instance, f: SetFamily, table=None) -> SolveResult:
                 degree[low.bit_length() - 1] += 1
                 row ^= low
         # (link id, degree, slack) of every candidate, in ascending id order
-        cand = [(lid, d, costs[lid] - load.get(lid, 0)) for lid, d in enumerate(degree) if d]
+        cand = [(lid, d, slack[lid]) for lid, d in enumerate(degree) if d]
         _, best_d, best_s = cand[0]
         for _, d, s in cand:
             if s * best_d < best_s * d:
@@ -107,12 +100,11 @@ def solve(inst: Instance, f: SetFamily, table=None) -> SolveResult:
         step, scale = best_s // g, best_d // g
         if scale > 1:
             den *= scale
-            costs = [c * scale for c in costs]
-            load = {lid: v * scale for lid, v in load.items()}
+            slack = [v * scale for v in slack]
             y = {c: v * scale for c, v in y.items()}
             total *= scale
         for lid, d, _ in cand:
-            load[lid] = load.get(lid, 0) + step * d
+            slack[lid] -= step * d
         if step:
             for c in core_family.masks:
                 y[c] = y.get(c, 0) + step
@@ -126,11 +118,7 @@ def solve(inst: Instance, f: SetFamily, table=None) -> SolveResult:
         remaining = SetFamily._from_sorted(
             n, [m for m in remaining.masks if not table[m] & tight_bits]
         )
-    state = DualState(
-        {NodeSet(c, n): Fraction(v, den) for c, v in y.items()},
-        Fraction(total, den),
-        {lid: Fraction(v, den) for lid, v in load.items()},
-    )
+    state = DualState({c: Fraction(v, den) for c, v in y.items()}, Fraction(total, den))
     solution = reverse_delete(picked, f, links, table)
     cost = sum((links[i].cost for i in solution), Fraction(0))
     return SolveResult(tuple(solution), cost, state, tuple(trace), tuple(picked))
@@ -161,20 +149,18 @@ def reverse_delete(addition_order, f: SetFamily, links, table=None):
     return [lid for lid in addition_order if (kept >> lid) & 1]
 
 
-def dual_feasible(inst: Instance, f: SetFamily, state: DualState) -> bool:
+def dual_feasible(links, f: SetFamily, state: DualState) -> bool:
     """Every link carries dual load at most its cost, exactly.
 
-    A link's load is summed from scratch over state.y, never read from
-    link_load: the duals and the costs are scaled to integers over one
-    common denominator, and the load of a link is the sum of the scaled
-    duals of the sets it has exactly one endpoint in.
+    A link's load is summed from scratch over state.y: the duals and the
+    costs are scaled to integers over one common denominator, and the load
+    of a link is the sum of the scaled duals of the masks it has exactly
+    one endpoint in.
     """
-    if f.n != inst.graph.n:
-        raise ValueError("family ground set does not match the instance graph")
-    links = inst.links
+    _link_endpoints_ok(f, links)
     den = lcm(*(v.denominator for v in state.y.values()),
               *(link.cost.denominator for link in links))
-    duals = [(s.bits, v.numerator * (den // v.denominator)) for s, v in state.y.items()]
+    duals = [(m, v.numerator * (den // v.denominator)) for m, v in state.y.items()]
     for link in links:
         a, b = link.a, link.b
         load = sum(v for m, v in duals if ((m >> a) ^ (m >> b)) & 1)

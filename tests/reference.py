@@ -10,12 +10,12 @@ from fractions import Fraction
 from cutcover import AuditReport, NodeSet, NotLaminar, SetFamily, cores, covers, crosses
 
 
-def load(y: dict, link) -> Fraction:
-    """Total dual weight pressing on a link: the sum of y over the sets it
-    has exactly one endpoint in."""
+def load(y: dict, link, n: int) -> Fraction:
+    """Total dual weight pressing on a link: the sum of y over the masks,
+    as sets over [0, n), that it has exactly one endpoint in."""
     acc = Fraction(0)
-    for s, val in y.items():
-        if covers(link, s):
+    for m, val in y.items():
+        if covers(link, NodeSet(m, n)):
             acc += val
     return acc
 
@@ -78,17 +78,19 @@ def psi_map(core_family: SetFamily, l_star: SetFamily) -> dict:
     return result
 
 
-def crossing_density_audit(phase, f_res: SetFamily, assignment, links, core_family=None):
+def crossing_density_audit(phase, f_res: SetFamily, witness: dict, links, core_family=None):
     """The per-phase crossing-density audit on NodeSets, with `covers`
-    deciding every witness's crossing links."""
+    deciding every witness's crossing links; witness maps each cover link
+    id to its witness mask."""
     n = f_res.n
     if core_family is None:
         core_family = cores(f_res)
     core_sets = core_family.members
 
-    j_hat = assignment.link_ids()
+    j_hat = sorted(witness)
+    sets = {lid: NodeSet(m, n) for lid, m in witness.items()}
     witness_valid = True
-    for lid, s in assignment.witness.items():
+    for lid, s in sets.items():
         if s not in f_res:
             witness_valid = False
             break
@@ -96,7 +98,7 @@ def crossing_density_audit(phase, f_res: SetFamily, assignment, links, core_fami
         if delta != [lid]:
             witness_valid = False
             break
-    l_hat = assignment.sets()
+    l_hat = [sets[lid] for lid in j_hat]
     if witness_valid:
         for i, s in enumerate(l_hat):
             for t in l_hat[i + 1:]:

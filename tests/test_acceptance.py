@@ -70,7 +70,7 @@ def replays():
     for index in range(BATCH.count):
         inst = gen_instance(BATCH, index)
         family = enumerate_small_cuts(inst.graph, inst.threshold, BATCH.enum_limit)
-        result = solve(inst, family)
+        result = solve(inst.links, family)
         out.append((index, inst, family, result))
     return out
 
@@ -231,7 +231,7 @@ def test_criterion_6b_exact_vs_naive():
             continue
         family = enumerate_small_cuts(inst.graph, inst.threshold)
         expected = naive_optimum(inst, family)
-        got = exact_optimum(inst, family)
+        got = exact_optimum(inst.links, family)
         ok = ok and expected is not None and got.opt_cost == expected
         instances += 1
         if not ok:
@@ -302,3 +302,30 @@ def test_seeded_commands_pinned(command, monkeypatch):
     out, err = io.StringIO(), io.StringIO()
     assert main(command.split(), stdout=out, stderr=err) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == COMMAND_SHA256[command]
+
+
+#: sha256 of the single-instance subcommands over the instances of
+#: `gen --seed 11 --count 20 --n-range 4:9`, each written to its own file:
+#: per instance, the standard output of `solve`, `exact`, `audit` and
+#: `audit --audit final`, in that order (40,139 bytes, 136 audited phases)
+SUBCOMMANDS_SHA256 = "ea56024b01ac762ff9148b3379d524f056322ca02df327ad019d5073c9a98d0c"
+
+
+def test_seeded_subcommands_pinned(tmp_path, monkeypatch):
+    """The subcommands that read one instance file, pinned byte for byte,
+    so that a change to how they hand the instance to the solver, the
+    audits or the oracle that moves any value fails here."""
+    monkeypatch.delenv("CUTCOVER_SEED", raising=False)
+    out = io.StringIO()
+    assert main("gen --seed 11 --count 20 --n-range 4:9".split(), stdout=out) == 0
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 20
+    text = []
+    for i, line in enumerate(lines):
+        path = tmp_path / f"{i}.json"
+        path.write_text(line + "\n", encoding="utf-8")
+        for argv in (["solve"], ["exact"], ["audit"], ["audit", "--audit", "final"]):
+            got = io.StringIO()
+            assert main([argv[0], str(path), *argv[1:]], stdout=got) == 0, (argv, i)
+            text.append(got.getvalue())
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == SUBCOMMANDS_SHA256

@@ -12,7 +12,6 @@ from cutcover import (
     NotLaminar,
     SearchBudgetExceeded,
     SetFamily,
-    WitnessAssignment,
     WitnessSearchExhausted,
     audit_run,
     cores,
@@ -62,15 +61,13 @@ def test_minimal_cover_random_single_drop_audit(rng):
 # ---------------------------------------------------------------- witness search
 
 def test_witness_empty_cover():
-    assignment = find_witness_laminar([], SetFamily(4, ()), [])
-    assert assignment.witness == {}
+    assert find_witness_laminar([], SetFamily(4, ()), []) == {}
 
 
 def test_witness_singleton_cover():
     f = fam(3, (0,))
     links = _links((0, 1))
-    assignment = find_witness_laminar([0], f, links)
-    assert assignment.witness == {0: ns(3, 0)}
+    assert find_witness_laminar([0], f, links) == {0: 0b001}
 
 
 def test_witness_four_cycle_run_validates():
@@ -78,22 +75,22 @@ def test_witness_four_cycle_run_validates():
     f = enumerate_small_cuts(g, 3)
     inst_links = _links((0, 1), (1, 2), (2, 3), (3, 0))
     j = reverse_delete(range(4), f, inst_links)
-    assignment = find_witness_laminar(j, f, inst_links)
+    witness = find_witness_laminar(j, f, inst_links)
     # independent recheck of both invariants
-    sets = assignment.sets()
-    for lid, s in assignment.witness.items():
-        assert s in f
-        assert delta_links(s, [inst_links[i] for i in j]) == {lid}
+    assert sorted(witness) == sorted(j)
+    sets = list(witness.values())
+    for lid, m in witness.items():
+        assert NodeSet(m, 4) in f
+        assert delta_links(NodeSet(m, 4), [inst_links[i] for i in j]) == {lid}
     for i, a in enumerate(sets):
         for b in sets[i + 1:]:
-            inter = a.bits & b.bits
-            assert inter == 0 or inter == a.bits or inter == b.bits
+            inter = a & b
+            assert inter == 0 or inter == a or inter == b
 
 
 def test_witness_assignment_laminar_family():
     f = fam(3, (0,))
-    assignment = find_witness_laminar([0], f, _links((0, 1)))
-    assert assignment.sets() == (ns(3, 0),)
+    assert find_witness_laminar([0], f, _links((0, 1))) == {0: 0b001}
 
 
 def test_witness_exhausted_on_forced_non_laminar():
@@ -207,7 +204,7 @@ def test_tree_and_psi_match_reference(rng):
 # ---------------------------------------------------------------- audits
 
 def test_audit_empty_cores_passes():
-    report = crossing_density_audit(0, SetFamily(4, ()), WitnessAssignment(4, {}), [])
+    report = crossing_density_audit(0, SetFamily(4, ()), {}, [])
     assert report.passed
     assert report.num_cores == 0 and report.lstar_size == 0 and report.crossing_pairs == 0
 
@@ -217,9 +214,9 @@ def test_audit_empty_remainder_lemma_non_vacuous():
     # crossed too and exhausts S0 - C0. S0 is not red, the child is.
     f = SetFamily(8, [ns(8, 3, 4, 5), ns(8, 2, 3), ns(8, 2, 3, 4)])
     links = _links((4, 6), (3, 4))
-    assignment = find_witness_laminar([0, 1], f, links)
-    assert assignment.witness == {0: ns(8, 2, 3, 4), 1: ns(8, 2, 3)}
-    report = crossing_density_audit(0, f, assignment, links)
+    witness = find_witness_laminar([0, 1], f, links)
+    assert witness == {0: ns(8, 2, 3, 4).bits, 1: ns(8, 2, 3).bits}
+    report = crossing_density_audit(0, f, witness, links)
     assert report.passed
     assert report.lstar_size == 2 and report.crossing_pairs == 2
     assert report.num_cores == 2
@@ -233,11 +230,11 @@ def test_audit_disjoint_child_lemma_non_vacuous():
         [ns(8, 1, 2, 3, 4), ns(8, 1, 2), ns(8, 2, 3), ns(8, 4, 5), ns(8, 5, 6)],
     )
     links = _links((4, 0), (1, 3), (5, 7))
-    assignment = find_witness_laminar([0, 1, 2], f, links)
-    assert assignment.witness[0] == ns(8, 1, 2, 3, 4)
-    assert assignment.witness[1] == ns(8, 1, 2)
-    assert assignment.witness[2] == ns(8, 5, 6)
-    report = crossing_density_audit(0, f, assignment, links)
+    witness = find_witness_laminar([0, 1, 2], f, links)
+    assert witness[0] == ns(8, 1, 2, 3, 4).bits
+    assert witness[1] == ns(8, 1, 2).bits
+    assert witness[2] == ns(8, 5, 6).bits
+    report = crossing_density_audit(0, f, witness, links)
     assert report.passed
     assert report.lstar_size == 3 and report.crossing_pairs == 3
     assert report.num_cores == 4
@@ -245,10 +242,10 @@ def test_audit_disjoint_child_lemma_non_vacuous():
 
 
 def test_audit_flags_invalid_witness():
-    # hand-made assignment whose image is not laminar
+    # hand-made witness map whose image is not laminar
     f = fam(4, (0, 1), (1, 2))
     links = _links((0, 3), (2, 3))
-    bogus = WitnessAssignment(4, {0: ns(4, 0, 1), 1: ns(4, 1, 2)})
+    bogus = {0: 0b0011, 1: 0b0110}
     report = crossing_density_audit(0, f, bogus, links)
     assert not report.witness_valid and not report.passed
 
@@ -257,9 +254,19 @@ def test_audit_flags_wrong_delta():
     # claimed witness is covered by both links
     f = fam(4, (0,), (1,))
     links = _links((0, 2), (0, 1))
-    bogus = WitnessAssignment(4, {0: ns(4, 0), 1: ns(4, 1)})
+    bogus = {0: 0b0001, 1: 0b0010}
     report = crossing_density_audit(0, f, bogus, links)
     assert not report.witness_valid and not report.passed
+
+
+def test_audit_flags_witness_outside_ground_set():
+    # a mask over a larger ground set is no member of the family: a verdict,
+    # not an error
+    f = fam(4, (0,), (1,))
+    links = _links((0, 2))
+    report = crossing_density_audit(0, f, {0: 0b10001}, links)
+    assert not report.witness_valid and not report.passed
+    assert crossing_density_audit(0, f, {0: 0b00001}, links).passed
 
 
 def test_audit_run_over_random_solves(rng):
@@ -267,7 +274,7 @@ def test_audit_run_over_random_solves(rng):
     for _ in range(12):
         inst = random_instance(rng, rng.randint(3, 7), rng.randint(0, 6))
         f = enumerate_small_cuts(inst.graph, inst.threshold)
-        result = solve(inst, f)
+        result = solve(inst.links, f)
         reports = audit_run(inst.links, f, result)
         assert len(reports) == len(result.trace)
         for r in reports:
@@ -279,8 +286,8 @@ def test_audit_run_over_random_solves(rng):
         for pt, r in zip(result.trace, reports):
             f_res = residual(f, [inst.links[i] for i in picked])
             j_hat = reverse_delete(result.solution, cores(f_res), inst.links)
-            assignment = find_witness_laminar(j_hat, f_res, inst.links)
-            assert r == crossing_density_audit(pt.phase, f_res, assignment, inst.links)
+            witness = find_witness_laminar(j_hat, f_res, inst.links)
+            assert r == crossing_density_audit(pt.phase, f_res, witness, inst.links)
             picked.extend(pt.tight_link_ids)
         phases += len(result.trace)
         final_only = audit_run(inst.links, f, result, mode="final")
@@ -294,10 +301,10 @@ def test_audit_red_count_bounded_by_cores():
     # each core colors exactly one node: red nodes never exceed core count
     f = SetFamily(8, [ns(8, 3, 4, 5), ns(8, 2, 3), ns(8, 2, 3, 4)])
     links = _links((4, 6), (3, 4))
-    assignment = find_witness_laminar([0, 1], f, links)
+    witness = find_witness_laminar([0, 1], f, links)
     core_family = cores(f)
     l_star = SetFamily(8, [
-        s for s in assignment.sets() if any(crosses(s, c) for c in core_family)
+        s for s in witness.values() if any(crosses(NodeSet(s, 8), c) for c in core_family)
     ])
     psi = _psi_map(core_family.masks, l_star.masks, (1 << 8) - 1)
     red = set(psi.values())
@@ -307,14 +314,14 @@ def test_audit_red_count_bounded_by_cores():
 def test_audit_mode_validated(rng):
     inst = random_instance(rng, 4, 2)
     f = enumerate_small_cuts(inst.graph, inst.threshold)
-    result = solve(inst, f)
+    result = solve(inst.links, f)
     with pytest.raises(ValueError):
         audit_run(inst.links, f, result, mode="sometimes")
 
 
 # ---------------------------------------------------------------- parity with the NodeSet audit
 
-def _crossing_first_assignment(j_hat, f_res, links, core_masks):
+def _crossing_first_witness(j_hat, f_res, links, core_masks):
     """A laminar witness selection that prefers, for each link, candidates
     crossing some core: the choice that makes |L*| > 0, where the solver's
     smallest-first search seldom does. None when no laminar selection
@@ -346,13 +353,13 @@ def _crossing_first_assignment(j_hat, f_res, links, core_masks):
 
     if not assign(0):
         return None
-    return WitnessAssignment(f_res.n, {lid: NodeSet(m, f_res.n) for lid, m in zip(j_hat, chosen)})
+    return dict(zip(j_hat, chosen))
 
 
-def _assert_same_audit(phase, f_res, assignment, links, core_family):
-    got = crossing_density_audit(phase, f_res, assignment, links, core_family)
-    assert got == reference.crossing_density_audit(phase, f_res, assignment, links, core_family)
-    assert got == crossing_density_audit(phase, f_res, assignment, links)
+def _assert_same_audit(phase, f_res, witness, links, core_family):
+    got = crossing_density_audit(phase, f_res, witness, links, core_family)
+    assert got == reference.crossing_density_audit(phase, f_res, witness, links, core_family)
+    assert got == crossing_density_audit(phase, f_res, witness, links)
     return got
 
 
@@ -386,15 +393,15 @@ def test_mask_audit_matches_reference():
     for _ in range(40):
         inst = random_instance(rng, rng.randint(4, 7), rng.randint(2, 7))
         f = enumerate_small_cuts(inst.graph, inst.threshold)
-        result = solve(inst, f)
+        result = solve(inst.links, f)
         picked = []
         for pt in result.trace:
             f_res = residual(f, [inst.links[i] for i in picked])
             core_family = cores(f_res)
             j_hat = sorted(reverse_delete(result.solution, core_family, inst.links))
-            assignment = _crossing_first_assignment(j_hat, f_res, inst.links, core_family.masks)
-            if assignment is not None:
-                small_cut.append(_assert_same_audit(pt.phase, f_res, assignment, inst.links,
+            witness = _crossing_first_witness(j_hat, f_res, inst.links, core_family.masks)
+            if witness is not None:
+                small_cut.append(_assert_same_audit(pt.phase, f_res, witness, inst.links,
                                                     core_family))
             picked.extend(pt.tight_link_ids)
     assert len(small_cut) > 100 and all(r.passed for r in small_cut)
@@ -403,8 +410,7 @@ def test_mask_audit_matches_reference():
     hand = []
     for n, masks, ends, witness in _HAND_AUDITS:
         f = SetFamily(n, masks)
-        assignment = WitnessAssignment(n, {lid: NodeSet(m, n) for lid, m in witness.items()})
-        hand.append(_assert_same_audit(0, f, assignment, _links(*ends), cores(f)))
+        hand.append(_assert_same_audit(0, f, witness, _links(*ends), cores(f)))
     assert hand[0].witness_valid and not hand[0].red_cover_ok
     assert hand[1].witness_valid and hand[1].red_cover_ok and not hand[1].disjoint_child_ok
     assert not hand[2].density_bound_ok
@@ -422,12 +428,12 @@ def test_mask_audit_matches_reference():
                    if [j for j in j_hat if covers(links[j], NodeSet(m, n))] == [lid]]
             roll = rng.random()
             if own and roll < 0.8:
-                witness[lid] = NodeSet(rng.choice(own), n)
+                witness[lid] = rng.choice(own)
             elif roll < 0.9:
-                witness[lid] = NodeSet(rng.choice(f.masks), n)
+                witness[lid] = rng.choice(f.masks)
             else:
-                witness[lid] = NodeSet(rng.randrange(1, full), n)
-        drawn.append(_assert_same_audit(0, f, WitnessAssignment(n, witness), links, cores(f)))
+                witness[lid] = rng.randrange(1, full)
+        drawn.append(_assert_same_audit(0, f, witness, links, cores(f)))
     # the tree lemmas are evaluated on a valid map with |L*| > 0
     assert sum(1 for r in drawn if r.witness_valid and r.sparse_crossing_ok and r.lstar_size) > 20
 

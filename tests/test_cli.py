@@ -12,7 +12,16 @@ from fractions import Fraction
 
 import pytest
 
-from cutcover import CapGraph, GenerationExhausted, Instance, RunConfig, cli, gen, gen_instance
+from cutcover import (
+    CapGraph,
+    GenerationExhausted,
+    GroundSetTooLarge,
+    Instance,
+    RunConfig,
+    cli,
+    gen,
+    gen_instance,
+)
 from cutcover.cli import (
     _single_drop_minimal,
     dump_instance,
@@ -112,6 +121,24 @@ def test_gen_allow_infeasible_returns_first_sample():
     cfg = _cfg(link_range=(0, 0), allow_infeasible=True)
     inst = gen_instance(cfg, 0)
     assert inst.links == ()
+
+
+def test_gen_refuses_oversized_ground_set_before_drawing_edges(monkeypatch):
+    """A ground set that no edges could make fit the enumeration limit or
+    the cut-table byte budget is refused right after its size is drawn:
+    no edge is drawn and no graph is built."""
+    def no_graph(*args):
+        raise AssertionError("built a graph over an oversized ground set")
+
+    monkeypatch.setattr(gen, "CapGraph", no_graph)
+    with pytest.raises(GroundSetTooLarge, match="enumeration limit"):
+        generate(RunConfig(n_range=(21, 21)), 0)
+    with pytest.raises(GroundSetTooLarge, match="budget"):
+        generate(RunConfig(n_range=(26, 26), enum_limit=30), 0)
+    err = io.StringIO()
+    assert main(["gen", "--count", "1", "--n-range", "2000:2000"], stdout=io.StringIO(),
+                stderr=err) == 2
+    assert "exceeds enumeration limit 20" in err.getvalue()
 
 
 def test_config_validation():

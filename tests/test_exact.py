@@ -13,6 +13,7 @@ from cutcover import (
     CapGraph,
     Infeasible,
     Instance,
+    Link,
     SetFamily,
     SolveResult,
     TooManyLinks,
@@ -58,14 +59,14 @@ def _dummy_result(cost) -> SolveResult:
 
 def test_exact_empty_family():
     inst = Instance.build(k2(), 1, [(0, 1, 3)])
-    res = exact_optimum(inst, SetFamily(2, ()))
+    res = exact_optimum(inst.links, SetFamily(2, ()))
     assert res.opt_cost == 0 and res.opt_links == ()
 
 
 def test_exact_single_link():
     inst = Instance.build(k2(), 2, [(0, 1, 5)])
     f = enumerate_small_cuts(k2(), 2)
-    res = exact_optimum(inst, f)
+    res = exact_optimum(inst.links, f)
     assert res.opt_cost == 5 and res.opt_links == (0,)
 
 
@@ -73,20 +74,20 @@ def test_exact_infeasible():
     inst = Instance.build(k2(), 2, [])
     f = enumerate_small_cuts(k2(), 2)
     with pytest.raises(Infeasible):
-        exact_optimum(inst, f)
+        exact_optimum(inst.links, f)
 
 
 def test_exact_too_many_links():
     inst = Instance.build(k2(), 2, [(0, 1, 1)] * 5)
     f = enumerate_small_cuts(k2(), 2)
     with pytest.raises(TooManyLinks):
-        exact_optimum(inst, f, limit=4)
+        exact_optimum(inst.links, f, limit=4)
 
 
 def test_exact_more_links_than_a_machine_word():
     inst = many_link_path()
     f = enumerate_small_cuts(inst.graph, inst.threshold)
-    res = exact_optimum(inst, f, limit=100)
+    res = exact_optimum(inst.links, f, limit=100)
     assert res.opt_cost == 1 and res.opt_links == (3,)
 
 
@@ -97,7 +98,7 @@ def test_exact_agrees_with_naive(seed):
         inst = random_instance(rng, rng.randint(3, 7), rng.randint(0, 6))
         f = enumerate_small_cuts(inst.graph, inst.threshold)
         expected = naive_optimum(inst, f)
-        got = exact_optimum(inst, f)
+        got = exact_optimum(inst.links, f)
         assert expected is not None
         assert got.opt_cost == expected
         # reported links really cover at the reported cost
@@ -113,7 +114,7 @@ def test_exact_agrees_with_naive_on_mixed_denominators(seed):
     for _ in range(12):
         inst = random_instance(rng, rng.randint(3, 7), rng.randint(0, 6), rational=True)
         f = enumerate_small_cuts(inst.graph, inst.threshold)
-        got = exact_optimum(inst, f)
+        got = exact_optimum(inst.links, f)
         assert got.opt_cost == naive_optimum(inst, f)
         chosen = [inst.links[i] for i in got.opt_links]
         assert len(residual(f, chosen)) == 0
@@ -130,12 +131,12 @@ def test_exact_closes_at_root_when_warm_start_meets_bound():
         CapGraph(4, ()), 1,
         [(0, 1, Fraction(3, 2)), (0, 3, 2), (2, 3, Fraction(5, 3)), (2, 1, 4)],
     )
-    res = solve(inst, f)
+    res = solve(inst.links, f)
     assert res.cost == Fraction(3, 2) + Fraction(5, 3)
-    warm = exact_optimum(inst, f, warm_start=res.solution)
+    warm = exact_optimum(inst.links, f, warm_start=res.solution)
     assert warm.nodes_explored == 1
     assert (warm.opt_cost, warm.opt_links) == (res.cost, (0, 2))
-    cold = exact_optimum(inst, f)
+    cold = exact_optimum(inst.links, f)
     assert (cold.opt_cost, cold.opt_links) == (warm.opt_cost, warm.opt_links)
 
 
@@ -143,17 +144,15 @@ def test_warm_start_does_not_change_optimum(rng):
     for _ in range(8):
         inst = random_instance(rng, 6, 4)
         f = enumerate_small_cuts(inst.graph, inst.threshold)
-        pd = solve(inst, f)
-        cold = exact_optimum(inst, f)
-        warm = exact_optimum(inst, f, warm_start=pd.solution)
+        pd = solve(inst.links, f)
+        cold = exact_optimum(inst.links, f)
+        warm = exact_optimum(inst.links, f, warm_start=pd.solution)
         assert cold.opt_cost == warm.opt_cost
         assert warm.nodes_explored <= cold.nodes_explored + 1
 
 
 def test_ratio_examples():
-    opt = exact_optimum(
-        Instance.build(k2(), 2, [(0, 1, 5)]), enumerate_small_cuts(k2(), 2)
-    )
+    opt = exact_optimum([Link(0, 1, 5, 0)], enumerate_small_cuts(k2(), 2))
     assert ratio(_dummy_result(5), opt) == 1
     assert ratio(_dummy_result(15), opt) == 3
 
@@ -161,7 +160,7 @@ def test_ratio_examples():
 def test_ratio_zero_optimum():
     inst = Instance.build(k2(), 2, [(0, 1, 0)])
     f = enumerate_small_cuts(k2(), 2)
-    opt = exact_optimum(inst, f)
+    opt = exact_optimum(inst.links, f)
     assert opt.opt_cost == 0
     assert ratio(_dummy_result(0), opt) == 1
     with pytest.raises(ZeroOptimumViolation):
@@ -172,8 +171,8 @@ def test_guarantee_chain_on_random_runs(rng):
     for _ in range(10):
         inst = random_instance(rng, rng.randint(3, 7), rng.randint(0, 5))
         f = enumerate_small_cuts(inst.graph, inst.threshold)
-        res = solve(inst, f)
-        opt = exact_optimum(inst, f, warm_start=res.solution)
+        res = solve(inst.links, f)
+        opt = exact_optimum(inst.links, f, warm_start=res.solution)
         assert opt.opt_cost <= res.cost
         assert res.dual.total <= opt.opt_cost
         assert res.cost <= 5 * res.dual.total or res.cost == 0

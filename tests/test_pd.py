@@ -8,13 +8,13 @@ from fractions import Fraction
 import pytest
 
 from cutcover import (
-    CapGraph,
     DualState,
     Infeasible,
     Instance,
     Link,
     SetFamily,
     audit_run,
+    check_symmetry,
     cores,
     covers,
     dual_feasible,
@@ -24,58 +24,57 @@ from cutcover import (
     reverse_delete,
     solve,
 )
-from cutcover.family import crossing_table
+from cutcover.family import all_covered, crossing_table
 from conftest import cycle, fam, k2, ns, random_instance
 from reference import load
 
 
 def test_solve_empty_family():
-    inst = Instance.build(k2(), 1, [(0, 1, 3)])
-    res = solve(inst, SetFamily(2, ()))
+    res = solve([Link(0, 1, 3, 0)], SetFamily(2, ()))
     assert res.solution == () and res.cost == 0
     assert res.dual.y == {} and res.dual.total == 0
     assert res.trace == ()
 
 
 def test_solve_k2_single_phase_dual():
-    inst = Instance.build(k2(), 2, [(0, 1, 7)])
+    links = [Link(0, 1, 7, 0)]
     f = enumerate_small_cuts(k2(), 2)
-    res = solve(inst, f)
+    res = solve(links, f)
     assert res.solution == (0,)
     assert res.cost == 7
     # both singleton cores raised by 7/2; the link sits in both cuts
-    assert res.dual.y == {ns(2, 0): Fraction(7, 2), ns(2, 1): Fraction(7, 2)}
+    assert res.dual.y == {0b01: Fraction(7, 2), 0b10: Fraction(7, 2)}
     assert res.dual.total == 7
     assert len(res.trace) == 1
     pt = res.trace[0]
     assert pt.epsilon == Fraction(7, 2)
     assert pt.tight_link_ids == (0,)
     assert set(pt.cores_snapshot.members) == {ns(2, 0), ns(2, 1)}
-    assert dual_feasible(inst, f, res.dual)
-    assert load(res.dual.y, inst.links[0]) == 7  # tight
+    assert dual_feasible(links, f, res.dual)
+    assert load(res.dual.y, links[0], 2) == 7  # tight
 
 
-def _one_phase(n, f, link_specs):
-    """Solve f over an edgeless graph on n nodes; returns the result."""
-    return solve(Instance.build(CapGraph(n, ()), 1, link_specs), f)
+def _one_phase(f, link_specs):
+    """Solve f over links built from (a, b, cost) triples; returns the result."""
+    return solve([Link(a, b, cost, i) for i, (a, b, cost) in enumerate(link_specs)], f)
 
 
 def test_grow_phase_single_core():
-    res = _one_phase(3, fam(3, (0,)), [(0, 1, 5)])
+    res = _one_phase(fam(3, (0,)), [(0, 1, 5)])
     pt = res.trace[0]
     assert pt.epsilon == 5 and pt.tight_link_ids == (0,)
-    assert res.dual.y == {ns(3, 0): 5} and res.dual.total == 5
+    assert res.dual.y == {0b001: 5} and res.dual.total == 5
 
 
 def test_grow_phase_two_cores_half_slack():
-    res = _one_phase(2, fam(2, (0,), (1,)), [(0, 1, 7)])
+    res = _one_phase(fam(2, (0,), (1,)), [(0, 1, 7)])
     pt = res.trace[0]
     assert pt.epsilon == Fraction(7, 2) and pt.tight_link_ids == (0,)
     assert res.dual.total == 7
 
 
 def test_grow_phase_zero_slack_link():
-    res = _one_phase(3, fam(3, (0,)), [(0, 1, 0)])
+    res = _one_phase(fam(3, (0,)), [(0, 1, 0)])
     pt = res.trace[0]
     assert pt.epsilon == 0 and pt.tight_link_ids == (0,)
     assert res.dual.y == {} and res.dual.total == 0  # nothing actually raised
@@ -83,20 +82,19 @@ def test_grow_phase_zero_slack_link():
 
 def test_grow_phase_infeasible():
     with pytest.raises(Infeasible) as err:
-        _one_phase(4, fam(4, (0,), (1,)), [(1, 2, 1)])
+        _one_phase(fam(4, (0,), (1,)), [(1, 2, 1)])
     assert err.value.uncovered == ns(4, 0)
 
 
 def test_solve_infeasible():
     inst = Instance.build(cycle(4), 3, [(0, 1, 1)])
     with pytest.raises(Infeasible):
-        solve(inst, enumerate_small_cuts(cycle(4), 3))
+        solve(inst.links, enumerate_small_cuts(cycle(4), 3))
 
 
 def test_zero_cost_links_admitted_in_zero_epsilon_phase():
-    inst = Instance.build(k2(), 2, [(0, 1, 0), (1, 0, 9)])
     f = enumerate_small_cuts(k2(), 2)
-    res = solve(inst, f)
+    res = solve([Link(0, 1, 0, 0), Link(1, 0, 9, 1)], f)
     assert res.trace[0].epsilon == 0
     assert res.solution == (0,) and res.cost == 0
     assert res.dual.total == 0
@@ -105,9 +103,8 @@ def test_zero_cost_links_admitted_in_zero_epsilon_phase():
 def test_ties_admit_all_links_ascending():
     # two links of equal cost, each crossing exactly one of two cores
     g = cycle(4)
-    inst = Instance.build(g, 3, [(1, 3, 4), (0, 2, 4)])
     f = enumerate_small_cuts(g, 3)
-    res = solve(inst, f)
+    res = solve([Link(1, 3, 4, 0), Link(0, 2, 4, 1)], f)
     assert res.trace[0].tight_link_ids == (0, 1)
     assert res.addition_order == (0, 1)
 
@@ -133,18 +130,18 @@ def test_reverse_delete_requires_cover():
 
 
 def test_dual_feasible_reports_violation():
-    inst = Instance.build(k2(), 2, [(0, 1, 3)])
+    links = [Link(0, 1, 3, 0)]
     f = enumerate_small_cuts(k2(), 2)
-    state = DualState(y={ns(2, 0): Fraction(4)}, total=Fraction(4))
-    assert not dual_feasible(inst, f, state)
-    assert dual_feasible(inst, f, DualState())
+    state = DualState(y={0b01: Fraction(4)}, total=Fraction(4))
+    assert not dual_feasible(links, f, state)
+    assert dual_feasible(links, f, DualState())
 
 
 def test_four_cycle_cost_within_five_of_optimum():
     g = cycle(4)
     f = enumerate_small_cuts(g, 3)
     inst = Instance.build(g, 3, [(0, 2, 5), (1, 3, 4), (0, 1, 3), (2, 3, 2)])
-    res = solve(inst, f)
+    res = solve(inst.links, f)
     assert len(residual(f, [inst.links[i] for i in res.solution])) == 0
     # exhaustive optimum over all 16 link subsets
     best = None
@@ -166,10 +163,10 @@ def _replay_phases(inst, f, res):
         assert len(remaining) == pt.residual_size
         assert cores(remaining) == pt.cores_snapshot
         if pt.epsilon:
-            for c in pt.cores_snapshot.members:
+            for c in pt.cores_snapshot.masks:
                 state.y[c] = state.y.get(c, Fraction(0)) + pt.epsilon
             state.total += pt.epsilon * len(pt.cores_snapshot)
-        assert dual_feasible(inst, f, state), "dual infeasible at a phase boundary"
+        assert dual_feasible(inst.links, f, state), "dual infeasible at a phase boundary"
         picked.extend(pt.tight_link_ids)
     assert state.y == res.dual.y and state.total == res.dual.total
 
@@ -180,7 +177,7 @@ def test_random_runs_invariants(seed):
     for _ in range(8):
         inst = random_instance(rng, rng.randint(3, 7), rng.randint(0, 5))
         f = enumerate_small_cuts(inst.graph, inst.threshold)
-        res = solve(inst, f)
+        res = solve(inst.links, f)
         # cover soundness
         assert len(residual(f, [inst.links[i] for i in res.solution])) == 0
         # solution is a subset of the addition order, costs add up
@@ -194,12 +191,12 @@ def test_random_runs_invariants(seed):
             rest = [inst.links[i] for i in res.solution if i != lid]
             assert len(residual(f, rest)) > 0
         # dual feasibility at the end and at every phase boundary
-        assert dual_feasible(inst, f, res.dual)
+        assert dual_feasible(inst.links, f, res.dual)
         _replay_phases(inst, f, res)
         # dual keys were cores of some phase
         raised = set()
         for pt in res.trace:
-            raised.update(pt.cores_snapshot.members)
+            raised.update(pt.cores_snapshot.masks)
         assert set(res.dual.y) <= raised
         # guarantee audit
         assert res.cost <= 5 * res.dual.total or res.cost == 0
@@ -209,8 +206,8 @@ def test_determinism():
     rng = random.Random(42)
     inst = random_instance(rng, 6, 4)
     f = enumerate_small_cuts(inst.graph, inst.threshold)
-    a = solve(inst, f)
-    b = solve(inst, f)
+    a = solve(inst.links, f)
+    b = solve(inst.links, f)
     assert a.solution == b.solution
     assert a.addition_order == b.addition_order
     assert a.trace == b.trace
@@ -222,11 +219,9 @@ def _reference_solve(inst, f):
     epsilon is the least (cost - load) / degree over the unpicked links,
     with the load summed from scratch over the raised duals and the degree
     counted through `covers`. Returns the per-phase (epsilon, tight ids,
-    residual size), the dual state and the ids of every link that was a
-    candidate."""
+    residual size) and the dual state."""
     state = DualState()
     picked = set()
-    candidates = set()
     phases = []
     remaining = f
     while len(remaining):
@@ -235,18 +230,17 @@ def _reference_solve(inst, f):
         for link in inst.links:
             degree = sum(1 for c in core_sets if covers(link, c))
             if link.id not in picked and degree:
-                reach[link.id] = (link.cost - load(state.y, link)) / degree
+                reach[link.id] = (link.cost - load(state.y, link, f.n)) / degree
         epsilon = min(reach.values())
         tight = tuple(sorted(lid for lid, r in reach.items() if r == epsilon))
         if epsilon:
             for c in core_sets:
-                state.y[c] = state.y.get(c, Fraction(0)) + epsilon
+                state.y[c.bits] = state.y.get(c.bits, Fraction(0)) + epsilon
             state.total += epsilon * len(core_sets)
         phases.append((epsilon, tight, len(remaining)))
-        candidates.update(reach)
         picked.update(tight)
         remaining = residual(remaining, [inst.links[i] for i in tight])
-    return phases, state, candidates
+    return phases, state
 
 
 def _rational_instance_with_ties(rng):
@@ -269,20 +263,17 @@ def _rational_instance_with_ties(rng):
 @pytest.mark.parametrize("seed", range(4))
 def test_link_load_matches_from_scratch_load(seed):
     """The integer phase loop of `solve` against its Fraction reference:
-    every phase's epsilon, tight ids and residual size, then y, the total,
-    and each candidate's link_load against the from-scratch load."""
+    every phase's epsilon, tight ids and residual size, then y and the
+    total."""
     rng = random.Random(seed)
     phases = zero_phases = ties = 0
     for _ in range(12):
         inst = _rational_instance_with_ties(rng)
         f = enumerate_small_cuts(inst.graph, inst.threshold)
-        res = solve(inst, f)
-        expected, state, candidates = _reference_solve(inst, f)
+        res = solve(inst.links, f)
+        expected, state = _reference_solve(inst, f)
         assert [(pt.epsilon, pt.tight_link_ids, pt.residual_size) for pt in res.trace] == expected
         assert res.dual.y == state.y and res.dual.total == state.total
-        assert set(res.dual.link_load) == candidates
-        for lid, link_load in res.dual.link_load.items():
-            assert link_load == load(res.dual.y, inst.links[lid])
         phases += len(expected)
         zero_phases += sum(1 for eps, _, _ in expected if eps == 0)
         ties += sum(1 for _, tight, _ in expected if len(tight) > 1)
@@ -298,15 +289,14 @@ def test_shared_table_matches_own_table(seed):
         inst = _rational_instance_with_ties(rng)
         f = enumerate_small_cuts(inst.graph, inst.threshold)
         table = crossing_table(f, inst.links)
-        res = solve(inst, f)
-        assert solve(inst, f, table) == res
+        res = solve(inst.links, f)
+        assert solve(inst.links, f, table) == res
         for mode in ("per-phase", "final"):
             assert audit_run(inst.links, f, res, mode, table=table) == audit_run(
                 inst.links, f, res, mode
             )
-        assert exact_optimum(inst, f, warm_start=res.solution, table=table) == exact_optimum(
-            inst, f, warm_start=res.solution
-        )
+        assert exact_optimum(inst.links, f, warm_start=res.solution,
+                             table=table) == exact_optimum(inst.links, f, warm_start=res.solution)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -320,7 +310,7 @@ def test_dual_feasible_matches_fraction_reference(seed):
     for _ in range(10):
         inst = _rational_instance_with_ties(rng)
         f = enumerate_small_cuts(inst.graph, inst.threshold)
-        y = solve(inst, f).dual.y
+        y = solve(inst.links, f).dual.y
         states = [y]
         if y:
             bumped = dict(y)
@@ -329,7 +319,42 @@ def test_dual_feasible_matches_fraction_reference(seed):
             factor = Fraction(rng.randint(1, 40), 37)
             states += [bumped, {s: v * factor for s, v in y.items()}]
         for y_state in states:
-            expect = all(load(y_state, link) <= link.cost for link in inst.links)
-            assert dual_feasible(inst, f, DualState(y_state)) == expect
+            expect = all(load(y_state, link, f.n) <= link.cost for link in inst.links)
+            assert dual_feasible(inst.links, f, DualState(y_state)) == expect
             outcomes.append(expect)
     assert set(outcomes) == {True, False}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_solve_on_families_no_graph_produces(seed):
+    """The solver core on seeded families of random masks, most of them
+    not symmetric, with random rational-cost links drawn until they cover:
+    the solution covers, dropping any one of its links uncovers a member,
+    the dual is feasible, and dual total <= optimum <= cost."""
+    rng = random.Random(seed)
+    asymmetric = multi_phase = 0
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        full = (1 << n) - 1
+        f = SetFamily(n, rng.sample(range(1, full), rng.randint(1, min(12, full - 1))))
+        asymmetric += not check_symmetry(f).holds
+        links = []
+
+        def draw():
+            a, b = rng.sample(range(n), 2)
+            links.append(Link(a, b, Fraction(rng.randint(0, 30), rng.randint(1, 4)), len(links)))
+
+        while not all_covered(f, [(link.a, link.b) for link in links]):
+            draw()
+        for _ in range(rng.randint(0, 3)):
+            draw()
+        res = solve(links, f)
+        multi_phase += len(res.trace) > 1
+        ends = [(links[i].a, links[i].b) for i in res.solution]
+        assert all_covered(f, ends)
+        for k in range(len(ends)):
+            assert not all_covered(f, ends[:k] + ends[k + 1:])
+        assert dual_feasible(links, f, res.dual)
+        opt = exact_optimum(links, f, limit=len(links))
+        assert res.dual.total <= opt.opt_cost <= res.cost
+    assert asymmetric > 10 and multi_phase > 10
