@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator
 
 from . import kernels
@@ -175,6 +176,12 @@ def _missing_complement(f: SetFamily) -> int | None:
     """First member of f whose complement is not a member, or None when f
     is symmetric.
 
+    Taking complements reverses the ascending order of the masks, so f is
+    symmetric exactly when masks[i] ^ masks[-1-i] is the ground set for
+    every i; a middle member of an odd-sized family would be its own
+    complement, which no set is. Only an asymmetric family needs the
+    membership scan that names the missing complement.
+
     A symmetric family lets the pair checkers scan only the members without
     node n-1, one of each complement pair. Replacing B by V - B maps the
     corners (A & B, A | B, A - B, B - A) to (A - B, V - (B - A), A & B,
@@ -187,8 +194,15 @@ def _missing_complement(f: SetFamily) -> int | None:
     them too.
     """
     full = (1 << f.n) - 1
-    for m in f.masks:
-        if not f.contains_mask(full ^ m):
+    masks = f._masks
+    for a, b in zip(masks, reversed(masks)):
+        if a ^ b != full:
+            break
+    else:
+        return None
+    members = f._mask_set
+    for m in masks:
+        if full ^ m not in members:
             return m
     return None
 
@@ -196,37 +210,47 @@ def _missing_complement(f: SetFamily) -> int | None:
 def _pair_scan_masks(f: SetFamily) -> tuple:
     """The members a pair scan of f must visit: those without node n-1 when
     f is symmetric (see `_missing_complement`), else all of them."""
+    masks = f._masks
     if _missing_complement(f) is None:
-        return f.masks[:bisect_left(f.masks, 1 << (f.n - 1))]
-    return f.masks
+        return masks[:bisect_left(masks, 1 << (f.n - 1))]
+    return masks
+
+
+# a holding verdict carries no payload, and reports are frozen, so each
+# checker without counters shares one
+_SYMMETRY_HOLDS = PropertyReport("symmetry", True)
+_PLIABLE_HOLDS = PropertyReport("pliable", True)
+_STRUCTSUB_HOLDS = PropertyReport("structural_submodularity", True)
+_SPARSE_CROSSING_HOLDS = PropertyReport("sparse_crossing", True)
+_DISJOINT_CORES_HOLDS = PropertyReport("disjoint_cores", True)
 
 
 def check_symmetry(f: SetFamily) -> PropertyReport:
     """Every member's complement is also a member."""
     m = _missing_complement(f)
     if m is None:
-        return PropertyReport("symmetry", True)
+        return _SYMMETRY_HOLDS
     return PropertyReport("symmetry", False, (NodeSet(m, f.n),))
 
 
 def check_pliable(f: SetFamily) -> PropertyReport:
     """Every pair has at least two of its four corner sets in the family."""
-    if len(f) < 2:
-        return PropertyReport("pliable", True)
+    if len(f._masks) < 2:
+        return _PLIABLE_HOLDS
     pair = kernels.pliable_violation(_pair_scan_masks(f), f._mask_set)
     if pair is None:
-        return PropertyReport("pliable", True)
+        return _PLIABLE_HOLDS
     return PropertyReport("pliable", False, tuple(NodeSet(m, f.n) for m in pair))
 
 
 def check_structural_submodularity(f: SetFamily) -> PropertyReport:
     """Every crossing pair keeps a corner from both the intersection/union
     side and the difference side."""
-    if len(f) < 2:
-        return PropertyReport("structural_submodularity", True)
+    if len(f._masks) < 2:
+        return _STRUCTSUB_HOLDS
     pair = kernels.structsub_violation(_pair_scan_masks(f), f._mask_set, (1 << f.n) - 1)
     if pair is None:
-        return PropertyReport("structural_submodularity", True)
+        return _STRUCTSUB_HOLDS
     return PropertyReport(
         "structural_submodularity", False, tuple(NodeSet(m, f.n) for m in pair)
     )
@@ -234,26 +258,40 @@ def check_structural_submodularity(f: SetFamily) -> PropertyReport:
 
 def check_sparse_crossing(f: SetFamily) -> PropertyReport:
     """No member crosses two inclusion-minimal members."""
-    if len(f) == 0:
-        return PropertyReport("sparse_crossing", True)
-    flags = kernels.minimal_flags(f.masks)
-    core_masks = [m for m, keep in zip(f.masks, flags) if keep]
+    masks = f._masks
+    if not masks:
+        return _SPARSE_CROSSING_HOLDS
+    core_masks = list(compress(masks, kernels.minimal_flags(masks)))
     triple = kernels.sparse_crossing_violation(_pair_scan_masks(f), core_masks, (1 << f.n) - 1)
     if triple is None:
-        return PropertyReport("sparse_crossing", True)
+        return _SPARSE_CROSSING_HOLDS
     return PropertyReport("sparse_crossing", False, tuple(NodeSet(m, f.n) for m in triple))
 
 
 def check_disjoint_cores(f: SetFamily) -> PropertyReport:
-    """Inclusion-minimal members are pairwise disjoint."""
-    core_masks = cores(f).masks
+    """Inclusion-minimal members are pairwise disjoint.
+
+    They are exactly when none meets the union of those before it, which
+    one pass over the cores tests; only when one does are the pairs
+    scanned, to name the first overlapping pair in ascending order."""
+    masks = f._masks
+    if not masks:
+        return _DISJOINT_CORES_HOLDS
+    core_masks = list(compress(masks, kernels.minimal_flags(masks)))
+    union = 0
+    for c in core_masks:
+        if c & union:
+            break
+        union |= c
+    else:
+        return _DISJOINT_CORES_HOLDS
     for i, a in enumerate(core_masks):
         for b in core_masks[i + 1:]:
             if a & b:
                 return PropertyReport(
                     "disjoint_cores", False, (NodeSet(a, f.n), NodeSet(b, f.n))
                 )
-    return PropertyReport("disjoint_cores", True)
+    raise AssertionError("overlapping cores without an overlapping pair")
 
 
 def check_gamma(f: SetFamily, sample_budget: int = DEFAULT_SAMPLE_BUDGET, seed: int = 0) -> PropertyReport:

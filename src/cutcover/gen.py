@@ -64,6 +64,9 @@ class RunConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.count < 0:
             raise ValueError("count must be non-negative")
+        if self.exact_limit < 0:
+            # a negative limit would skip the exact oracle on every record
+            raise ValueError(f"exact_limit must be non-negative, got {self.exact_limit}")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ValueError(
                 f"workers must lie in [1, {MAX_WORKERS}] (four per CPU), got {self.workers}"
@@ -84,14 +87,17 @@ def _parse_lambda_policy(policy: str):
     if "e" in arg or "E" in arg:
         # Fraction("1e99999999") alone would build a 330M-bit integer
         raise ValueError(f"the lambda policy's value may not carry an exponent, got {arg!r}")
+    if kind not in ("fixed", "quantile"):
+        raise ValueError(f"lambda policy must be 'fixed:<q>' or 'quantile:<f>', got {policy!r}")
+    try:
+        value = Fraction(arg)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in the lambda policy's value {arg!r}") from None
     if kind == "fixed":
-        return "fixed", Fraction(arg)
-    if kind == "quantile":
-        q = Fraction(arg)
-        if not 0 <= q <= 1:
-            raise ValueError(f"quantile must lie in [0, 1], got {arg}")
-        return "quantile", q
-    raise ValueError(f"lambda policy must be 'fixed:<q>' or 'quantile:<f>', got {policy!r}")
+        return "fixed", value
+    if not 0 <= value <= 1:
+        raise ValueError(f"quantile must lie in [0, 1], got {arg}")
+    return "quantile", value
 
 
 def _pick_threshold(table, policy_kind: str, policy_arg: Fraction):

@@ -88,8 +88,9 @@ def minimal_flags(masks):
     flags = []
     found = []
     for m in masks:
+        outside = ~m
         for c in found:
-            if c & ~m == 0:
+            if not c & outside:
                 flags.append(False)
                 break
         else:

@@ -392,6 +392,28 @@ def test_cli_exact_more_links_than_a_machine_word(tmp_path):
     assert json.loads(out)["opt_cost"] == "1"
 
 
+@pytest.mark.parametrize("policy", ["fixed:1/0", "quantile:1/0"])
+def test_cli_lambda_policy_zero_denominator(policy):
+    with pytest.raises(ValueError, match="zero denominator"):
+        RunConfig(lambda_policy=policy)
+    code, out, err = _run_main(["bench", "--count", "2", "--lambda-policy", policy])
+    assert code == 2 and out == ""
+    assert err.startswith("cutcover: error:") and "zero denominator" in err
+    assert "Traceback" not in err
+
+
+def test_cli_negative_exact_limit_rejected():
+    """A negative limit would skip the exact oracle on every record and
+    still report success; zero stays valid, running the oracle only on
+    records without links."""
+    with pytest.raises(ValueError, match="exact_limit"):
+        RunConfig(exact_limit=-1)
+    assert RunConfig(exact_limit=0).exact_limit == 0
+    code, out, err = _run_main(["bench", "--count", "3", "--exact-limit", "-1"])
+    assert code == 2 and out == ""
+    assert err.startswith("cutcover: error:") and "exact_limit" in err
+
+
 def test_cli_missing_key_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 2, "edges": [[0, 1, 1]], "lambda": 2}')

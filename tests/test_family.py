@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from cutcover import (
     Link,
     NodeSet,
     PropertyReport,
+    RunConfig,
     SetFamily,
     check_disjoint_cores,
     check_gamma,
@@ -25,6 +27,7 @@ from cutcover import (
     kernels,
     residual,
 )
+from cutcover.gen import generate
 from conftest import cycle, fam, ns, random_graph
 
 
@@ -262,6 +265,57 @@ def test_symmetric_half_scan_matches_full_scan():
     assert beyond_half > 0
 
 
+# ---------------------------------------------------------------- fast paths against brute force
+
+def _parity_families():
+    """(complements dropped, family): the empty family at n = 1, 2, 3, then
+    seeded symmetric families over n = 2..8 with none, one or two
+    complements removed, each from a different complement pair."""
+    for n in (1, 2, 3):
+        yield 0, SetFamily(n, ())
+    rng = random.Random(23)
+    for trial in range(600):
+        n = rng.randint(2, 8)
+        full = (1 << n) - 1
+        # members without node n-1, each with its complement
+        half = rng.sample(range(1, 1 << (n - 1)), rng.randint(1, min(10, (1 << (n - 1)) - 1)))
+        masks = {m for h in half for m in (h, full ^ h)}
+        dropped = min(trial % 3, len(half))
+        for h in rng.sample(half, dropped):
+            masks.discard(rng.choice((h, full ^ h)))
+        yield dropped, SetFamily(n, masks)
+
+
+def test_symmetry_and_disjoint_cores_match_brute_force():
+    """check_symmetry pairs masks[i] with masks[-1-i] and check_disjoint_cores
+    tests the cores' union before any pair scan; both must report what the
+    definitions report."""
+    sizes = set()
+    verdicts = set()
+    for dropped, f in _parity_families():
+        masks, full = f.masks, (1 << f.n) - 1
+        missing = [m for m in masks if full ^ m not in masks]
+        rep = check_symmetry(f)
+        assert rep.holds == (dropped == 0) == (not missing)
+        assert rep.counterexample == (None if not missing else (NodeSet(missing[0], f.n),))
+        sizes.add((f.n, dropped, len(masks) % 2))
+
+        minimal = [m for m in masks if not any(o != m and o & ~m == 0 for o in masks)]
+        overlaps = [(a, b) for i, a in enumerate(minimal) for b in minimal[i + 1:] if a & b]
+        rep = check_disjoint_cores(f)
+        assert rep.holds == (not overlaps)
+        assert rep.counterexample == (
+            None if not overlaps else tuple(NodeSet(m, f.n) for m in overlaps[0])
+        )
+        verdicts.add(rep.holds)
+    assert verdicts == {True, False}
+    # the empty family, n = 1 and n = 2, odd sizes with one complement
+    # dropped and even sizes with two
+    assert {(1, 0, 0), (2, 0, 0), (2, 1, 1)} <= sizes
+    assert {parity for _, dropped, parity in sizes if dropped == 1} == {1}
+    assert {parity for _, dropped, parity in sizes if dropped == 2} == {0}
+
+
 # ---------------------------------------------------------------- gamma checks
 
 def test_gamma_star_empty_and_vacuous():
@@ -375,3 +429,59 @@ def test_restriction_closure(rng):
         assert check_structural_submodularity(r).holds
         assert check_disjoint_cores(r).holds
         assert check_sparse_crossing(r).holds
+
+
+# ---------------------------------------------------------------- pinned reports
+
+CHECKERS = (
+    check_symmetry,
+    check_pliable,
+    check_structural_submodularity,
+    check_disjoint_cores,
+    check_sparse_crossing,
+    check_gamma,
+    check_gamma_star,
+)
+
+#: sha256 of the repr of every checker's report over `_pinned_families()`
+CHECKER_REPORTS_SHA256 = "bfdd8d659cdcd73bfaace775402c4d665bd0148f9bd75092c752fc194a23eecc"
+
+
+def _pinned_families():
+    """Criterion-3 style residuals of a few seeded instances, which hold,
+    then seeded random mask families, plain, symmetric and symmetric with
+    one member dropped, many of which fail."""
+    cfg = RunConfig(seed=20250809, n_range=(4, 8), density_range=(0.15, 0.7))
+    for index in range(6):
+        inst, base = generate(cfg, index)
+        n = inst.graph.n
+        rng = random.Random(cfg.seed ^ (index * 0x9E37))
+        yield base
+        for _ in range(15):
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+            yield residual(base, _links(*(p for p in pairs if p[0] != p[1])))
+    rng = random.Random(11)
+    for trial in range(300):
+        n = rng.randint(2, 8)
+        full = (1 << n) - 1
+        masks = set(rng.sample(range(1, full), rng.randint(0, min(12, full - 1))))
+        if trial % 3:
+            masks |= {full ^ m for m in masks}
+        if trial % 3 == 2 and masks:
+            masks.discard(rng.choice(sorted(masks)))
+        yield SetFamily(n, masks)
+
+
+def test_checker_reports_pinned():
+    """Every checker's report, counterexamples and counters included, is
+    pinned byte for byte over holding and failing families alike."""
+    h = hashlib.sha256()
+    verdicts = set()
+    for f in _pinned_families():
+        for check in CHECKERS:
+            rep = check(f, sample_budget=2_000) if check in (check_gamma, check_gamma_star) else check(f)
+            verdicts.add((rep.name, rep.holds))
+            h.update(repr(rep).encode())
+    # every checker both holds and fails somewhere
+    assert len(verdicts) == 2 * len(CHECKERS)
+    assert h.hexdigest() == CHECKER_REPORTS_SHA256
