@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotLaminar, SearchBudgetExceeded, WitnessSearchExhausted
-from .family import SetFamily, _link_endpoints_ok, cores, crossing_table
+from .family import SetFamily, _link_endpoints_ok, crossing_table
 from .graph import NodeSet
 from .pd import SolveResult, reverse_delete
 
@@ -24,9 +24,8 @@ def _laminar_pair(a: int, b: int) -> bool:
     return inter == 0 or inter == a or inter == b
 
 
-def find_witness_laminar(j_hat, f_res: SetFamily, links,
-                         node_budget: int = DEFAULT_WITNESS_BUDGET,
-                         table=None) -> dict:
+def find_witness_laminar(j_hat, f_res: SetFamily, table,
+                         node_budget: int = DEFAULT_WITNESS_BUDGET) -> dict:
     """Backtracking search for a mutually laminar witness selection: each
     link of an inclusion-minimal cover to its witness mask, a residual
     member that this link alone covers.
@@ -34,14 +33,12 @@ def find_witness_laminar(j_hat, f_res: SetFamily, links,
     Candidates for each link are the residual members covered by that link
     and no other link of the cover; inclusion-minimality of the cover makes
     every candidate list non-empty. Candidates are tried smallest first.
-    table maps each member of f_res to its `crossing_table` row over
-    links, and is built here when not given.
+    table maps each member of f_res to its `crossing_table` row over the
+    links.
     """
     j_hat = list(j_hat)
     if not j_hat:
         return {}
-    if table is None:
-        table = crossing_table(f_res, links)
 
     candidates = {lid: [] for lid in j_hat}
     j_bits = 0
@@ -148,10 +145,9 @@ class AuditReport:
 
 
 def crossing_density_audit(phase: int, f_res: SetFamily, witness: dict,
-                           links, core_family=None) -> AuditReport:
+                           links, core_family: SetFamily) -> AuditReport:
     """Audit one phase's residual family against the witness map, each
-    cover link id to its witness mask; core_family is `cores(f_res)`,
-    computed here when not given.
+    cover link id to its witness mask; core_family is `cores(f_res)`.
 
     Every set is a mask. The witness re-check runs from scratch: each
     witness must be a member of f_res that exactly one cover link, its own,
@@ -159,8 +155,6 @@ def crossing_density_audit(phase: int, f_res: SetFamily, witness: dict,
     """
     n = f_res.n
     full = (1 << n) - 1
-    if core_family is None:
-        core_family = cores(f_res)
     core_masks = core_family.masks
 
     j_hat = sorted(witness)
@@ -238,27 +232,20 @@ def audit_run(links, f: SetFamily, result: SolveResult, mode: str = "per-phase",
               node_budget: int = DEFAULT_WITNESS_BUDGET, table=None):
     """Audit every phase of a solve (or only the last, mode="final").
 
-    Each phase is audited against the final solution pruned to an
-    inclusion-minimal cover of that phase's cores. table is f's
-    `crossing_table` over links, built here when not given; the residual
-    shrink, the reverse delete and the witness candidates read its rows.
+    Each phase is audited on the residual family and cores its trace
+    recorded, against the final solution pruned to an inclusion-minimal
+    cover of those cores. table is f's `crossing_table` over links, built
+    here when not given; the reverse delete and the witness candidates read
+    its rows.
     """
     if mode not in ("per-phase", "final"):
         raise ValueError(f"audit mode must be 'per-phase' or 'final', got {mode!r}")
     if table is None:
         table = crossing_table(f, links)
-    last = len(result.trace) - 1
-    f_res = f  # the residual family at the start of the current phase
     reports = []
-    for k, pt in enumerate(result.trace):
-        if mode == "per-phase" or k == last:
-            core_family = cores(f_res)
-            j_hat = reverse_delete(result.solution, core_family, links, table)
-            witness = find_witness_laminar(j_hat, f_res, links, node_budget, table)
-            reports.append(crossing_density_audit(pt.phase, f_res, witness, links, core_family))
-        if k < last:
-            tight_bits = sum(1 << lid for lid in pt.tight_link_ids)
-            f_res = SetFamily._from_sorted(
-                f.n, [m for m in f_res.masks if not table[m] & tight_bits]
-            )
+    for pt in result.trace if mode == "per-phase" else result.trace[-1:]:
+        j_hat = reverse_delete(result.solution, pt.cores_snapshot, table)
+        witness = find_witness_laminar(j_hat, pt.residual, table, node_budget)
+        reports.append(crossing_density_audit(pt.phase, pt.residual, witness, links,
+                                              pt.cores_snapshot))
     return reports

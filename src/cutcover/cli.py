@@ -105,7 +105,11 @@ def dump_instance(inst: Instance) -> str:
 
 
 def load_instance(text: str) -> Instance:
-    return instance_from_obj(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("instance JSON is nested too deeply") from None
+    return instance_from_obj(obj)
 
 
 def _solution_obj(result) -> dict:
@@ -120,7 +124,7 @@ def _solution_obj(result) -> dict:
                 "epsilon": _rat_str(pt.epsilon),
                 "num_cores": len(pt.cores_snapshot),
                 "tight": list(pt.tight_link_ids),
-                "residual_size": pt.residual_size,
+                "residual_size": len(pt.residual),
             }
             for pt in result.trace
         ],
@@ -144,15 +148,13 @@ def _audit_obj(report) -> dict:
     }
 
 
-def _single_drop_minimal(family: SetFamily, solution, links, table=None) -> bool:
+def _single_drop_minimal(family: SetFamily, solution, table) -> bool:
     """Independent minimality audit: dropping any one link uncovers a set.
 
     A solution link is redundant when every member is crossed by some
     solution link other than it. table is the family's `crossing_table`
-    over links, built here when not given.
+    over the links.
     """
-    if table is None:
-        table = crossing_table(family, links)
     chosen = 0
     for lid in solution:
         chosen |= 1 << lid
@@ -196,7 +198,7 @@ def pipeline_record(cfg: RunConfig, index: int) -> dict:
 
     verdicts = {
         "cover": all_covered(family, _ends(inst.links[i] for i in result.solution)),
-        "minimal": _single_drop_minimal(family, result.solution, inst.links, table),
+        "minimal": _single_drop_minimal(family, result.solution, table),
         "dual_feasible": dual_feasible(inst.links, family, result.dual),
         "cost_le_5_dual": result.cost <= 5 * result.dual.total,
     }

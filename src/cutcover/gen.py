@@ -30,6 +30,9 @@ _MASK64 = (1 << 64) - 1
 #: of its workers at its first submit
 MAX_WORKERS = 4 * (os.cpu_count() or 1)
 
+#: graph draws `generate` makes before it gives up on a feasible instance
+MAX_RETRIES = 200
+
 
 def _mix64(seed: int, index: int) -> int:
     """splitmix64 round over seed and index; stable across platforms."""
@@ -55,7 +58,6 @@ class RunConfig:
     enum_limit: int = DEFAULT_ENUM_LIMIT
     exact_limit: int = DEFAULT_EXACT_LIMIT
     allow_infeasible: bool = False
-    max_retries: int = 200
     fail_fast: bool = False
     workers: int = 1
 
@@ -124,7 +126,7 @@ def generate(cfg: RunConfig, index: int) -> tuple:
     """
     rng = random.Random(_mix64(cfg.seed, index))
     policy_kind, policy_arg = _parse_lambda_policy(cfg.lambda_policy)
-    for _ in range(cfg.max_retries):
+    for _ in range(MAX_RETRIES):
         n = rng.randint(*cfg.n_range)
         # refuse a ground set no edges could make fit before drawing them
         check_ground_set(n, cfg.enum_limit)
@@ -157,7 +159,7 @@ def generate(cfg: RunConfig, index: int) -> tuple:
                 return Instance.build(graph, threshold, specs), family
     raise GenerationExhausted(
         f"no feasible instance for (seed={cfg.seed}, index={index}) "
-        f"after {cfg.max_retries} attempts"
+        f"after {MAX_RETRIES} attempts"
     )
 
 

@@ -31,11 +31,14 @@ class DualState:
 
 @dataclass(frozen=True)
 class PhaseTrace:
+    """One phase of a solve: the residual family at its start, that
+    family's cores, the growth amount and the links it admitted."""
+
     phase: int
     cores_snapshot: SetFamily
     epsilon: Fraction
     tight_link_ids: tuple
-    residual_size: int
+    residual: SetFamily
 
 
 @dataclass(frozen=True)
@@ -114,27 +117,25 @@ def solve(links, f: SetFamily, table=None) -> SolveResult:
         tight_bits = sum(1 << lid for lid in tight)
         unpicked &= ~tight_bits
         trace.append(PhaseTrace(len(trace), core_family, Fraction(step, den), tuple(tight),
-                                len(remaining)))
+                                remaining))
         remaining = SetFamily._from_sorted(
             n, [m for m in remaining.masks if not table[m] & tight_bits]
         )
     state = DualState({c: Fraction(v, den) for c, v in y.items()}, Fraction(total, den))
-    solution = reverse_delete(picked, f, links, table)
+    solution = reverse_delete(picked, f, table)
     cost = sum((links[i].cost for i in solution), Fraction(0))
     return SolveResult(tuple(solution), cost, state, tuple(trace), tuple(picked))
 
 
-def reverse_delete(addition_order, f: SetFamily, links, table=None):
+def reverse_delete(addition_order, f: SetFamily, table):
     """Drop links in reverse addition order whenever the rest still covers f.
 
     The result is an inclusion-minimal cover of f, returned in the original
     addition order. table maps each member of f to its `crossing_table`
-    row over links, and is built here when not given.
+    row over the links.
     """
     if len(f) == 0:
         return []
-    if table is None:
-        table = crossing_table(f, links)
     kept = 0
     for lid in addition_order:
         kept |= 1 << lid

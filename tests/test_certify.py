@@ -26,6 +26,7 @@ from cutcover import (
     solve,
 )
 from cutcover.certify import _build_tree, _psi_map
+from cutcover.family import crossing_table
 from conftest import cycle, fam, ns, random_instance
 import reference
 
@@ -38,11 +39,12 @@ def _links(*pairs):
 
 def test_minimal_cover_single_link():
     f = fam(3, (0,))
-    assert reverse_delete([0], f, _links((0, 1))) == [0]
+    assert reverse_delete([0], f, crossing_table(f, _links((0, 1)))) == [0]
 
 
 def test_minimal_cover_empty_target():
-    assert reverse_delete([0, 1], SetFamily(3, ()), _links((0, 1), (1, 2))) == []
+    f = SetFamily(3, ())
+    assert reverse_delete([0, 1], f, crossing_table(f, _links((0, 1), (1, 2)))) == []
 
 
 def test_minimal_cover_random_single_drop_audit(rng):
@@ -51,7 +53,7 @@ def test_minimal_cover_random_single_drop_audit(rng):
         f = enumerate_small_cuts(inst.graph, inst.threshold)
         if len(f) == 0:
             continue
-        pruned = reverse_delete(range(len(inst.links)), f, inst.links)
+        pruned = reverse_delete(range(len(inst.links)), f, crossing_table(f, inst.links))
         assert len(residual(f, [inst.links[i] for i in pruned])) == 0
         for lid in pruned:
             rest = [inst.links[i] for i in pruned if i != lid]
@@ -61,21 +63,23 @@ def test_minimal_cover_random_single_drop_audit(rng):
 # ---------------------------------------------------------------- witness search
 
 def test_witness_empty_cover():
-    assert find_witness_laminar([], SetFamily(4, ()), []) == {}
+    f = SetFamily(4, ())
+    assert find_witness_laminar([], f, crossing_table(f, [])) == {}
 
 
 def test_witness_singleton_cover():
     f = fam(3, (0,))
     links = _links((0, 1))
-    assert find_witness_laminar([0], f, links) == {0: 0b001}
+    assert find_witness_laminar([0], f, crossing_table(f, links)) == {0: 0b001}
 
 
 def test_witness_four_cycle_run_validates():
     g = cycle(4)
     f = enumerate_small_cuts(g, 3)
     inst_links = _links((0, 1), (1, 2), (2, 3), (3, 0))
-    j = reverse_delete(range(4), f, inst_links)
-    witness = find_witness_laminar(j, f, inst_links)
+    table = crossing_table(f, inst_links)
+    j = reverse_delete(range(4), f, table)
+    witness = find_witness_laminar(j, f, table)
     # independent recheck of both invariants
     assert sorted(witness) == sorted(j)
     sets = list(witness.values())
@@ -90,7 +94,7 @@ def test_witness_four_cycle_run_validates():
 
 def test_witness_assignment_laminar_family():
     f = fam(3, (0,))
-    assert find_witness_laminar([0], f, _links((0, 1))) == {0: 0b001}
+    assert find_witness_laminar([0], f, crossing_table(f, _links((0, 1)))) == {0: 0b001}
 
 
 def test_witness_exhausted_on_forced_non_laminar():
@@ -98,7 +102,7 @@ def test_witness_exhausted_on_forced_non_laminar():
     f = fam(4, (0, 1), (1, 2))
     links = _links((0, 3), (2, 3))
     with pytest.raises(WitnessSearchExhausted):
-        find_witness_laminar([0, 1], f, links)
+        find_witness_laminar([0, 1], f, crossing_table(f, links))
 
 
 def test_witness_candidates_missing_for_non_minimal_cover():
@@ -106,16 +110,17 @@ def test_witness_candidates_missing_for_non_minimal_cover():
     f = fam(3, (0,))
     links = _links((0, 1), (0, 2))
     with pytest.raises(WitnessSearchExhausted):
-        find_witness_laminar([0, 1], f, links)
+        find_witness_laminar([0, 1], f, crossing_table(f, links))
 
 
 def test_witness_budget_exceeded():
     g = cycle(6)
     f = enumerate_small_cuts(g, 3)
     inst_links = _links((0, 3), (1, 4), (2, 5), (0, 2), (3, 5))
-    j = reverse_delete(range(5), f, inst_links)
+    table = crossing_table(f, inst_links)
+    j = reverse_delete(range(5), f, table)
     with pytest.raises(SearchBudgetExceeded):
-        find_witness_laminar(j, f, inst_links, node_budget=1)
+        find_witness_laminar(j, f, table, node_budget=1)
 
 
 # ---------------------------------------------------------------- laminar tree
@@ -204,7 +209,8 @@ def test_tree_and_psi_match_reference(rng):
 # ---------------------------------------------------------------- audits
 
 def test_audit_empty_cores_passes():
-    report = crossing_density_audit(0, SetFamily(4, ()), {}, [])
+    f = SetFamily(4, ())
+    report = crossing_density_audit(0, f, {}, [], cores(f))
     assert report.passed
     assert report.num_cores == 0 and report.lstar_size == 0 and report.crossing_pairs == 0
 
@@ -214,9 +220,9 @@ def test_audit_empty_remainder_lemma_non_vacuous():
     # crossed too and exhausts S0 - C0. S0 is not red, the child is.
     f = SetFamily(8, [ns(8, 3, 4, 5), ns(8, 2, 3), ns(8, 2, 3, 4)])
     links = _links((4, 6), (3, 4))
-    witness = find_witness_laminar([0, 1], f, links)
+    witness = find_witness_laminar([0, 1], f, crossing_table(f, links))
     assert witness == {0: ns(8, 2, 3, 4).bits, 1: ns(8, 2, 3).bits}
-    report = crossing_density_audit(0, f, witness, links)
+    report = crossing_density_audit(0, f, witness, links, cores(f))
     assert report.passed
     assert report.lstar_size == 2 and report.crossing_pairs == 2
     assert report.num_cores == 2
@@ -230,11 +236,11 @@ def test_audit_disjoint_child_lemma_non_vacuous():
         [ns(8, 1, 2, 3, 4), ns(8, 1, 2), ns(8, 2, 3), ns(8, 4, 5), ns(8, 5, 6)],
     )
     links = _links((4, 0), (1, 3), (5, 7))
-    witness = find_witness_laminar([0, 1, 2], f, links)
+    witness = find_witness_laminar([0, 1, 2], f, crossing_table(f, links))
     assert witness[0] == ns(8, 1, 2, 3, 4).bits
     assert witness[1] == ns(8, 1, 2).bits
     assert witness[2] == ns(8, 5, 6).bits
-    report = crossing_density_audit(0, f, witness, links)
+    report = crossing_density_audit(0, f, witness, links, cores(f))
     assert report.passed
     assert report.lstar_size == 3 and report.crossing_pairs == 3
     assert report.num_cores == 4
@@ -246,7 +252,7 @@ def test_audit_flags_invalid_witness():
     f = fam(4, (0, 1), (1, 2))
     links = _links((0, 3), (2, 3))
     bogus = {0: 0b0011, 1: 0b0110}
-    report = crossing_density_audit(0, f, bogus, links)
+    report = crossing_density_audit(0, f, bogus, links, cores(f))
     assert not report.witness_valid and not report.passed
 
 
@@ -255,7 +261,7 @@ def test_audit_flags_wrong_delta():
     f = fam(4, (0,), (1,))
     links = _links((0, 2), (0, 1))
     bogus = {0: 0b0001, 1: 0b0010}
-    report = crossing_density_audit(0, f, bogus, links)
+    report = crossing_density_audit(0, f, bogus, links, cores(f))
     assert not report.witness_valid and not report.passed
 
 
@@ -264,9 +270,9 @@ def test_audit_flags_witness_outside_ground_set():
     # not an error
     f = fam(4, (0,), (1,))
     links = _links((0, 2))
-    report = crossing_density_audit(0, f, {0: 0b10001}, links)
+    report = crossing_density_audit(0, f, {0: 0b10001}, links, cores(f))
     assert not report.witness_valid and not report.passed
-    assert crossing_density_audit(0, f, {0: 0b00001}, links).passed
+    assert crossing_density_audit(0, f, {0: 0b00001}, links, cores(f)).passed
 
 
 def test_audit_run_over_random_solves(rng):
@@ -285,9 +291,11 @@ def test_audit_run_over_random_solves(rng):
         picked = []
         for pt, r in zip(result.trace, reports):
             f_res = residual(f, [inst.links[i] for i in picked])
-            j_hat = reverse_delete(result.solution, cores(f_res), inst.links)
-            witness = find_witness_laminar(j_hat, f_res, inst.links)
-            assert r == crossing_density_audit(pt.phase, f_res, witness, inst.links)
+            core_family = cores(f_res)
+            table = crossing_table(f_res, inst.links)
+            j_hat = reverse_delete(result.solution, core_family, table)
+            witness = find_witness_laminar(j_hat, f_res, table)
+            assert r == crossing_density_audit(pt.phase, f_res, witness, inst.links, core_family)
             picked.extend(pt.tight_link_ids)
         phases += len(result.trace)
         final_only = audit_run(inst.links, f, result, mode="final")
@@ -301,7 +309,7 @@ def test_audit_red_count_bounded_by_cores():
     # each core colors exactly one node: red nodes never exceed core count
     f = SetFamily(8, [ns(8, 3, 4, 5), ns(8, 2, 3), ns(8, 2, 3, 4)])
     links = _links((4, 6), (3, 4))
-    witness = find_witness_laminar([0, 1], f, links)
+    witness = find_witness_laminar([0, 1], f, crossing_table(f, links))
     core_family = cores(f)
     l_star = SetFamily(8, [
         s for s in witness.values() if any(crosses(NodeSet(s, 8), c) for c in core_family)
@@ -359,7 +367,6 @@ def _crossing_first_witness(j_hat, f_res, links, core_masks):
 def _assert_same_audit(phase, f_res, witness, links, core_family):
     got = crossing_density_audit(phase, f_res, witness, links, core_family)
     assert got == reference.crossing_density_audit(phase, f_res, witness, links, core_family)
-    assert got == crossing_density_audit(phase, f_res, witness, links)
     return got
 
 
@@ -398,7 +405,8 @@ def test_mask_audit_matches_reference():
         for pt in result.trace:
             f_res = residual(f, [inst.links[i] for i in picked])
             core_family = cores(f_res)
-            j_hat = sorted(reverse_delete(result.solution, core_family, inst.links))
+            j_hat = sorted(reverse_delete(result.solution, core_family,
+                                          crossing_table(core_family, inst.links)))
             witness = _crossing_first_witness(j_hat, f_res, inst.links, core_family.masks)
             if witness is not None:
                 small_cut.append(_assert_same_audit(pt.phase, f_res, witness, inst.links,

@@ -33,7 +33,7 @@ from cutcover.cli import (
     report_lines,
     run_pipeline,
 )
-from cutcover.family import residual
+from cutcover.family import crossing_table, residual
 from cutcover.gen import generate
 from cutcover.graph import enumerate_small_cuts
 from conftest import child_env, many_link_path, random_instance
@@ -112,8 +112,8 @@ def test_generate_returns_the_small_cut_family(kw):
 
 
 def test_gen_exhausted_when_infeasible_forced():
-    cfg = _cfg(link_range=(0, 0), max_retries=5)
-    with pytest.raises(GenerationExhausted):
+    cfg = _cfg(link_range=(0, 0))
+    with pytest.raises(GenerationExhausted, match="after 200 attempts"):
         gen_instance(cfg, 0)
 
 
@@ -384,6 +384,22 @@ def test_cli_error_exit_code(tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "audit"])
+@pytest.mark.parametrize("shape", ["bare", "extra key"])
+def test_cli_deeply_nested_instance_rejected(tmp_path, command, shape):
+    """An array nested past the recursion limit ends in a clean error, both
+    as the whole file and under a key the loader ignores."""
+    deep = "[" * 100_000 + "]" * 100_000
+    if shape == "extra key":
+        deep = '{"n": 2, "edges": [], "lambda": 1, "links": [], "extra": ' + deep + "}"
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    code, out, err = _run_main([command, str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("cutcover: error:") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_cli_exact_more_links_than_a_machine_word(tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(dump_instance(many_link_path()))
@@ -478,7 +494,7 @@ def test_single_drop_minimal_matches_residual_definition():
             len(residual(family, [inst.links[i] for i in ids if i != lid])) > 0
             for lid in ids
         )
-        assert _single_drop_minimal(family, ids, inst.links) == expect
+        assert _single_drop_minimal(family, ids, crossing_table(family, inst.links)) == expect
         verdicts.add(expect)
     assert verdicts == {True, False}
 

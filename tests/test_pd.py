@@ -112,7 +112,7 @@ def test_ties_admit_all_links_ascending():
 def test_reverse_delete_keeps_needed_link():
     f = fam(2, (0,), (1,))
     links = [Link(0, 1, 1, 0)]
-    assert reverse_delete([0], f, links) == [0]
+    assert reverse_delete([0], f, crossing_table(f, links)) == [0]
 
 
 def test_reverse_delete_drops_redundant_first_link():
@@ -120,13 +120,14 @@ def test_reverse_delete_drops_redundant_first_link():
     # needs it; link 0 is then dropped
     f = fam(3, (0,), (2,))
     links = [Link(0, 1, 1, 0), Link(0, 2, 1, 1)]
-    kept = reverse_delete([0, 1], f, links)
+    kept = reverse_delete([0, 1], f, crossing_table(f, links))
     assert kept == [1]
 
 
 def test_reverse_delete_requires_cover():
     with pytest.raises(Infeasible):
-        reverse_delete([], fam(2, (0,)), [Link(0, 1, 1, 0)])
+        f = fam(2, (0,))
+        reverse_delete([], f, crossing_table(f, [Link(0, 1, 1, 0)]))
 
 
 def test_dual_feasible_reports_violation():
@@ -160,7 +161,7 @@ def _replay_phases(inst, f, res):
     picked = []
     for pt in res.trace:
         remaining = residual(f, [inst.links[i] for i in picked])
-        assert len(remaining) == pt.residual_size
+        assert remaining == pt.residual
         assert cores(remaining) == pt.cores_snapshot
         if pt.epsilon:
             for c in pt.cores_snapshot.masks:
@@ -272,7 +273,7 @@ def test_link_load_matches_from_scratch_load(seed):
         f = enumerate_small_cuts(inst.graph, inst.threshold)
         res = solve(inst.links, f)
         expected, state = _reference_solve(inst, f)
-        assert [(pt.epsilon, pt.tight_link_ids, pt.residual_size) for pt in res.trace] == expected
+        assert [(pt.epsilon, pt.tight_link_ids, len(pt.residual)) for pt in res.trace] == expected
         assert res.dual.y == state.y and res.dual.total == state.total
         phases += len(expected)
         zero_phases += sum(1 for eps, _, _ in expected if eps == 0)
