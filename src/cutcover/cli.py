@@ -377,11 +377,15 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
-def _read_instance_arg(path: str) -> Instance:
+def _read_instance_arg(path: str, enum_limit: int) -> tuple:
+    """The instance in the file at path (stdin for "-") and its small-cut
+    family, as (Instance, SetFamily)."""
     if path == "-":
-        return load_instance(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_instance(fh.read())
+        inst = load_instance(sys.stdin.read())
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            inst = load_instance(fh.read())
+    return inst, enumerate_small_cuts(inst.graph, inst.threshold, enum_limit)
 
 
 def _emit(text: str, path: str | None, stdout) -> None:
@@ -442,15 +446,13 @@ def main(argv=None, stdout=None, stderr=None) -> int:
             return 0
 
         if args.command == "solve":
-            inst = _read_instance_arg(args.instance)
-            family = enumerate_small_cuts(inst.graph, inst.threshold, args.enum_limit)
+            inst, family = _read_instance_arg(args.instance, args.enum_limit)
             result = solve(inst.links, family)
             stdout.write(json.dumps(_solution_obj(result), separators=(",", ":")) + "\n")
             return 0
 
         if args.command == "exact":
-            inst = _read_instance_arg(args.instance)
-            family = enumerate_small_cuts(inst.graph, inst.threshold, args.enum_limit)
+            inst, family = _read_instance_arg(args.instance, args.enum_limit)
             opt = exact_optimum(inst.links, family, args.exact_limit)
             stdout.write(json.dumps({
                 "opt_cost": _rat_str(opt.opt_cost),
@@ -460,8 +462,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
             return 0
 
         if args.command == "audit":
-            inst = _read_instance_arg(args.instance)
-            family = enumerate_small_cuts(inst.graph, inst.threshold, args.enum_limit)
+            inst, family = _read_instance_arg(args.instance, args.enum_limit)
             result = solve(inst.links, family)
             reports = audit_run(inst.links, family, result, args.audit)
             obj = _solution_obj(result)

@@ -32,7 +32,8 @@ class WitnessSearchExhausted(CutCoverError):
 
 
 class SearchBudgetExceeded(CutCoverError):
-    """Backtracking hit its node budget before finishing."""
+    """A search hit its budget before finishing: the laminar witness search
+    its node budget, or a gamma/gamma* check its configuration budget."""
 
 
 class NotLaminar(CutCoverError):

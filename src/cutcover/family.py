@@ -2,20 +2,24 @@
 
 The checkers return `PropertyReport` verdicts rather than raising: a failed
 check carries a counterexample tuple that replays the violated condition.
+The one exception is a remainder check (gamma, gamma*) that runs out of
+budget before it has enumerated every configuration: it raises
+`SearchBudgetExceeded` rather than give a verdict it has not established.
 """
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator
 
 from . import kernels
+from .errors import SearchBudgetExceeded
 from .graph import NodeSet
 
-DEFAULT_SAMPLE_BUDGET = 100_000
+#: configurations a gamma/gamma* check may test before it gives up
+DEFAULT_GAMMA_BUDGET = 100_000
 
 
 class SetFamily:
@@ -110,6 +114,8 @@ class PropertyReport:
     reports the member whose complement is missing. The remainder checks
     also record how many configurations were tested, the largest number of
     removed subsets reached, and whether the enumeration was exhaustive.
+    A holding remainder report is always exhaustive; a failing one reads
+    False, since the search stops at the first violation.
     """
 
     name: str
@@ -294,78 +300,30 @@ def check_disjoint_cores(f: SetFamily) -> PropertyReport:
     raise AssertionError("overlapping cores without an overlapping pair")
 
 
-def check_gamma(f: SetFamily, sample_budget: int = DEFAULT_SAMPLE_BUDGET, seed: int = 0) -> PropertyReport:
+def check_gamma(f: SetFamily, budget: int = DEFAULT_GAMMA_BUDGET) -> PropertyReport:
     """Remainder property with a single removed subset (k = 1)."""
-    return _check_remainder(f, sample_budget, 1, "gamma", seed)
+    return _check_remainder(f, budget, 1, "gamma")
 
 
-def check_gamma_star(f: SetFamily, sample_budget: int = DEFAULT_SAMPLE_BUDGET, seed: int = 0) -> PropertyReport:
+def check_gamma_star(f: SetFamily, budget: int = DEFAULT_GAMMA_BUDGET) -> PropertyReport:
     """Remainder property with any number of pairwise-disjoint removed
     subsets (k >= 1)."""
-    return _check_remainder(f, sample_budget, 0, "gamma_star", seed)
+    return _check_remainder(f, budget, 0, "gamma_star")
 
 
-def _check_remainder(f: SetFamily, budget: int, kmax: int, name: str, seed: int) -> PropertyReport:
+def _check_remainder(f: SetFamily, budget: int, kmax: int, name: str) -> PropertyReport:
+    """Enumerate every configuration of f within `budget`; a verdict is
+    never drawn from part of them, so running out raises
+    SearchBudgetExceeded."""
     if len(f) == 0:
         return PropertyReport(name, True, None, 0, 0, True)
-    flags = kernels.minimal_flags(f.masks)
-    full = (1 << f.n) - 1
     completed, witness, tuples, max_k = kernels.gamma_star_exhaustive(
-        f.masks, f._mask_set, flags, full, budget, kmax
+        f.masks, f._mask_set, kernels.minimal_flags(f.masks), (1 << f.n) - 1, budget, kmax
     )
     if witness is not None:
         c, s0, chosen = witness
         sets = tuple(NodeSet(m, f.n) for m in (c, s0) + chosen)
-        return PropertyReport(name, False, sets, tuples, max_k, completed)
+        return PropertyReport(name, False, sets, tuples, max_k, False)
     if completed:
         return PropertyReport(name, True, None, tuples, max_k, True)
-    core_masks = [m for m, keep in zip(f.masks, flags) if keep]
-    return _sample_remainder(f, core_masks, budget, kmax, name, seed, tuples, max_k)
-
-
-def _sample_remainder(f: SetFamily, core_masks, budget: int, kmax: int, name: str,
-                      seed: int, tuples: int, max_k: int) -> PropertyReport:
-    """Randomized configurations once exhaustive enumeration blew the budget.
-
-    Draws a crossing (core, enclosing set) pair uniformly, then assembles a
-    random disjoint subset selection from a shuffled candidate order.
-    core_masks are the inclusion-minimal members of f, ascending.
-    """
-    rng = random.Random(seed)
-    full = (1 << f.n) - 1
-
-    configs = []
-    for c in core_masks:
-        crossers = [s for s in f.masks if s & c and s & ~c and c & ~s and full & ~(s | c)]
-        for s0 in crossers:
-            cand = tuple(t for t in crossers if t != s0 and t & ~s0 == 0)
-            if cand:
-                configs.append((c, s0, cand))
-    if not configs:
-        return PropertyReport(name, True, None, tuples, max_k, False)
-
-    for _ in range(budget):
-        c, s0, cand = configs[rng.randrange(len(configs))]
-        order = rng.sample(range(len(cand)), len(cand))
-        union = 0
-        chosen = []
-        for idx in order:
-            t = cand[idx]
-            if t & union:
-                continue
-            if chosen:
-                if kmax and len(chosen) >= kmax:
-                    break
-                if rng.random() < 0.5:
-                    continue
-            chosen.append(t)
-            union |= t
-        tuples += 1
-        max_k = max(max_k, len(chosen))
-        rem = s0 & ~(union | c)
-        if rem and not f.contains_mask(rem):
-            witness = (NodeSet(c, f.n), NodeSet(s0, f.n)) + tuple(
-                NodeSet(t, f.n) for t in chosen
-            )
-            return PropertyReport(name, False, witness, tuples, max_k, False)
-    return PropertyReport(name, True, None, tuples, max_k, False)
+    raise SearchBudgetExceeded(f"{name} search exceeded {budget} configurations")

@@ -33,6 +33,11 @@ MAX_WORKERS = 4 * (os.cpu_count() or 1)
 #: graph draws `generate` makes before it gives up on a feasible instance
 MAX_RETRIES = 200
 
+#: the most links one instance may draw: `generate` draws them one by one
+#: and the solver's work grows faster than their count, so a huge
+#: --link-range would never finish
+MAX_LINKS = 10_000
+
 
 def _mix64(seed: int, index: int) -> int:
     """splitmix64 round over seed and index; stable across platforms."""
@@ -77,6 +82,10 @@ class RunConfig:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"{name} is empty: {lo} > {hi}")
+        if self.link_range[0] < 0 or self.link_range[1] > MAX_LINKS:
+            raise ValueError(
+                f"link_range must lie in [0, {MAX_LINKS}], got {self.link_range}"
+            )
         if self.n_range[0] < 2:
             raise ValueError("instances need at least two vertices")
         if self.audit_mode not in ("per-phase", "final"):

@@ -96,9 +96,6 @@ class NodeSet:
     def __lt__(self, other: "NodeSet") -> bool:
         return self <= other and self.bits != other.bits
 
-    def is_subset_of(self, other: "NodeSet") -> bool:
-        return self <= other
-
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.n and (self.bits >> v) & 1 == 1
 

@@ -153,23 +153,16 @@ def test_criterion_3_lemma_suite(replays):
 
 
 def test_criterion_4_remainder_property(replays):
-    exhaustive_checked = 0
-    sampled_checked = 0
+    checked = 0
     ok = True
     for _, inst, family, result in replays:
-        n = inst.graph.n
         picked = []
         for pt in result.trace:
             f_res = residual(family, [inst.links[i] for i in picked])
             picked.extend(pt.tight_link_ids)
-            if n <= 6:
-                rep = check_gamma_star(f_res, sample_budget=10**6)
-                ok = ok and rep.holds and rep.exhaustive
-                exhaustive_checked += 1
-            else:
-                rep = check_gamma_star(f_res, sample_budget=10**5, seed=pt.phase)
-                ok = ok and rep.holds
-                sampled_checked += 1
+            rep = check_gamma_star(f_res, budget=10**5)
+            ok = ok and rep.holds and rep.exhaustive
+            checked += 1
             if not ok:
                 break
         if not ok:
@@ -177,7 +170,7 @@ def test_criterion_4_remainder_property(replays):
     _verdict(
         "criterion 4 (remainder property on trace residual families)",
         ok,
-        f"{exhaustive_checked} exhaustive (n <= 6), {sampled_checked} budgeted (n <= 10)",
+        f"{checked} exhaustive (n <= 10)",
     )
 
 

@@ -430,6 +430,19 @@ def test_cli_negative_exact_limit_rejected():
     assert err.startswith("cutcover: error:") and "exact_limit" in err
 
 
+def test_link_range_bounded():
+    """A link count outside [0, MAX_LINKS] is refused before any draw: the
+    links are drawn one by one, so a huge upper end would never finish."""
+    assert _cfg(link_range=(0, 0)).link_range == (0, 0)
+    assert _cfg(link_range=(0, gen.MAX_LINKS)).link_range == (0, gen.MAX_LINKS)
+    for bad in ((-1, 3), (0, gen.MAX_LINKS + 1)):
+        with pytest.raises(ValueError, match="link_range"):
+            _cfg(link_range=bad)
+    code, out, err = _run_main(["bench", "--count", "1", "--link-range", "1000000000:1000000000"])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("cutcover: error:") and "link_range" in err
+
+
 def test_cli_missing_key_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 2, "edges": [[0, 1, 1]], "lambda": 2}')

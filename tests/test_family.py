@@ -12,6 +12,7 @@ from cutcover import (
     NodeSet,
     PropertyReport,
     RunConfig,
+    SearchBudgetExceeded,
     SetFamily,
     check_disjoint_cores,
     check_gamma,
@@ -363,7 +364,7 @@ def test_gamma_star_small_cut_residuals(rng):
         f = enumerate_small_cuts(g, 4)
         pairs = [(rng.randrange(6), (rng.randrange(5) + 1 + rng.randrange(6)) % 6) for _ in range(3)]
         links = _links(*(p for p in pairs if p[0] != p[1]))
-        rep = check_gamma_star(residual(f, links), sample_budget=50_000)
+        rep = check_gamma_star(residual(f, links), budget=50_000)
         assert rep.holds
 
 
@@ -386,24 +387,34 @@ def _many_config_family(drop_remainder_size=None):
 
 
 def test_gamma_star_exhaustive_tuple_count():
-    rep = check_gamma_star(_many_config_family(), sample_budget=10_000)
+    rep = check_gamma_star(_many_config_family(), budget=10_000)
     assert rep.holds and rep.exhaustive
     assert rep.tuples_tested == 135 and rep.max_k == 3
 
 
-def test_gamma_star_sampling_mode():
-    # budget below the 135 configurations: the exhaustive pass aborts and
-    # sampling takes over, deterministically, finding no violation
-    f = _many_config_family()
-    rep = check_gamma_star(f, sample_budget=60, seed=4)
-    assert rep.holds and not rep.exhaustive
-    assert rep.tuples_tested > 60
-    assert (rep.tuples_tested, rep.max_k) == (121, 3)
-    assert rep == check_gamma_star(f, sample_budget=60, seed=4)
+@pytest.mark.parametrize("check, budget", [(check_gamma, 10), (check_gamma_star, 60)])
+def test_remainder_over_budget_raises(check, budget):
+    # budgets below the 15 (gamma) and 135 (gamma*) configurations: no
+    # verdict is drawn from part of them
+    with pytest.raises(SearchBudgetExceeded, match=f"exceeded {budget} configurations"):
+        check(_many_config_family(), budget=budget)
+
+
+def test_gamma_star_over_budget_never_holds():
+    # the third configuration violates gamma*, so a budget of one cannot
+    # report a holding verdict; a budget of ten finds the violation
+    f = _many_config_family(drop_remainder_size=2)
+    with pytest.raises(SearchBudgetExceeded):
+        check_gamma_star(f, budget=1)
+    rep = check_gamma_star(f, budget=10)
+    assert not rep.holds and not rep.exhaustive
+    assert [sorted(s) for s in rep.counterexample] == [
+        [5, 6, 7, 8, 9, 10], list(range(8)), [0, 5], [1, 6], [2, 7]
+    ]
 
 
 def test_gamma_star_planted_violation():
-    rep = check_gamma_star(_many_config_family(drop_remainder_size=4), sample_budget=10_000)
+    rep = check_gamma_star(_many_config_family(drop_remainder_size=4), budget=10_000)
     assert not rep.holds
     c, s0, *subs = rep.counterexample
     remainder = s0.bits & ~c.bits
@@ -479,7 +490,7 @@ def test_checker_reports_pinned():
     verdicts = set()
     for f in _pinned_families():
         for check in CHECKERS:
-            rep = check(f, sample_budget=2_000) if check in (check_gamma, check_gamma_star) else check(f)
+            rep = check(f, budget=2_000) if check in (check_gamma, check_gamma_star) else check(f)
             verdicts.add((rep.name, rep.holds))
             h.update(repr(rep).encode())
     # every checker both holds and fails somewhere
