@@ -24,10 +24,6 @@ from .graph import (
     Instance,
     Link,
     NodeSet,
-    covers,
-    crosses,
-    cut_capacity,
-    delta_links,
     enumerate_small_cuts,
 )
 from .family import (
@@ -86,11 +82,7 @@ __all__ = [
     "check_structural_submodularity",
     "check_symmetry",
     "cores",
-    "covers",
-    "crosses",
     "crossing_density_audit",
-    "cut_capacity",
-    "delta_links",
     "dual_feasible",
     "enumerate_small_cuts",
     "exact_optimum",

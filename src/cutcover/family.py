@@ -9,10 +9,11 @@ budget before it has enumerated every configuration: it raises
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import kernels
 from .errors import SearchBudgetExceeded
@@ -23,7 +24,8 @@ DEFAULT_GAMMA_BUDGET = 100_000
 
 
 class SetFamily:
-    """Deduplicated collection of non-trivial subsets of one ground set.
+    """Deduplicated collection of non-trivial subsets of one ground set,
+    each an int mask; `contains_mask` is its membership test.
 
     Neither the empty set nor the full ground set may be a member. Members
     are kept in ascending mask order, which fixes the scan order (and hence
@@ -32,18 +34,14 @@ class SetFamily:
 
     __slots__ = ("n", "_masks", "_mask_set")
 
-    def __init__(self, n: int, members: Iterable):
+    def __init__(self, n: int, masks: Iterable[int]):
+        n = operator.index(n)
         full = (1 << n) - 1
         seen = set()
-        for member in members:
-            if isinstance(member, NodeSet):
-                if member.n != n:
-                    raise ValueError(f"member over ground set {member.n}, family over {n}")
-                m = member.bits
-            else:
-                m = int(member)
-                if m < 0 or m >> n:
-                    raise ValueError(f"mask {m:#x} outside ground set [0, {n})")
+        for m in masks:
+            m = operator.index(m)
+            if m < 0 or m >> n:
+                raise ValueError(f"mask {m:#x} outside ground set [0, {n})")
             if m == 0:
                 raise ValueError("the empty set cannot be a family member")
             if m == full:
@@ -72,23 +70,11 @@ class SetFamily:
     def masks(self) -> tuple:
         return self._masks
 
-    @property
-    def members(self) -> tuple:
-        return tuple(NodeSet(m, self.n) for m in self._masks)
-
     def contains_mask(self, mask: int) -> bool:
         return mask in self._mask_set
 
     def __len__(self) -> int:
         return len(self._masks)
-
-    def __iter__(self) -> Iterator[NodeSet]:
-        return iter(self.members)
-
-    def __contains__(self, item) -> bool:
-        if isinstance(item, NodeSet):
-            return item.n == self.n and item.bits in self._mask_set
-        return int(item) in self._mask_set
 
     def __eq__(self, other) -> bool:
         return (
@@ -133,7 +119,8 @@ def _link_endpoints_ok(f: SetFamily, links) -> None:
 
 
 def residual(f: SetFamily, cover_links) -> SetFamily:
-    """Members of f crossed by none of the given links."""
+    """Members of f crossed by none of the given links; kept for its one
+    caller, `pipebench/workloads.py`."""
     _link_endpoints_ok(f, cover_links)
     pairs = [(link.a, link.b) for link in cover_links]
     kept = []

@@ -82,6 +82,9 @@ class RunConfig:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"{name} is empty: {lo} > {hi}")
+        # written so that NaN, for which every comparison is False, fails
+        if not (0 <= self.density_range[0] and self.density_range[1] <= 1):
+            raise ValueError(f"density_range must lie in [0, 1], got {self.density_range}")
         if self.link_range[0] < 0 or self.link_range[1] > MAX_LINKS:
             raise ValueError(
                 f"link_range must lie in [0, {MAX_LINKS}], got {self.link_range}"
@@ -173,5 +176,6 @@ def generate(cfg: RunConfig, index: int) -> tuple:
 
 
 def gen_instance(cfg: RunConfig, index: int) -> Instance:
-    """Instance number `index` of the batch, without its family."""
+    """Instance number `index` of the batch, without its family; kept for
+    its one caller, `pipebench/workloads.py`."""
     return generate(cfg, index)[0]

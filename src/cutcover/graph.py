@@ -1,17 +1,18 @@
-"""Capacitated graphs, node subsets, cut evaluation and small-cut enumeration.
+"""Capacitated graphs, cut tables and small-cut enumeration.
 
-All capacities, costs and thresholds are exact rationals; floats are
-rejected at construction time so that tightness comparisons downstream are
-exact.
+All capacities, costs and thresholds are exact rationals, and node ids,
+node counts and masks exact integers; floats are rejected at construction
+time so that tightness comparisons downstream are exact.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import kernels
 from .errors import GroundSetTooLarge
@@ -31,12 +32,14 @@ def _rat(value) -> Fraction:
 
 
 class NodeSet:
-    """Immutable subset of the ground set [0, n), stored as a bit mask."""
+    """Read-only view of a mask over the ground set [0, n), for error
+    messages and counterexamples; all set work is done on the int masks."""
 
     __slots__ = ("bits", "n")
 
     def __init__(self, bits: int, n: int):
-        bits = int(bits)
+        bits = operator.index(bits)
+        n = operator.index(n)
         if n < 0:
             raise ValueError("ground-set size must be non-negative")
         if bits < 0 or bits >> n:
@@ -46,58 +49,6 @@ class NodeSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("NodeSet is immutable")
-
-    @classmethod
-    def of(cls, n: int, *elements: int) -> "NodeSet":
-        return cls.from_iterable(n, elements)
-
-    @classmethod
-    def from_iterable(cls, n: int, elements: Iterable[int]) -> "NodeSet":
-        bits = 0
-        for v in elements:
-            if not 0 <= v < n:
-                raise ValueError(f"element {v} outside ground set [0, {n})")
-            bits |= 1 << v
-        return cls(bits, n)
-
-    @classmethod
-    def empty(cls, n: int) -> "NodeSet":
-        return cls(0, n)
-
-    @classmethod
-    def full(cls, n: int) -> "NodeSet":
-        return cls((1 << n) - 1, n)
-
-    def complement(self) -> "NodeSet":
-        return NodeSet(self.bits ^ ((1 << self.n) - 1), self.n)
-
-    def _check(self, other: "NodeSet") -> None:
-        if not isinstance(other, NodeSet):
-            raise TypeError(f"expected NodeSet, got {type(other).__name__}")
-        if other.n != self.n:
-            raise ValueError(f"mixed ground sets: {self.n} vs {other.n}")
-
-    def __or__(self, other: "NodeSet") -> "NodeSet":
-        self._check(other)
-        return NodeSet(self.bits | other.bits, self.n)
-
-    def __and__(self, other: "NodeSet") -> "NodeSet":
-        self._check(other)
-        return NodeSet(self.bits & other.bits, self.n)
-
-    def __sub__(self, other: "NodeSet") -> "NodeSet":
-        self._check(other)
-        return NodeSet(self.bits & ~other.bits, self.n)
-
-    def __le__(self, other: "NodeSet") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
-
-    def __lt__(self, other: "NodeSet") -> bool:
-        return self <= other and self.bits != other.bits
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and (self.bits >> v) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
         bits = self.bits
@@ -109,9 +60,6 @@ class NodeSet:
     def __len__(self) -> int:
         return self.bits.bit_count()
 
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
     def __eq__(self, other) -> bool:
         return isinstance(other, NodeSet) and self.bits == other.bits and self.n == other.n
 
@@ -120,18 +68,6 @@ class NodeSet:
 
     def __repr__(self) -> str:
         return f"NodeSet({{{', '.join(map(str, self))}}}, n={self.n})"
-
-
-def crosses(a: NodeSet, b: NodeSet) -> bool:
-    """True when all four corner regions of the pair are non-empty."""
-    a._check(b)
-    full = (1 << a.n) - 1
-    return (
-        a.bits & b.bits != 0
-        and a.bits & ~b.bits != 0
-        and b.bits & ~a.bits != 0
-        and full & ~(a.bits | b.bits) != 0
-    )
 
 
 @dataclass(frozen=True)
@@ -144,6 +80,8 @@ class Link:
     id: int
 
     def __post_init__(self):
+        object.__setattr__(self, "a", operator.index(self.a))
+        object.__setattr__(self, "b", operator.index(self.b))
         object.__setattr__(self, "cost", _rat(self.cost))
         if self.a == self.b:
             raise ValueError(f"link {self.id} is a self-loop on node {self.a}")
@@ -161,18 +99,19 @@ class CapGraph:
     edges: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 0:
             raise ValueError(f"the node count n must be non-negative, got {self.n}")
         canon = []
         for u, v, cap in self.edges:
-            cap = _rat(cap)
+            u, v, cap = operator.index(u), operator.index(v), _rat(cap)
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u}, {v}) outside ground set [0, {self.n})")
             if cap < 0:
                 raise ValueError(f"edge ({u}, {v}) has negative capacity {cap}")
-            canon.append((int(u), int(v), cap))
+            canon.append((u, v, cap))
         object.__setattr__(self, "edges", tuple(canon))
 
 
@@ -198,30 +137,6 @@ class Instance:
         """Construct from (a, b, cost) triples, assigning positional ids."""
         links = tuple(Link(a, b, cost, i) for i, (a, b, cost) in enumerate(link_specs))
         return cls(graph, threshold, links)
-
-
-def cut_capacity(g: CapGraph, s: NodeSet) -> Fraction:
-    """Total capacity of edges with exactly one endpoint in s."""
-    if s.n != g.n:
-        raise ValueError(f"set over ground {s.n} against graph of size {g.n}")
-    total = Fraction(0)
-    bits = s.bits
-    for u, v, cap in g.edges:
-        if ((bits >> u) ^ (bits >> v)) & 1:
-            total += cap
-    return total
-
-
-def covers(link: Link, s: NodeSet) -> bool:
-    """True when exactly one endpoint of the link lies in s."""
-    if link.a >= s.n or link.b >= s.n:
-        raise ValueError(f"link ({link.a}, {link.b}) outside ground set [0, {s.n})")
-    return ((s.bits >> link.a) ^ (s.bits >> link.b)) & 1 == 1
-
-
-def delta_links(s: NodeSet, links) -> frozenset:
-    """Ids of the links with exactly one endpoint in s."""
-    return frozenset(link.id for link in links if covers(link, s))
 
 
 def check_ground_set(n: int, limit: int, total_weight: int = 0) -> None:

@@ -22,12 +22,16 @@ def child_env():
     return dict(os.environ, PYTHONPATH=src + os.pathsep + rest if rest else src)
 
 
+def mask(*elements):
+    return sum(1 << v for v in set(elements))
+
+
 def ns(n, *elements):
-    return NodeSet.from_iterable(n, elements)
+    return NodeSet(mask(*elements), n)
 
 
 def fam(n, *element_tuples):
-    return SetFamily(n, [NodeSet.from_iterable(n, t) for t in element_tuples])
+    return SetFamily(n, [mask(*t) for t in element_tuples])
 
 
 def triangle():

@@ -7,7 +7,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from cutcover import AuditReport, NodeSet, NotLaminar, SetFamily, cores, covers, crosses
+from cutcover import AuditReport, NodeSet, NotLaminar, SetFamily, cores
+
+
+def crosses(a: NodeSet, b: NodeSet) -> bool:
+    """A and B cross when all four corners A & B, A - B, B - A and
+    V - (A | B) are non-empty, V being the ground set [0, n)."""
+    sa, sb = set(a), set(b)
+    return all((sa & sb, sa - sb, sb - sa, set(range(a.n)) - (sa | sb)))
+
+
+def cut_capacity(g, s: NodeSet) -> Fraction:
+    """Total capacity of the edges of g with exactly one endpoint in s."""
+    if s.n != g.n:
+        raise ValueError(f"set over ground {s.n} against graph of size {g.n}")
+    inside = set(s)
+    return sum((cap for u, v, cap in g.edges if (u in inside) != (v in inside)), Fraction(0))
+
+
+def covers(link, s: NodeSet) -> bool:
+    """True when exactly one endpoint of the link lies in s."""
+    inside = set(s)
+    return (link.a in inside) != (link.b in inside)
+
+
+def delta_links(s: NodeSet, links) -> frozenset:
+    """Ids of the links with exactly one endpoint in s."""
+    return frozenset(link.id for link in links if covers(link, s))
 
 
 def load(y: dict, link, n: int) -> Fraction:
@@ -45,7 +71,7 @@ def build_tree(l_star: SetFamily, red=frozenset()) -> WitnessTree:
         for b in masks[i + 1:]:
             if not _laminar_pair(a, b):
                 raise NotLaminar(f"{NodeSet(a, n)} and {NodeSet(b, n)} partially overlap")
-    root = NodeSet.full(n)
+    root = NodeSet((1 << n) - 1, n)
     parent = {}
     for m in masks:
         supersets = [q for q in masks if q != m and m & ~q == 0]
@@ -74,7 +100,7 @@ def psi_map(core_family: SetFamily, l_star: SetFamily) -> dict:
             best = min(containers, key=lambda s: (s.bit_count(), s))
             result[NodeSet(c, n)] = NodeSet(best, n)
         else:
-            result[NodeSet(c, n)] = NodeSet.full(n)
+            result[NodeSet(c, n)] = NodeSet((1 << n) - 1, n)
     return result
 
 
@@ -85,13 +111,13 @@ def crossing_density_audit(phase, f_res: SetFamily, witness: dict, links, core_f
     n = f_res.n
     if core_family is None:
         core_family = cores(f_res)
-    core_sets = core_family.members
+    core_sets = [NodeSet(m, n) for m in core_family.masks]
 
     j_hat = sorted(witness)
     sets = {lid: NodeSet(m, n) for lid, m in witness.items()}
     witness_valid = True
     for lid, s in sets.items():
-        if s not in f_res:
+        if not f_res.contains_mask(s.bits):
             witness_valid = False
             break
         delta = [j for j in j_hat if covers(links[j], s)]
@@ -116,7 +142,7 @@ def crossing_density_audit(phase, f_res: SetFamily, witness: dict, links, core_f
 
     red_ok = remainder_ok = disjoint_ok = witness_valid and sparse_ok
     if witness_valid and sparse_ok:
-        l_star_family = SetFamily(n, l_star)
+        l_star_family = SetFamily(n, [s.bits for s in l_star])
         psi = psi_map(core_family, l_star_family)
         red = frozenset(psi.values())
         tree = build_tree(l_star_family, red)

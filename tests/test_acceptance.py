@@ -25,7 +25,6 @@ from cutcover import (
     check_sparse_crossing,
     check_structural_submodularity,
     check_symmetry,
-    cut_capacity,
     enumerate_small_cuts,
     exact_optimum,
     gen_instance,
@@ -37,6 +36,7 @@ from cutcover.gen import RunConfig
 from cutcover.graph import cut_table
 from conftest import random_graph, random_instance
 from test_exact import naive_optimum
+from reference import cut_capacity
 
 BATCH = RunConfig(
     seed=20250809,

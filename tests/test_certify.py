@@ -15,10 +15,7 @@ from cutcover import (
     WitnessSearchExhausted,
     audit_run,
     cores,
-    covers,
-    crosses,
     crossing_density_audit,
-    delta_links,
     enumerate_small_cuts,
     find_witness_laminar,
     residual,
@@ -27,8 +24,9 @@ from cutcover import (
 )
 from cutcover.certify import _build_tree, _psi_map
 from cutcover.family import crossing_table
-from conftest import cycle, fam, ns, random_instance
+from conftest import cycle, fam, mask, random_instance
 import reference
+from reference import covers, crosses, delta_links
 
 
 def _links(*pairs):
@@ -84,7 +82,7 @@ def test_witness_four_cycle_run_validates():
     assert sorted(witness) == sorted(j)
     sets = list(witness.values())
     for lid, m in witness.items():
-        assert NodeSet(m, 4) in f
+        assert f.contains_mask(m)
         assert delta_links(NodeSet(m, 4), [inst_links[i] for i in j]) == {lid}
     for i, a in enumerate(sets):
         for b in sets[i + 1:]:
@@ -218,10 +216,10 @@ def test_audit_empty_cores_passes():
 def test_audit_empty_remainder_lemma_non_vacuous():
     # S0 = {2,3,4} is crossed by core {3,4,5}; its child witness {2,3} is
     # crossed too and exhausts S0 - C0. S0 is not red, the child is.
-    f = SetFamily(8, [ns(8, 3, 4, 5), ns(8, 2, 3), ns(8, 2, 3, 4)])
+    f = fam(8, (3, 4, 5), (2, 3), (2, 3, 4))
     links = _links((4, 6), (3, 4))
     witness = find_witness_laminar([0, 1], f, crossing_table(f, links))
-    assert witness == {0: ns(8, 2, 3, 4).bits, 1: ns(8, 2, 3).bits}
+    assert witness == {0: mask(2, 3, 4), 1: mask(2, 3)}
     report = crossing_density_audit(0, f, witness, links, cores(f))
     assert report.passed
     assert report.lstar_size == 2 and report.crossing_pairs == 2
@@ -231,15 +229,12 @@ def test_audit_empty_remainder_lemma_non_vacuous():
 def test_audit_disjoint_child_lemma_non_vacuous():
     # S0 = {1,2,3,4} has child witness {1,2} disjoint from S0's crossing
     # core {4,5}; the core {2,3} maps to S0, making it red as required.
-    f = SetFamily(
-        8,
-        [ns(8, 1, 2, 3, 4), ns(8, 1, 2), ns(8, 2, 3), ns(8, 4, 5), ns(8, 5, 6)],
-    )
+    f = fam(8, (1, 2, 3, 4), (1, 2), (2, 3), (4, 5), (5, 6))
     links = _links((4, 0), (1, 3), (5, 7))
     witness = find_witness_laminar([0, 1, 2], f, crossing_table(f, links))
-    assert witness[0] == ns(8, 1, 2, 3, 4).bits
-    assert witness[1] == ns(8, 1, 2).bits
-    assert witness[2] == ns(8, 5, 6).bits
+    assert witness[0] == mask(1, 2, 3, 4)
+    assert witness[1] == mask(1, 2)
+    assert witness[2] == mask(5, 6)
     report = crossing_density_audit(0, f, witness, links, cores(f))
     assert report.passed
     assert report.lstar_size == 3 and report.crossing_pairs == 3
@@ -307,12 +302,13 @@ def test_audit_run_over_random_solves(rng):
 
 def test_audit_red_count_bounded_by_cores():
     # each core colors exactly one node: red nodes never exceed core count
-    f = SetFamily(8, [ns(8, 3, 4, 5), ns(8, 2, 3), ns(8, 2, 3, 4)])
+    f = fam(8, (3, 4, 5), (2, 3), (2, 3, 4))
     links = _links((4, 6), (3, 4))
     witness = find_witness_laminar([0, 1], f, crossing_table(f, links))
     core_family = cores(f)
     l_star = SetFamily(8, [
-        s for s in witness.values() if any(crosses(NodeSet(s, 8), c) for c in core_family)
+        s for s in witness.values()
+        if any(crosses(NodeSet(s, 8), NodeSet(c, 8)) for c in core_family.masks)
     ])
     psi = _psi_map(core_family.masks, l_star.masks, (1 << 8) - 1)
     red = set(psi.values())

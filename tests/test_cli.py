@@ -443,6 +443,18 @@ def test_link_range_bounded():
     assert err.startswith("cutcover: error:") and "link_range" in err
 
 
+@pytest.mark.parametrize("density", ["0.2:inf", "-0.5:0.4", "0.5:3", "nan:nan"])
+def test_density_range_bounded(density):
+    """An edge probability outside [0, 1], NaN included, is refused before
+    any draw rather than clamped by the generator's comparisons."""
+    lo, _, hi = density.partition(":")
+    with pytest.raises(ValueError, match="density_range"):
+        _cfg(density_range=(float(lo), float(hi)))
+    code, out, err = _run_main(["bench", "--count", "2", f"--density={density}"])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("cutcover: error:") and "density_range" in err
+
+
 def test_cli_missing_key_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 2, "edges": [[0, 1, 1]], "lambda": 2}')

@@ -13,10 +13,9 @@ from itertools import combinations
 
 import pytest
 
-from cutcover import (
-    CapGraph, Link, NodeSet, covers, cut_capacity, enumerate_small_cuts, kernels, residual,
-)
+from cutcover import CapGraph, Link, NodeSet, enumerate_small_cuts, kernels, residual
 from conftest import child_env
+from reference import covers, cut_capacity
 
 
 def elems(mask):

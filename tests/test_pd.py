@@ -12,11 +12,11 @@ from cutcover import (
     Infeasible,
     Instance,
     Link,
+    NodeSet,
     SetFamily,
     audit_run,
     check_symmetry,
     cores,
-    covers,
     dual_feasible,
     enumerate_small_cuts,
     exact_optimum,
@@ -26,7 +26,7 @@ from cutcover import (
 )
 from cutcover.family import all_covered, crossing_table
 from conftest import cycle, fam, k2, ns, random_instance
-from reference import load
+from reference import covers, load
 
 
 def test_solve_empty_family():
@@ -49,7 +49,7 @@ def test_solve_k2_single_phase_dual():
     pt = res.trace[0]
     assert pt.epsilon == Fraction(7, 2)
     assert pt.tight_link_ids == (0,)
-    assert set(pt.cores_snapshot.members) == {ns(2, 0), ns(2, 1)}
+    assert set(pt.cores_snapshot.masks) == {0b01, 0b10}
     assert dual_feasible(links, f, res.dual)
     assert load(res.dual.y, links[0], 2) == 7  # tight
 
@@ -226,7 +226,7 @@ def _reference_solve(inst, f):
     phases = []
     remaining = f
     while len(remaining):
-        core_sets = cores(remaining).members
+        core_sets = [NodeSet(m, f.n) for m in cores(remaining).masks]
         reach = {}
         for link in inst.links:
             degree = sum(1 for c in core_sets if covers(link, c))
