@@ -16,12 +16,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from itertools import islice
 
 from .certify import audit_run
 from .errors import CutCoverError
@@ -257,40 +253,15 @@ def _summarize(records) -> dict:
     }
 
 
-def _pooled_records(cfg: RunConfig):
-    """The batch's records in index order from a process pool, submitted
-    lazily with at most two per worker in flight; the futures still
-    pending when the caller stops are cancelled."""
-    indices = iter(range(cfg.count))
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        pending = deque(
-            pool.submit(pipeline_record, cfg, index)
-            for index in islice(indices, 2 * cfg.workers)
-        )
-        try:
-            while pending:
-                record = pending.popleft().result()
-                index = next(indices, None)
-                if index is not None:
-                    pending.append(pool.submit(pipeline_record, cfg, index))
-                yield record
-        finally:
-            for future in pending:
-                future.cancel()
-
-
 def run_pipeline(cfg: RunConfig):
-    """Run the whole batch; returns (records, summary)."""
-    if cfg.workers > 1:
-        stream = _pooled_records(cfg)
-    else:
-        stream = (pipeline_record(cfg, index) for index in range(cfg.count))
+    """Run the whole batch, one record at a time in index order; under
+    fail_fast it stops at the first failed record. Returns (records, summary)."""
     records = []
-    for record in stream:
+    for index in range(cfg.count):
+        record = pipeline_record(cfg, index)
         records.append(record)
         if cfg.fail_fast and not record["pass"]:
             break
-    stream.close()
     return records, _summarize(records)
 
 
@@ -316,8 +287,7 @@ def report_csv(records) -> str:
 
 
 def _add_generation_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0,
-                        help="batch seed (CUTCOVER_SEED overrides)")
+    parser.add_argument("--seed", type=int, default=0, help="batch seed")
     parser.add_argument("--count", type=int, default=10)
     parser.add_argument("--n-range", default="4:10", metavar="LO:HI")
     parser.add_argument("--density", default="0.3:0.7", metavar="LO:HI")
@@ -336,7 +306,6 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--fail-fast", action="store_true")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default=None, help="write the JSON-lines report here")
     parser.add_argument("--csv", dest="csv_out", default=None,
                         help="write the aggregate CSV here")
@@ -354,17 +323,13 @@ def _float_range(text: str):
 
 #: RunConfig fields that only some subcommands take a flag for; the others
 #: keep RunConfig's default
-_RUN_FIELDS = ("audit_mode", "enum_limit", "exact_limit", "fail_fast", "workers")
+_RUN_FIELDS = ("audit_mode", "enum_limit", "exact_limit", "fail_fast")
 
 
 def _config_from_args(args) -> RunConfig:
-    seed = args.seed
-    env_seed = os.environ.get("CUTCOVER_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
     flags = {name: getattr(args, name) for name in _RUN_FIELDS if hasattr(args, name)}
     return RunConfig(
-        seed=seed,
+        seed=args.seed,
         count=args.count,
         n_range=_int_range(args.n_range),
         density_range=_float_range(args.density),

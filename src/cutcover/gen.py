@@ -1,13 +1,12 @@
 """Deterministic random-instance generation.
 
 Every instance is a pure function of (seed, index): one 64-bit mix seeds a
-private RNG per index, so batches are reproducible byte-for-byte and
-workers can generate independently.
+private RNG per index, so batches are reproducible byte-for-byte and any
+one instance can be generated without the ones before it.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,10 +24,6 @@ from .graph import (
 )
 
 _MASK64 = (1 << 64) - 1
-
-#: the most worker processes a batch may ask for: a process pool forks all
-#: of its workers at its first submit
-MAX_WORKERS = 4 * (os.cpu_count() or 1)
 
 #: graph draws `generate` makes before it gives up on a feasible instance
 MAX_RETRIES = 200
@@ -64,7 +59,6 @@ class RunConfig:
     exact_limit: int = DEFAULT_EXACT_LIMIT
     allow_infeasible: bool = False
     fail_fast: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if not 0 <= self.seed <= _MASK64:
@@ -74,10 +68,6 @@ class RunConfig:
         if self.exact_limit < 0:
             # a negative limit would skip the exact oracle on every record
             raise ValueError(f"exact_limit must be non-negative, got {self.exact_limit}")
-        if not 1 <= self.workers <= MAX_WORKERS:
-            raise ValueError(
-                f"workers must lie in [1, {MAX_WORKERS}] (four per CPU), got {self.workers}"
-            )
         for name in ("n_range", "density_range", "cap_range", "link_range", "cost_range"):
             lo, hi = getattr(self, name)
             if lo > hi:
@@ -93,7 +83,11 @@ class RunConfig:
             raise ValueError("instances need at least two vertices")
         if self.audit_mode not in ("per-phase", "final"):
             raise ValueError("audit_mode must be 'per-phase' or 'final'")
-        _parse_lambda_policy(self.lambda_policy)
+        if _parse_lambda_policy(self.lambda_policy)[0] == "quantile" and self.n_range[1] < 3:
+            # a 2-node graph has one non-trivial cut, so `_pick_threshold`
+            # never finds the two distinct cut values a quantile needs
+            raise ValueError(f"n_range {self.n_range} has no graph with two distinct cut "
+                             f"values, which the lambda policy {self.lambda_policy!r} needs")
 
 
 def _parse_lambda_policy(policy: str):

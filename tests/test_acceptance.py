@@ -287,11 +287,10 @@ COMMAND_SHA256 = {
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_SHA256))
-def test_seeded_commands_pinned(command, monkeypatch):
+def test_seeded_commands_pinned(command):
     """The generator's output, and a bench over it, pinned byte for byte,
     so that a change to the cut table, the threshold pick or the link draws
     that moves any instance fails here."""
-    monkeypatch.delenv("CUTCOVER_SEED", raising=False)
     out, err = io.StringIO(), io.StringIO()
     assert main(command.split(), stdout=out, stderr=err) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == COMMAND_SHA256[command]
@@ -304,11 +303,10 @@ def test_seeded_commands_pinned(command, monkeypatch):
 SUBCOMMANDS_SHA256 = "ea56024b01ac762ff9148b3379d524f056322ca02df327ad019d5073c9a98d0c"
 
 
-def test_seeded_subcommands_pinned(tmp_path, monkeypatch):
+def test_seeded_subcommands_pinned(tmp_path):
     """The subcommands that read one instance file, pinned byte for byte,
     so that a change to how they hand the instance to the solver, the
     audits or the oracle that moves any value fails here."""
-    monkeypatch.delenv("CUTCOVER_SEED", raising=False)
     out = io.StringIO()
     assert main("gen --seed 11 --count 20 --n-range 4:9".split(), stdout=out) == 0
     lines = out.getvalue().splitlines()

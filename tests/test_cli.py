@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import random
 import subprocess
 import sys
@@ -180,111 +179,45 @@ def test_pipeline_reports_byte_identical():
     assert a.encode() == b.encode()
 
 
-def test_pipeline_workers_match_serial():
-    cfg_serial = _cfg(count=6)
-    cfg_far = _cfg(count=6, workers=2)
-    assert report_lines(*run_pipeline(cfg_serial)) == report_lines(*run_pipeline(cfg_far))
+def _stub_record(failing):
+    def record(cfg, index):
+        return {"index": index, "feasible": False, "verdicts": {}, "pass": index != failing}
+    return record
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor without starting a process: a
-    submitted call runs when its result is asked for. Records the indices
-    submitted and cancelled and the most calls in flight at once."""
+@pytest.mark.parametrize("failing", [2, 3])
+def test_pooled_pipeline_submits_lazily(monkeypatch, failing):
+    """The serial batch runs a count far past memory lazily, yields records
+    in index order, and fail_fast stops at the first failed record."""
+    monkeypatch.setattr(cli, "pipeline_record", _stub_record(failing))
+    records, summary = run_pipeline(_cfg(count=10**20, fail_fast=True))
+    assert [r["index"] for r in records] == list(range(failing + 1))
+    assert summary["failed_instances"] == [failing]
 
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.submitted = []
-        self.cancelled = []
-        self.resolved = 0
-        self.peak = 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, cfg, index):
-        self.submitted.append(index)
-        self.peak = max(self.peak, len(self.submitted) - self.resolved)
-        pool = self
-
-        class Pending:
-            def result(self):
-                pool.resolved += 1
-                return fn(cfg, index)
-
-            def cancel(self):
-                pool.cancelled.append(index)
-                return True
-
-        return Pending()
-
-
-def _stub_record(cfg, index):
-    return {"index": index, "feasible": False, "verdicts": {}, "pass": index != 3}
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_pooled_pipeline_submits_lazily(monkeypatch, workers):
-    """A count far past memory runs lazily: at most two calls per worker in
-    flight, records in index order, and fail_fast stops at the first failed
-    record and cancels the calls still pending."""
-    pools = []
-
-    def inline_pool(max_workers):
-        pools.append(_InlinePool(max_workers))
-        return pools[-1]
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool)
-    monkeypatch.setattr(cli, "pipeline_record", _stub_record)
-    records, summary = run_pipeline(_cfg(count=10**20, workers=workers, fail_fast=True))
-    pool = pools[-1]
-    assert pool.max_workers == workers
-    assert [r["index"] for r in records] == [0, 1, 2, 3]
-    assert summary["failed_instances"] == [3]
-    assert pool.peak == 2 * workers
-    assert pool.submitted == list(range(4 + 2 * workers))
-    assert pool.cancelled == list(range(4, 4 + 2 * workers))
-
-    records, summary = run_pipeline(_cfg(count=10, workers=workers))
+    records, summary = run_pipeline(_cfg(count=10))
     assert [r["index"] for r in records] == list(range(10))
-    assert summary["failed_instances"] == [3]
-    assert pools[-1].cancelled == []
+    assert summary["failed_instances"] == [failing]
 
-    code, out, err = _run_main(
-        ["bench", "--count", str(10**20), "--workers", str(workers), "--fail-fast"]
-    )
+    code, out, err = _run_main(["bench", "--count", str(10**20), "--fail-fast"])
     assert code == 1 and "Traceback" not in err
-    assert len(out.splitlines()) == 5 and "FAILURES: [3]" in err
+    assert len(out.splitlines()) == failing + 2 and f"FAILURES: [{failing}]" in err
 
 
-def test_workers_below_one_rejected():
-    for workers in (0, -3):
-        with pytest.raises(ValueError, match="workers"):
-            _cfg(workers=workers)
-    code, out, err = _run_main(["bench", "--count", "1", "--workers", "0"])
-    assert code == 2 and out == ""
-    assert err.startswith("cutcover: error:") and "workers" in err
-
-
-def test_workers_above_bound_rejected(monkeypatch):
-    """A worker count above four per CPU is refused before any pool exists:
-    a process pool would fork all of its workers at its first submit."""
-    assert gen.MAX_WORKERS == 4 * (os.cpu_count() or 1)
-    assert _cfg(workers=gen.MAX_WORKERS).workers == gen.MAX_WORKERS
-    with pytest.raises(ValueError, match="workers"):
-        _cfg(workers=gen.MAX_WORKERS + 1)
-    pools = []
-
-    def inline_pool(max_workers):
-        pools.append(_InlinePool(max_workers))
-        return pools[-1]
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool)
-    code, out, err = _run_main(["bench", "--count", "1", "--workers", "100000"])
-    assert code == 2 and out == "" and pools == []
-    assert err.startswith("cutcover: error:") and "workers" in err
+def test_removed_batch_knobs_gone(monkeypatch):
+    """The batch is serial and --seed is its only seed: there is no
+    --workers flag, no RunConfig.workers field, and CUTCOVER_SEED is
+    ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--count", "1", "--workers", "2"], stdout=io.StringIO(),
+             stderr=io.StringIO())
+    assert exc.value.code == 2
+    with pytest.raises(TypeError):
+        RunConfig(workers=2)
+    monkeypatch.delenv("CUTCOVER_SEED", raising=False)
+    _, base_out, _ = _run_main(["gen", "--seed", "999", "--count", "1"])
+    monkeypatch.setenv("CUTCOVER_SEED", "1")
+    _, env_out, _ = _run_main(["gen", "--seed", "999", "--count", "1"])
+    assert env_out == base_out
 
 
 def test_report_csv_columns():
@@ -369,13 +302,6 @@ def test_fail_fast_keeps_passing_batch_complete():
     assert len(records) == 4 and summary["all_passed"]
 
 
-def test_cli_env_seed_override(monkeypatch):
-    _, base_out, _ = _run_main(["gen", "--seed", "1", "--count", "1"])
-    monkeypatch.setenv("CUTCOVER_SEED", "1")
-    _, env_out, _ = _run_main(["gen", "--seed", "999", "--count", "1"])
-    assert env_out == base_out
-
-
 def test_cli_error_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 2, "edges": [[0, 0, 1]], "lambda": 1, "links": []}')
@@ -453,6 +379,24 @@ def test_density_range_bounded(density):
     code, out, err = _run_main(["bench", "--count", "2", f"--density={density}"])
     assert code == 2 and out == "" and "Traceback" not in err
     assert err.startswith("cutcover: error:") and "density_range" in err
+
+
+@pytest.mark.parametrize("n_range", ["2:2"])
+def test_quantile_needs_three_nodes(n_range):
+    """A 2-node graph has one non-trivial cut, so a quantile policy has no
+    two distinct cut values to pick from; it is refused before any draw
+    rather than after MAX_RETRIES futile ones. A fixed threshold, or a
+    range that reaches 3 nodes, still runs."""
+    lo, _, hi = n_range.partition(":")
+    for policy in ("quantile:0", "quantile:1/2", "quantile:1"):
+        with pytest.raises(ValueError, match="n_range.*lambda policy"):
+            _cfg(n_range=(int(lo), int(hi)), lambda_policy=policy)
+    code, out, err = _run_main(["bench", "--count", "1", "--n-range", n_range])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("cutcover: error:") and "n_range" in err and "quantile" in err
+    for argv in (["--n-range", n_range, "--lambda-policy", "fixed:1"], ["--n-range", "2:3"]):
+        code, out, err = _run_main(["bench", "--count", "3"] + argv)
+        assert code == 0 and "all passed" in err and len(out.splitlines()) == 4
 
 
 def test_cli_missing_key_rejected(tmp_path):
