@@ -13,7 +13,6 @@ from .errors import (
     GenerationExhausted,
     GroundSetTooLarge,
     Infeasible,
-    NotLaminar,
     SearchBudgetExceeded,
     TooManyLinks,
     WitnessSearchExhausted,
@@ -63,7 +62,6 @@ __all__ = [
     "Instance",
     "Link",
     "NodeSet",
-    "NotLaminar",
     "PhaseTrace",
     "PropertyReport",
     "RunConfig",

@@ -3,17 +3,17 @@ tree over the crossing witnesses, the core-to-smallest-container mapping,
 red-node accounting, and the crossing-density audit.
 
 Audit failures are verdicts inside the report, never exceptions; the only
-errors raised here concern malformed inputs (non-laminar tree input,
-witness search running out of candidates or budget).
+errors raised here concern malformed inputs (a link outside the ground
+set, witness search running out of candidates or budget).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotLaminar, SearchBudgetExceeded, WitnessSearchExhausted
-from .family import SetFamily, _link_endpoints_ok, crossing_table
-from .graph import NodeSet
+from . import kernels
+from .errors import SearchBudgetExceeded, WitnessSearchExhausted
+from .family import SetFamily
 from .pd import SolveResult, reverse_delete
 
 DEFAULT_WITNESS_BUDGET = 1_000_000
@@ -92,16 +92,11 @@ def _crosses(a: int, b: int, full: int) -> bool:
     return bool(a & b and a & ~b and b & ~a and full & ~(a | b))
 
 
-def _build_tree(n: int, l_star) -> dict:
-    """The containment tree of the masks of l_star, with the ground set as
-    root: each mask to its children, ascending. A mask's parent is its
-    smallest proper superset in l_star, by size and then by mask, or the
-    root when it has none. Raises NotLaminar when two masks partially
-    overlap."""
-    for i, a in enumerate(l_star):
-        for b in l_star[i + 1:]:
-            if not _laminar_pair(a, b):
-                raise NotLaminar(f"{NodeSet(a, n)} and {NodeSet(b, n)} partially overlap")
+def _build_tree(l_star) -> dict:
+    """The containment tree of the masks of l_star, a laminar list, with the
+    ground set as root: each mask to its children, ascending. A mask's
+    parent is its smallest proper superset in l_star, by size and then by
+    mask, or the root when it has none."""
     children = {m: [] for m in l_star}
     for m in l_star:
         parent = min((q for q in l_star if q != m and m & ~q == 0), key=_size_order,
@@ -158,8 +153,7 @@ def crossing_density_audit(phase: int, f_res: SetFamily, witness: dict,
     core_masks = core_family.masks
 
     j_hat = sorted(witness)
-    _link_endpoints_ok(f_res, [links[j] for j in j_hat])
-    ends = [(links[j].a, links[j].b) for j in j_hat]
+    ends = kernels.check_ends([(links[j].a, links[j].b) for j in j_hat], n)
     witness_valid = True
     for lid, s in witness.items():
         if not f_res.contains_mask(s):
@@ -185,7 +179,8 @@ def crossing_density_audit(phase: int, f_res: SetFamily, witness: dict,
     red_ok = remainder_ok = disjoint_ok = witness_valid and sparse_ok
     if red_ok and l_star:
         red = set(_psi_map(core_masks, l_star, full).values())
-        children = _build_tree(n, l_star)
+        # witness_valid holds, so l_star, a part of l_hat, is laminar
+        children = _build_tree(l_star)
         for s0 in l_star:
             # each lemma speaks only of a crossing witness that is not red
             if s0 in red:
@@ -210,7 +205,6 @@ def crossing_density_audit(phase: int, f_res: SetFamily, witness: dict,
         and red_ok
         and remainder_ok
         and disjoint_ok
-        and crossing_pairs == len(l_star)
     )
     return AuditReport(
         phase=phase,
@@ -228,24 +222,20 @@ def crossing_density_audit(phase: int, f_res: SetFamily, witness: dict,
     )
 
 
-def audit_run(links, f: SetFamily, result: SolveResult, mode: str = "per-phase",
-              node_budget: int = DEFAULT_WITNESS_BUDGET, table=None):
-    """Audit every phase of a solve (or only the last, mode="final").
+def audit_run(links, result: SolveResult, mode: str = "per-phase"):
+    """Audit every phase of a solve of links (or only the last, mode="final").
 
     Each phase is audited on the residual family and cores its trace
     recorded, against the final solution pruned to an inclusion-minimal
-    cover of those cores. table is f's `crossing_table` over links, built
-    here when not given; the reverse delete and the witness candidates read
-    its rows.
+    cover of those cores. The reverse delete and the witness candidates
+    read the rows of the solve's crossing table.
     """
     if mode not in ("per-phase", "final"):
         raise ValueError(f"audit mode must be 'per-phase' or 'final', got {mode!r}")
-    if table is None:
-        table = crossing_table(f, links)
     reports = []
     for pt in result.trace if mode == "per-phase" else result.trace[-1:]:
-        j_hat = reverse_delete(result.solution, pt.cores_snapshot, table)
-        witness = find_witness_laminar(j_hat, pt.residual, table, node_budget)
+        j_hat = reverse_delete(result.solution, pt.cores_snapshot, result.table)
+        witness = find_witness_laminar(j_hat, pt.residual, result.table)
         reports.append(crossing_density_audit(pt.phase, pt.residual, witness, links,
                                               pt.cores_snapshot))
     return reports

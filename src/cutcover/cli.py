@@ -6,8 +6,8 @@ Instance files are JSON objects with rationals written as "p/q" strings
     {"n": 4, "edges": [[0, 1, "1"], ...], "lambda": "3", "links": [[0, 2, "5/2"], ...]}
 
 Reports are JSON lines (one object per instance, then a summary object);
-`bench` additionally emits an aggregate CSV. All report values are strings
-or integers, so reruns with one seed are byte-identical.
+`bench --csv PATH` also writes an aggregate CSV. All report values are
+strings or integers, so reruns with one seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from .certify import audit_run
 from .errors import CutCoverError
 from .exact import DEFAULT_EXACT_LIMIT, exact_optimum, ratio
-from .family import SetFamily, all_covered, crossing_table
+from .family import SetFamily, all_covered
 from .gen import RunConfig, generate
 from .graph import DEFAULT_ENUM_LIMIT, CapGraph, Instance, enumerate_small_cuts
 from .pd import dual_feasible, solve
@@ -185,29 +185,27 @@ def pipeline_record(cfg: RunConfig, index: int) -> dict:
         record["pass"] = True
         return record
 
-    # one crossing row per member, shared by the solve, the audits and the
-    # exact search; the cover and dual-feasibility verdicts stay from scratch
-    table = crossing_table(family, inst.links)
-    result = solve(inst.links, family, table)
+    # the solve's crossing table feeds the minimality check, the audits and
+    # the exact search; the cover and dual-feasibility verdicts stay from scratch
+    result = solve(inst.links, family)
     record["phases"] = len(result.trace)
     record.update(_solution_obj(result))
 
     verdicts = {
         "cover": all_covered(family, _ends(inst.links[i] for i in result.solution)),
-        "minimal": _single_drop_minimal(family, result.solution, table),
+        "minimal": _single_drop_minimal(family, result.solution, result.table),
         "dual_feasible": dual_feasible(inst.links, family, result.dual),
         "cost_le_5_dual": result.cost <= 5 * result.dual.total,
     }
 
-    audits = audit_run(inst.links, family, result, cfg.audit_mode, table=table)
+    audits = audit_run(inst.links, result, cfg.audit_mode)
     record["audits"] = [_audit_obj(r) for r in audits]
     verdicts["audits"] = all(r.passed for r in audits)
     quotients = [Fraction(r.lstar_size, r.num_cores) for r in audits if r.num_cores]
     record["max_density_quotient"] = _rat_str(max(quotients)) if quotients else None
 
     if len(inst.links) <= cfg.exact_limit:
-        opt = exact_optimum(inst.links, family, cfg.exact_limit, warm_start=result.solution,
-                            table=table)
+        opt = exact_optimum(inst.links, family, cfg.exact_limit, warm_start=result)
         record["opt_cost"] = _rat_str(opt.opt_cost)
         record["opt_links"] = list(opt.opt_links)
         try:
@@ -304,7 +302,6 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
                         default="per-phase")
     parser.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
     parser.add_argument("--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT)
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--fail-fast", action="store_true")
     parser.add_argument("--out", default=None, help="write the JSON-lines report here")
     parser.add_argument("--csv", dest="csv_out", default=None,
@@ -429,7 +426,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         if args.command == "audit":
             inst, family = _read_instance_arg(args.instance, args.enum_limit)
             result = solve(inst.links, family)
-            reports = audit_run(inst.links, family, result, args.audit)
+            reports = audit_run(inst.links, result, args.audit)
             obj = _solution_obj(result)
             obj["audits"] = [_audit_obj(r) for r in reports]
             obj["pass"] = all(r.passed for r in reports)
@@ -439,16 +436,9 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         # bench
         cfg = _config_from_args(args)
         records, summary = run_pipeline(cfg)
-        text = report_lines(records, summary)
-        csv_text = report_csv(records)
-        if args.format == "csv":
-            _emit(csv_text, None, stdout)
-            if args.out:
-                _emit(text, args.out, stdout)
-        else:
-            _emit(text, args.out, stdout)
+        _emit(report_lines(records, summary), args.out, stdout)
         if args.csv_out:
-            _emit(csv_text, args.csv_out, stdout)
+            _emit(report_csv(records), args.csv_out, stdout)
         print(
             f"cutcover bench: {summary['instances']} instances, "
             f"max ratio {summary['max_ratio']}, "

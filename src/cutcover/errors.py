@@ -36,10 +36,5 @@ class SearchBudgetExceeded(CutCoverError):
     its node budget, or a gamma/gamma* check its configuration budget."""
 
 
-class NotLaminar(CutCoverError):
-    """A family required to be laminar contains a crossing or partially
-    overlapping pair."""
-
-
 class GenerationExhausted(CutCoverError):
     """Instance generation hit its retry bound without a feasible sample."""

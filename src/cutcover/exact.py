@@ -8,9 +8,10 @@ the incumbent: uncovered minimal members whose allowed links are pairwise
 disjoint each need a link of their own, so the cheapest allowed link of
 each is still to pay. Only a strictly cheaper cover replaces the
 incumbent, so the bound changes which nodes are explored but not the
-cover reported. The search takes nothing from the solver but an optional
-warm-start link set, and is used as ground truth for the solver's
-guarantee.
+cover reported. An optional warm start, a solve of the same links and
+family, lends the search its solution as first incumbent and its crossing
+table as the cover rows; the search is used as ground truth for the
+solver's guarantee.
 """
 
 from __future__ import annotations
@@ -36,15 +37,12 @@ class ExactResult:
 
 
 def exact_optimum(links, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
-                  warm_start=None, table=None) -> ExactResult:
-    """Minimum-cost link set covering f, with optional warm-start incumbent.
-
-    table is f's `crossing_table` over links, built here when not given.
-    """
+                  warm_start: SolveResult | None = None) -> ExactResult:
+    """Minimum-cost link set covering f; warm_start, a `solve` of links
+    and f, gives the first incumbent and the crossing table."""
     if len(links) > limit:
         raise TooManyLinks(f"{len(links)} links exceed the exact-search limit {limit}")
-    if table is None:
-        table = crossing_table(f, links)
+    table = crossing_table(f, links) if warm_start is None else warm_start.table
     masks = f.masks
     if not masks:
         return ExactResult(Fraction(0), (), 0)
@@ -61,12 +59,10 @@ def exact_optimum(links, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
     best_cost = None
     best_set = None
     if warm_start is not None:
-        chosen = 0
-        for lid in warm_start:
-            chosen |= 1 << lid
+        chosen = sum(1 << lid for lid in warm_start.solution)
         if all(bits & chosen for bits in cover_bits):
-            best_cost = sum(costs[lid] for lid in warm_start)
-            best_set = tuple(sorted(set(warm_start)))
+            best_cost = sum(costs[lid] for lid in warm_start.solution)
+            best_set = tuple(sorted(warm_start.solution))
 
     nodes = 0
 

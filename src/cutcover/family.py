@@ -112,17 +112,10 @@ class PropertyReport:
     exhaustive: bool | None = None
 
 
-def _link_endpoints_ok(f: SetFamily, links) -> None:
-    for link in links:
-        if link.a >= f.n or link.b >= f.n:
-            raise ValueError(f"link ({link.a}, {link.b}) outside ground set [0, {f.n})")
-
-
 def residual(f: SetFamily, cover_links) -> SetFamily:
     """Members of f crossed by none of the given links; kept for its one
     caller, `pipebench/workloads.py`."""
-    _link_endpoints_ok(f, cover_links)
-    pairs = [(link.a, link.b) for link in cover_links]
+    pairs = kernels.check_ends(((link.a, link.b) for link in cover_links), f.n)
     kept = []
     for m in f.masks:
         for a, b in pairs:
@@ -136,10 +129,7 @@ def residual(f: SetFamily, cover_links) -> SetFamily:
 def all_covered(f: SetFamily, ends) -> bool:
     """True when every member of f is crossed by some link, given by its
     (a, b) endpoint pair: the links are a feasible cover of f."""
-    pairs = list(ends)
-    for a, b in pairs:
-        if not (0 <= a < f.n and 0 <= b < f.n):
-            raise ValueError(f"link ({a}, {b}) outside ground set [0, {f.n})")
+    pairs = kernels.check_ends(ends, f.n)
     for m in f.masks:
         for a, b in pairs:
             if ((m >> a) ^ (m >> b)) & 1:

@@ -81,13 +81,20 @@ class RunConfig:
             )
         if self.n_range[0] < 2:
             raise ValueError("instances need at least two vertices")
+        for name in ("cap_range", "cost_range"):
+            if getattr(self, name)[0] < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.audit_mode not in ("per-phase", "final"):
             raise ValueError("audit_mode must be 'per-phase' or 'final'")
-        if _parse_lambda_policy(self.lambda_policy)[0] == "quantile" and self.n_range[1] < 3:
-            # a 2-node graph has one non-trivial cut, so `_pick_threshold`
-            # never finds the two distinct cut values a quantile needs
-            raise ValueError(f"n_range {self.n_range} has no graph with two distinct cut "
-                             f"values, which the lambda policy {self.lambda_policy!r} needs")
+        if _parse_lambda_policy(self.lambda_policy)[0] == "quantile":
+            # `_pick_threshold` needs two distinct non-trivial cut values: a
+            # 2-node graph has one non-trivial cut, and with no edge drawn, or
+            # only zero-capacity ones, every cut is 0
+            for name, most in (("n_range", 2), ("density_range", 0), ("cap_range", 0)):
+                if getattr(self, name)[1] <= most:
+                    raise ValueError(
+                        f"{name} {getattr(self, name)} has no graph with two distinct cut "
+                        f"values, which the lambda policy {self.lambda_policy!r} needs")
 
 
 def _parse_lambda_policy(policy: str):

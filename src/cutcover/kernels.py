@@ -48,6 +48,16 @@ def cut_values(n, edges):
     return vals
 
 
+def check_ends(ends, n):
+    """The (a, b) endpoint pairs of ends as a list; raises ValueError when
+    a link has an endpoint outside the ground set [0, n)."""
+    ends = list(ends)
+    for a, b in ends:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"link ({a}, {b}) outside ground set [0, {n})")
+    return ends
+
+
 def cover_bits(masks, ends, n):
     """For each mask over [0, n), an int whose bit k is set when link
     ends[k] = (a, b) has exactly one endpoint in the mask.
@@ -59,9 +69,7 @@ def cover_bits(masks, ends, n):
     smaller of the two.
     """
     incidence = [0] * n
-    for k, (a, b) in enumerate(ends):
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"link ({a}, {b}) outside ground set [0, {n})")
+    for k, (a, b) in enumerate(check_ends(ends, n)):
         incidence[a] ^= 1 << k
         incidence[b] ^= 1 << k
     full = (1 << n) - 1

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import kernels
 from .errors import Infeasible
-from .family import SetFamily, _link_endpoints_ok, cores, crossing_table
+from .family import SetFamily, cores, crossing_table
 from .graph import NodeSet
 
 
@@ -44,23 +45,26 @@ class PhaseTrace:
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of one solve: the pruned solution, its exact cost, the dual
-    state, the per-phase trace and the pre-delete addition order."""
+    state, the per-phase trace, the pre-delete addition order and the
+    family's `crossing_table` over the links, which the audits and the
+    exact search read."""
 
     solution: tuple
     cost: Fraction
     dual: DualState
     trace: tuple
     addition_order: tuple
+    table: dict
 
 
-def solve(links, f: SetFamily, table=None) -> SolveResult:
+def solve(links, f: SetFamily) -> SolveResult:
     """Cover the family with the phased growth / reverse-delete scheme.
 
     Each phase raises the duals of all cores of the residual family
     uniformly until some unpicked link goes tight, admits every tight link
-    and shrinks the residual by them. table is f's `crossing_table` over
-    links, built here when not given; core degrees, the residual
-    shrink and the reverse delete are bit tests on its rows.
+    and shrinks the residual by them. Core degrees, the residual shrink
+    and the reverse delete are bit tests on the rows of f's
+    `crossing_table` over links, which the result carries.
 
     The duals grow on integers: slacks, y and the total are
     numerators over one common denominator, which a phase multiplies by
@@ -68,8 +72,7 @@ def solve(links, f: SetFamily, table=None) -> SolveResult:
     least slack / degree, and the links that reach it, are found by
     cross-multiplying slack against degree.
     """
-    if table is None:
-        table = crossing_table(f, links)
+    table = crossing_table(f, links)
     n = f.n
     den = lcm(*(link.cost.denominator for link in links))
     # link id -> numerator of its cost minus its dual load
@@ -124,7 +127,7 @@ def solve(links, f: SetFamily, table=None) -> SolveResult:
     state = DualState({c: Fraction(v, den) for c, v in y.items()}, Fraction(total, den))
     solution = reverse_delete(picked, f, table)
     cost = sum((links[i].cost for i in solution), Fraction(0))
-    return SolveResult(tuple(solution), cost, state, tuple(trace), tuple(picked))
+    return SolveResult(tuple(solution), cost, state, tuple(trace), tuple(picked), table)
 
 
 def reverse_delete(addition_order, f: SetFamily, table):
@@ -158,7 +161,7 @@ def dual_feasible(links, f: SetFamily, state: DualState) -> bool:
     of a link is the sum of the scaled duals of the masks it has exactly
     one endpoint in.
     """
-    _link_endpoints_ok(f, links)
+    kernels.check_ends(((link.a, link.b) for link in links), f.n)
     den = lcm(*(v.denominator for v in state.y.values()),
               *(link.cost.denominator for link in links))
     duals = [(m, v.numerator * (den // v.denominator)) for m, v in state.y.items()]

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from cutcover import AuditReport, NodeSet, NotLaminar, SetFamily, cores
+from cutcover import AuditReport, NodeSet, SetFamily, cores
 
 
 def crosses(a: NodeSet, b: NodeSet) -> bool:
@@ -70,7 +70,7 @@ def build_tree(l_star: SetFamily, red=frozenset()) -> WitnessTree:
     for i, a in enumerate(masks):
         for b in masks[i + 1:]:
             if not _laminar_pair(a, b):
-                raise NotLaminar(f"{NodeSet(a, n)} and {NodeSet(b, n)} partially overlap")
+                raise ValueError(f"{NodeSet(a, n)} and {NodeSet(b, n)} partially overlap")
     root = NodeSet((1 << n) - 1, n)
     parent = {}
     for m in masks:

@@ -208,7 +208,7 @@ def test_criterion_6a_incremental_cut_oracle():
         if not ok:
             break
     _verdict(
-        "criterion 6a (incremental cut values == from-scratch, n <= 12)",
+        "criterion 6a (doubling cut table == from-scratch cut capacities, n <= 12)",
         ok,
         f"{graphs} graphs, every visited subset recomputed",
     )

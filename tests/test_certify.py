@@ -9,7 +9,6 @@ import pytest
 from cutcover import (
     Link,
     NodeSet,
-    NotLaminar,
     SearchBudgetExceeded,
     SetFamily,
     WitnessSearchExhausted,
@@ -124,21 +123,16 @@ def test_witness_budget_exceeded():
 # ---------------------------------------------------------------- laminar tree
 
 def test_build_tree_empty():
-    assert _build_tree(4, []) == {}
+    assert _build_tree([]) == {}
 
 
 def test_build_tree_chain():
-    assert _build_tree(4, [0b0011, 0b0001]) == {0b0011: [0b0001], 0b0001: []}
+    assert _build_tree([0b0011, 0b0001]) == {0b0011: [0b0001], 0b0001: []}
 
 
 def test_build_tree_siblings():
     # both sets hang off the root: neither is the other's child
-    assert _build_tree(4, [0b0001, 0b0100]) == {0b0001: [], 0b0100: []}
-
-
-def test_build_tree_rejects_crossing():
-    with pytest.raises(NotLaminar):
-        _build_tree(4, [0b0011, 0b0110])
+    assert _build_tree([0b0001, 0b0100]) == {0b0001: [], 0b0100: []}
 
 
 # ---------------------------------------------------------------- psi map
@@ -194,7 +188,7 @@ def test_tree_and_psi_match_reference(rng):
         lam = _random_laminar_masks(rng, n)
         rng.shuffle(lam)
         tree = reference.build_tree(SetFamily(n, lam))
-        assert _build_tree(n, lam) == {
+        assert _build_tree(lam) == {
             m: [k.bits for k in tree.children[NodeSet(m, n)]] for m in lam
         }
         core_family = SetFamily(n, [rng.randrange(1, (1 << n) - 1) for _ in range(3)])
@@ -276,7 +270,7 @@ def test_audit_run_over_random_solves(rng):
         inst = random_instance(rng, rng.randint(3, 7), rng.randint(0, 6))
         f = enumerate_small_cuts(inst.graph, inst.threshold)
         result = solve(inst.links, f)
-        reports = audit_run(inst.links, f, result)
+        reports = audit_run(inst.links, result)
         assert len(reports) == len(result.trace)
         for r in reports:
             assert r.passed
@@ -293,7 +287,7 @@ def test_audit_run_over_random_solves(rng):
             assert r == crossing_density_audit(pt.phase, f_res, witness, inst.links, core_family)
             picked.extend(pt.tight_link_ids)
         phases += len(result.trace)
-        final_only = audit_run(inst.links, f, result, mode="final")
+        final_only = audit_run(inst.links, result, mode="final")
         assert len(final_only) == min(1, len(result.trace))
         if final_only:
             assert final_only[0] == reports[-1]
@@ -320,7 +314,7 @@ def test_audit_mode_validated(rng):
     f = enumerate_small_cuts(inst.graph, inst.threshold)
     result = solve(inst.links, f)
     with pytest.raises(ValueError):
-        audit_run(inst.links, f, result, mode="sometimes")
+        audit_run(inst.links, result, mode="sometimes")
 
 
 # ---------------------------------------------------------------- parity with the NodeSet audit

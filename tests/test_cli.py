@@ -20,14 +20,15 @@ from cutcover import (
     cli,
     gen,
     gen_instance,
+    kernels,
 )
 from cutcover.cli import (
     _single_drop_minimal,
     dump_instance,
     instance_from_obj,
-    instance_to_obj,
     load_instance,
     main,
+    pipeline_record,
     report_csv,
     report_lines,
     run_pipeline,
@@ -236,6 +237,14 @@ def _run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _refused(argv, *shown):
+    """main refuses argv: exit 2, no output, and one error line, with no
+    traceback, that shows each of shown."""
+    code, out, err = _run_main(argv)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("cutcover: error:") and all(s in err for s in shown)
+
+
 def test_cli_gen_and_solve(tmp_path):
     code, out, _ = _run_main(["gen", "--seed", "5", "--count", "2", "--n-range", "4:6"])
     assert code == 0
@@ -262,20 +271,42 @@ def test_cli_exact_and_audit(tmp_path):
     assert payload["pass"] and all(a["pass"] for a in payload["audits"])
 
 
-def test_cli_bench_json_and_csv(tmp_path):
+def test_one_crossing_table_per_solve(tmp_path, monkeypatch):
+    """The solve builds the one crossing table of a record; the audits, the
+    minimality check and the exact search read it from the result."""
+    calls = []
+    cover_bits = kernels.cover_bits
+    monkeypatch.setattr(kernels, "cover_bits", lambda *a: calls.append(a) or cover_bits(*a))
+    cfg = _cfg(count=6)
+    for index in range(cfg.count):
+        calls.clear()
+        assert pipeline_record(cfg, index)["feasible"] and len(calls) == 1
+    path = tmp_path / "inst.json"
+    path.write_text(_run_main(["gen", "--seed", "6", "--count", "1"])[1])
+    for command in ("solve", "audit", "exact"):
+        calls.clear()
+        assert _run_main([command, str(path)])[0] == 0 and len(calls) == 1, command
+
+
+def test_cli_bench_json_and_csv(tmp_path, monkeypatch):
+    """stdout always gets the JSON lines, --csv PATH the CSV, which is built
+    only then; --format is gone."""
     args = ["bench", "--seed", "9", "--count", "3", "--n-range", "4:6"]
-    code, out, err = _run_main(args)
+    csv_path = tmp_path / "agg.csv"
+    code, csv_out, _ = _run_main(args + ["--csv", str(csv_path)])
     assert code == 0
+    csv_lines = csv_path.read_text().splitlines()
+    assert csv_lines[0].startswith("index,") and len(csv_lines) == 4
+    monkeypatch.setattr(cli, "report_csv", None)
+    code, out, err = _run_main(args)
+    assert code == 0 and out == csv_out
     lines = out.strip().split("\n")
     assert len(lines) == 4  # 3 records + summary
     assert "summary" in json.loads(lines[-1])
     assert "all passed" in err
-
-    csv_path = tmp_path / "agg.csv"
-    code, out, _ = _run_main(args + ["--format", "csv", "--csv", str(csv_path)])
-    assert code == 0
-    assert out.startswith("index,")
-    assert csv_path.read_text() == out
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--format", "csv"], stdout=io.StringIO(), stderr=io.StringIO())
+    assert exc.value.code == 2
 
 
 def test_cli_gen_infeasible_flagged():
@@ -320,10 +351,7 @@ def test_cli_deeply_nested_instance_rejected(tmp_path, command, shape):
         deep = '{"n": 2, "edges": [], "lambda": 1, "links": [], "extra": ' + deep + "}"
     path = tmp_path / "deep.json"
     path.write_text(deep)
-    code, out, err = _run_main([command, str(path)])
-    assert code == 2 and out == ""
-    assert err.startswith("cutcover: error:") and "nested too deeply" in err
-    assert "Traceback" not in err
+    _refused([command, str(path)], "nested too deeply")
 
 
 def test_cli_exact_more_links_than_a_machine_word(tmp_path):
@@ -338,10 +366,7 @@ def test_cli_exact_more_links_than_a_machine_word(tmp_path):
 def test_cli_lambda_policy_zero_denominator(policy):
     with pytest.raises(ValueError, match="zero denominator"):
         RunConfig(lambda_policy=policy)
-    code, out, err = _run_main(["bench", "--count", "2", "--lambda-policy", policy])
-    assert code == 2 and out == ""
-    assert err.startswith("cutcover: error:") and "zero denominator" in err
-    assert "Traceback" not in err
+    _refused(["bench", "--count", "2", "--lambda-policy", policy], "zero denominator")
 
 
 def test_cli_negative_exact_limit_rejected():
@@ -351,9 +376,7 @@ def test_cli_negative_exact_limit_rejected():
     with pytest.raises(ValueError, match="exact_limit"):
         RunConfig(exact_limit=-1)
     assert RunConfig(exact_limit=0).exact_limit == 0
-    code, out, err = _run_main(["bench", "--count", "3", "--exact-limit", "-1"])
-    assert code == 2 and out == ""
-    assert err.startswith("cutcover: error:") and "exact_limit" in err
+    _refused(["bench", "--count", "3", "--exact-limit", "-1"], "exact_limit")
 
 
 def test_link_range_bounded():
@@ -364,9 +387,7 @@ def test_link_range_bounded():
     for bad in ((-1, 3), (0, gen.MAX_LINKS + 1)):
         with pytest.raises(ValueError, match="link_range"):
             _cfg(link_range=bad)
-    code, out, err = _run_main(["bench", "--count", "1", "--link-range", "1000000000:1000000000"])
-    assert code == 2 and out == "" and "Traceback" not in err
-    assert err.startswith("cutcover: error:") and "link_range" in err
+    _refused(["bench", "--count", "1", "--link-range", "1000000000:1000000000"], "link_range")
 
 
 @pytest.mark.parametrize("density", ["0.2:inf", "-0.5:0.4", "0.5:3", "nan:nan"])
@@ -376,9 +397,7 @@ def test_density_range_bounded(density):
     lo, _, hi = density.partition(":")
     with pytest.raises(ValueError, match="density_range"):
         _cfg(density_range=(float(lo), float(hi)))
-    code, out, err = _run_main(["bench", "--count", "2", f"--density={density}"])
-    assert code == 2 and out == "" and "Traceback" not in err
-    assert err.startswith("cutcover: error:") and "density_range" in err
+    _refused(["bench", "--count", "2", f"--density={density}"], "density_range")
 
 
 @pytest.mark.parametrize("n_range", ["2:2"])
@@ -391,20 +410,39 @@ def test_quantile_needs_three_nodes(n_range):
     for policy in ("quantile:0", "quantile:1/2", "quantile:1"):
         with pytest.raises(ValueError, match="n_range.*lambda policy"):
             _cfg(n_range=(int(lo), int(hi)), lambda_policy=policy)
-    code, out, err = _run_main(["bench", "--count", "1", "--n-range", n_range])
-    assert code == 2 and out == "" and "Traceback" not in err
-    assert err.startswith("cutcover: error:") and "n_range" in err and "quantile" in err
+    _refused(["bench", "--count", "1", "--n-range", n_range], "n_range", "quantile")
     for argv in (["--n-range", n_range, "--lambda-policy", "fixed:1"], ["--n-range", "2:3"]):
         code, out, err = _run_main(["bench", "--count", "3"] + argv)
+        assert code == 0 and "all passed" in err and len(out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("field, bounds, why", [
+    ("cost_range", (-1, 20), "must be non-negative"),
+    ("cap_range", (-1, 10), "must be non-negative"),
+    ("density_range", (0, 0), "has no graph with two distinct cut values"),
+    ("cap_range", (0, 0), "has no graph with two distinct cut values"),
+], ids=["cost-range=-1:20", "cap-range=-1:10", "density=0:0", "cap-range=0:0"])
+def test_range_without_valid_instance_refused(field, bounds, why):
+    """A range that may draw a negative link cost or edge capacity, or one
+    under which every cut is 0, so that a quantile policy has no two
+    distinct cut values, is refused before any draw, whatever the seed. A
+    fixed threshold over zero cuts still runs."""
+    with pytest.raises(ValueError, match=f"{field} .*{why}"):
+        _cfg(**{field: bounds})
+    flag = "--density" if field == "density_range" else "--" + field.replace("_", "-")
+    for seed in range(4):
+        _refused(["bench", "--count", "1", "--seed", str(seed),
+                  f"{flag}={bounds[0]}:{bounds[1]}"], field, why)
+    if bounds == (0, 0):
+        code, out, err = _run_main(["bench", "--count", "3", f"{flag}=0:0",
+                                    "--lambda-policy", "fixed:1"])
         assert code == 0 and "all passed" in err and len(out.splitlines()) == 4
 
 
 def test_cli_missing_key_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 2, "edges": [[0, 1, 1]], "lambda": 2}')
-    code, _, err = _run_main(["solve", str(path)])
-    assert code == 2
-    assert err.startswith("cutcover: error:") and "links" in err
+    _refused(["solve", str(path)], "links")
 
 
 @pytest.mark.parametrize("text, shown", [
@@ -415,9 +453,7 @@ def test_cli_missing_key_rejected(tmp_path):
 def test_cli_inexact_rational_rejected(tmp_path, text, shown):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    code, _, err = _run_main(["solve", str(path)])
-    assert code == 2
-    assert err.startswith("cutcover: error:") and shown in err
+    _refused(["solve", str(path)], shown)
 
 
 @pytest.mark.parametrize("text, shown", [
@@ -427,9 +463,7 @@ def test_cli_inexact_rational_rejected(tmp_path, text, shown):
 def test_cli_non_integer_node_id_rejected(tmp_path, text, shown):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    code, _, err = _run_main(["solve", str(path)])
-    assert code == 2
-    assert err.startswith("cutcover: error:") and shown in err
+    _refused(["solve", str(path)], shown)
 
 
 @pytest.mark.parametrize("text, shown", [
@@ -439,17 +473,13 @@ def test_cli_non_integer_node_id_rejected(tmp_path, text, shown):
 def test_cli_malformed_entry_rejected(tmp_path, text, shown):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    code, _, err = _run_main(["solve", str(path)])
-    assert code == 2
-    assert err.startswith("cutcover: error:") and "[u, v, c]" in err and shown in err
+    _refused(["solve", str(path)], "[u, v, c]", shown)
 
 
 def test_cli_negative_n_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": -1, "edges": [], "lambda": 1, "links": []}')
-    code, _, err = _run_main(["solve", str(path)])
-    assert code == 2
-    assert err.startswith("cutcover: error:") and "non-negative" in err and "-1" in err
+    _refused(["solve", str(path)], "non-negative", "-1")
 
 
 def test_single_drop_minimal_matches_residual_definition():

@@ -54,7 +54,7 @@ def naive_optimum(inst, family):
 
 
 def _dummy_result(cost) -> SolveResult:
-    return SolveResult((), Fraction(cost), DualState(), (), ())
+    return SolveResult((), Fraction(cost), DualState(), (), (), {})
 
 
 def test_exact_empty_family():
@@ -133,7 +133,7 @@ def test_exact_closes_at_root_when_warm_start_meets_bound():
     )
     res = solve(inst.links, f)
     assert res.cost == Fraction(3, 2) + Fraction(5, 3)
-    warm = exact_optimum(inst.links, f, warm_start=res.solution)
+    warm = exact_optimum(inst.links, f, warm_start=res)
     assert warm.nodes_explored == 1
     assert (warm.opt_cost, warm.opt_links) == (res.cost, (0, 2))
     cold = exact_optimum(inst.links, f)
@@ -146,7 +146,7 @@ def test_warm_start_does_not_change_optimum(rng):
         f = enumerate_small_cuts(inst.graph, inst.threshold)
         pd = solve(inst.links, f)
         cold = exact_optimum(inst.links, f)
-        warm = exact_optimum(inst.links, f, warm_start=pd.solution)
+        warm = exact_optimum(inst.links, f, warm_start=pd)
         assert cold.opt_cost == warm.opt_cost
         assert warm.nodes_explored <= cold.nodes_explored + 1
 
@@ -172,7 +172,7 @@ def test_guarantee_chain_on_random_runs(rng):
         inst = random_instance(rng, rng.randint(3, 7), rng.randint(0, 5))
         f = enumerate_small_cuts(inst.graph, inst.threshold)
         res = solve(inst.links, f)
-        opt = exact_optimum(inst.links, f, warm_start=res.solution)
+        opt = exact_optimum(inst.links, f, warm_start=res)
         assert opt.opt_cost <= res.cost
         assert res.dual.total <= opt.opt_cost
         assert res.cost <= 5 * res.dual.total or res.cost == 0

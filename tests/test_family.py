@@ -8,6 +8,7 @@ import random
 import pytest
 
 from cutcover import (
+    DualState,
     Link,
     NodeSet,
     PropertyReport,
@@ -22,10 +23,13 @@ from cutcover import (
     check_structural_submodularity,
     check_symmetry,
     cores,
+    crossing_density_audit,
+    dual_feasible,
     enumerate_small_cuts,
     kernels,
     residual,
 )
+from cutcover.family import all_covered
 from cutcover.gen import generate
 from conftest import cycle, fam, mask, ns, random_graph
 from reference import crosses, delta_links
@@ -95,6 +99,20 @@ def test_residual_monotone(rng):
         small = _links(*pairs[:2])
         big = _links(*pairs)
         assert set(residual(f, big).masks) <= set(residual(f, small).masks)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, links: all_covered(f, [(0, 3)]),
+    lambda f, links: residual(f, links),
+    lambda f, links: dual_feasible(links, f, DualState()),
+    lambda f, links: crossing_density_audit(0, f, {0: 0b001}, links, cores(f)),
+    lambda f, links: kernels.cover_bits(f.masks, [(0, 3)], 3),
+], ids=["all_covered", "residual", "dual_feasible", "crossing_density_audit", "cover_bits"])
+def test_link_outside_ground_set_refused(call):
+    """Every entry that reads link endpoints refuses a link ending at node
+    n through the one guard, `kernels.check_ends`."""
+    with pytest.raises(ValueError, match=r"^link \(0, 3\) outside ground set \[0, 3\)$"):
+        call(fam(3, (0,)), _links((0, 3)))
 
 
 # ---------------------------------------------------------------- cores

@@ -14,7 +14,6 @@ from cutcover import (
     Link,
     NodeSet,
     SetFamily,
-    audit_run,
     check_symmetry,
     cores,
     dual_feasible,
@@ -279,25 +278,6 @@ def test_link_load_matches_from_scratch_load(seed):
         zero_phases += sum(1 for eps, _, _ in expected if eps == 0)
         ties += sum(1 for _, tight, _ in expected if len(tight) > 1)
     assert phases > 20 and zero_phases and ties
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_shared_table_matches_own_table(seed):
-    """solve, audit_run and exact_optimum give the same results with a
-    crossing table handed in as with the one they build themselves."""
-    rng = random.Random(seed)
-    for _ in range(6):
-        inst = _rational_instance_with_ties(rng)
-        f = enumerate_small_cuts(inst.graph, inst.threshold)
-        table = crossing_table(f, inst.links)
-        res = solve(inst.links, f)
-        assert solve(inst.links, f, table) == res
-        for mode in ("per-phase", "final"):
-            assert audit_run(inst.links, f, res, mode, table=table) == audit_run(
-                inst.links, f, res, mode
-            )
-        assert exact_optimum(inst.links, f, warm_start=res.solution,
-                             table=table) == exact_optimum(inst.links, f, warm_start=res.solution)
 
 
 @pytest.mark.parametrize("seed", range(3))
