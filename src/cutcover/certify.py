@@ -54,7 +54,8 @@ def find_witness_laminar(j_hat, f_res: SetFamily, table,
             raise WitnessSearchExhausted(
                 f"link {lid} has no witness candidate; the cover is not inclusion-minimal"
             )
-        cand.sort(key=lambda m: (m.bit_count(), m))
+        # stable, and the members arrive ascending, so ties stay ascending
+        cand.sort(key=int.bit_count)
 
     order = sorted(j_hat, key=lambda lid: (len(candidates[lid]), lid))
     chosen = []

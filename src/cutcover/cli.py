@@ -147,18 +147,22 @@ def _audit_obj(report) -> dict:
 def _single_drop_minimal(family: SetFamily, solution, table) -> bool:
     """Independent minimality audit: dropping any one link uncovers a set.
 
-    A solution link is redundant when every member is crossed by some
-    solution link other than it. table is the family's `crossing_table`
-    over the links.
+    That holds when some member is crossed by no solution link, or when
+    each solution link is the only solution link crossing some member.
+    table is the family's `crossing_table` over the links.
     """
     chosen = 0
     for lid in solution:
         chosen |= 1 << lid
-    # per member, the bits of the solution links that cross it
-    crossing = [table[m] & chosen for m in family.masks]
-    return not any(
-        all(bits & ~(1 << lid) for bits in crossing) for lid in solution
-    )
+    # the solution links that are some member's only crossing solution link
+    private = 0
+    for m in family.masks:
+        bits = table[m] & chosen
+        if not bits:
+            return True
+        if not bits & (bits - 1):
+            private |= bits
+    return private == chosen
 
 
 def _ends(links) -> list:

@@ -128,9 +128,29 @@ def residual(f: SetFamily, cover_links) -> SetFamily:
 
 def all_covered(f: SetFamily, ends) -> bool:
     """True when every member of f is crossed by some link, given by its
-    (a, b) endpoint pair: the links are a feasible cover of f."""
+    (a, b) endpoint pair: the links are a feasible cover of f.
+
+    No link crosses a set exactly when the set is a union of components of
+    the link graph. With c components there are 2**c unions, 2**(c-1) and
+    their complements, and f is covered when none of them is a member.
+    That test runs when 2**(c-1) is at most the member count; otherwise
+    each member is scanned against the links. Each link merges at most two
+    components into one, so c >= n - len(links), which often settles the
+    choice before the components are built.
+    """
     pairs = kernels.check_ends(ends, f.n)
-    for m in f.masks:
+    masks = f._masks
+    if not masks:
+        return True
+    spare = f.n - len(pairs)
+    if spare < 1 or 1 << (spare - 1) <= len(masks):
+        comps = kernels.components(pairs, f.n)
+        if 1 << (len(comps) - 1) <= len(masks):
+            unions = [0]
+            for c in comps:
+                unions += [u | c for u in unions]
+            return f._mask_set.isdisjoint(unions)
+    for m in masks:
         for a, b in pairs:
             if ((m >> a) ^ (m >> b)) & 1:
                 break

@@ -95,6 +95,12 @@ class RunConfig:
                     raise ValueError(
                         f"{name} {getattr(self, name)} has no graph with two distinct cut "
                         f"values, which the lambda policy {self.lambda_policy!r} needs")
+            # a quantile threshold keeps the smallest cut in the family, and
+            # with no link drawn nothing covers it
+            if self.link_range[1] == 0 and not self.allow_infeasible:
+                raise ValueError(
+                    f"link_range {self.link_range} draws no link, so no instance under the "
+                    f"lambda policy {self.lambda_policy!r} is feasible without allow_infeasible")
 
 
 def _parse_lambda_policy(policy: str):

@@ -58,32 +58,78 @@ def check_ends(ends, n):
     return ends
 
 
+#: the most nodes one `cover_bits` table spans, so no table outgrows 2**16
+#: entries; every ground set of up to 32 nodes takes two lookups per row
+TABLE_NODES = 16
+
+
 def cover_bits(masks, ends, n):
     """For each mask over [0, n), an int whose bit k is set when link
     ends[k] = (a, b) has exactly one endpoint in the mask.
 
     A row is the XOR, over the mask's nodes, of each node's incidence mask
     (the bits of the links that end at that node): a link with both
-    endpoints inside is XORed twice and drops out. A link crosses a set
-    exactly when it crosses the complement, so the XOR runs over the
-    smaller of the two.
+    endpoints inside is XORed twice and drops out. `_subset_xor` reads it
+    from tables instead of walking the mask's bits.
     """
     incidence = [0] * n
     for k, (a, b) in enumerate(check_ends(ends, n)):
         incidence[a] ^= 1 << k
         incidence[b] ^= 1 << k
-    full = (1 << n) - 1
-    rows = []
-    for m in masks:
-        if 2 * m.bit_count() > n:
-            m ^= full
-        row = 0
-        while m:
-            low = m & -m
-            row ^= incidence[low.bit_length() - 1]
-            m ^= low
-        rows.append(row)
-    return rows
+    return _subset_xor(masks, incidence)
+
+
+def _subset_xor(masks, incidence):
+    """For each mask, the XOR of incidence[v] over its bits v.
+
+    Tables built by doubling hold the XOR over every subset of the low
+    h = n // 2 nodes and over every subset of the rest, so a row is
+    lo[m & low] ^ hi[m >> h]. Past 2 * TABLE_NODES nodes the high table
+    keeps TABLE_NODES nodes and the low part splits again.
+    """
+    n = len(incidence)
+    h = max(n // 2, n - TABLE_NODES)
+    low = (1 << h) - 1
+    hi = _xor_table(incidence[h:])
+    if h <= TABLE_NODES:
+        lo = _xor_table(incidence[:h])
+        return [lo[m & low] ^ hi[m >> h] for m in masks]
+    rows = _subset_xor([m & low for m in masks], incidence[:h])
+    return [r ^ hi[m >> h] for r, m in zip(rows, masks)]
+
+
+def _xor_table(incidence):
+    """The XOR of the incidence masks over every subset of them, indexed
+    by the subset's mask; the table doubles once per incidence mask."""
+    table = [0]
+    for inc in incidence:
+        table += [x ^ inc for x in table]
+    return table
+
+
+def components(ends, n):
+    """The masks of the connected components of the graph on [0, n) whose
+    edges are the (a, b) pairs of ends, ascending by lowest node; a node no
+    pair touches is a component of its own.
+
+    label[v] is the lowest node of v's component, and masks[u] the
+    component's mask when u is that lowest node, else 0.
+    """
+    label = list(range(n))
+    masks = [1 << v for v in range(n)]
+    for a, b in ends:
+        keep, gone = label[a], label[b]
+        if keep != gone:
+            if keep > gone:
+                keep, gone = gone, keep
+            m = masks[gone]
+            masks[keep] |= m
+            masks[gone] = 0
+            while m:
+                low = m & -m
+                label[low.bit_length() - 1] = keep
+                m ^= low
+    return [m for m in masks if m]
 
 
 def minimal_flags(masks):

@@ -135,20 +135,19 @@ def reverse_delete(addition_order, f: SetFamily, table):
 
     The result is an inclusion-minimal cover of f, returned in the original
     addition order. table maps each member of f to its `crossing_table`
-    row over the links.
+    row over the links. Members with equal rows on the added links stand
+    or fall together, so each such row is tested once per candidate drop.
     """
-    if len(f) == 0:
-        return []
     kept = 0
     for lid in addition_order:
         kept |= 1 << lid
-    rows = [table[m] for m in f.masks]
-    for m, row in zip(f.masks, rows):
-        if not row & kept:
-            raise Infeasible(NodeSet(m, f.n), "addition order does not cover the family")
+    rows = {table[m] & kept for m in f.masks}
+    if 0 in rows:
+        m = next(m for m in f.masks if not table[m] & kept)
+        raise Infeasible(NodeSet(m, f.n), "addition order does not cover the family")
     for lid in reversed(addition_order):
         rest = kept & ~(1 << lid)
-        if all(row & rest for row in rows):
+        if 0 not in map(rest.__and__, rows):
             kept = rest
     return [lid for lid in addition_order if (kept >> lid) & 1]
 

@@ -36,6 +36,44 @@ def delta_links(s: NodeSet, links) -> frozenset:
     return frozenset(link.id for link in links if covers(link, s))
 
 
+def covered(f: SetFamily, links) -> bool:
+    """Every member of f has some link with exactly one endpoint in it."""
+    return all(any(covers(link, NodeSet(m, f.n)) for link in links) for m in f.masks)
+
+
+def reverse_delete(order, f: SetFamily, links) -> list:
+    """The ids of order, kept in order, after dropping each link, the last
+    added first, whenever the links still kept without it cover f."""
+    kept = list(order)
+    for lid in reversed(order):
+        rest = [i for i in kept if i != lid]
+        if covered(f, [links[i] for i in rest]):
+            kept = rest
+    return kept
+
+
+def link_components(ends, n: int) -> list:
+    """Connected components of the graph on [0, n) whose edges are the
+    (a, b) pairs of ends, as frozensets, by breadth-first search from each
+    node not yet reached, in ascending order."""
+    adj = {v: set() for v in range(n)}
+    for a, b in ends:
+        adj[a].add(b)
+        adj[b].add(a)
+    reached, comps = set(), []
+    for start in range(n):
+        if start in reached:
+            continue
+        comp, queue = {start}, [start]
+        for v in queue:
+            for w in adj[v] - comp:
+                comp.add(w)
+                queue.append(w)
+        reached |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
 def load(y: dict, link, n: int) -> Fraction:
     """Total dual weight pressing on a link: the sum of y over the masks,
     as sets over [0, n), that it has exactly one endpoint in."""

@@ -16,7 +16,9 @@ from cutcover import (
     GenerationExhausted,
     GroundSetTooLarge,
     Instance,
+    Link,
     RunConfig,
+    SetFamily,
     cli,
     gen,
     gen_instance,
@@ -37,6 +39,7 @@ from cutcover.family import crossing_table, residual
 from cutcover.gen import generate
 from cutcover.graph import enumerate_small_cuts
 from conftest import child_env, many_link_path, random_instance
+from reference import covered
 
 
 def _cfg(**kw):
@@ -112,7 +115,9 @@ def test_generate_returns_the_small_cut_family(kw):
 
 
 def test_gen_exhausted_when_infeasible_forced():
-    cfg = _cfg(link_range=(0, 0))
+    # under lambda 1000 every non-trivial cut of 6 nodes is small, and one
+    # link crosses only those that separate its endpoints
+    cfg = _cfg(n_range=(6, 6), link_range=(1, 1), lambda_policy="fixed:1000")
     with pytest.raises(GenerationExhausted, match="after 200 attempts"):
         gen_instance(cfg, 0)
 
@@ -187,7 +192,7 @@ def _stub_record(failing):
 
 
 @pytest.mark.parametrize("failing", [2, 3])
-def test_pooled_pipeline_submits_lazily(monkeypatch, failing):
+def test_serial_pipeline_lazy_and_fail_fast(monkeypatch, failing):
     """The serial batch runs a count far past memory lazily, yields records
     in index order, and fail_fast stops at the first failed record."""
     monkeypatch.setattr(cli, "pipeline_record", _stub_record(failing))
@@ -382,12 +387,16 @@ def test_cli_negative_exact_limit_rejected():
 def test_link_range_bounded():
     """A link count outside [0, MAX_LINKS] is refused before any draw: the
     links are drawn one by one, so a huge upper end would never finish."""
-    assert _cfg(link_range=(0, 0)).link_range == (0, 0)
+    assert _cfg(link_range=(0, 0), allow_infeasible=True).link_range == (0, 0)
     assert _cfg(link_range=(0, gen.MAX_LINKS)).link_range == (0, gen.MAX_LINKS)
     for bad in ((-1, 3), (0, gen.MAX_LINKS + 1)):
         with pytest.raises(ValueError, match="link_range"):
             _cfg(link_range=bad)
     _refused(["bench", "--count", "1", "--link-range", "1000000000:1000000000"], "link_range")
+    # no link can cover the smallest cut a quantile threshold keeps
+    with pytest.raises(ValueError, match="link_range"):
+        _cfg(link_range=(0, 0))
+    _refused(["bench", "--count", "1", "--link-range", "0:0"], "link_range")
 
 
 @pytest.mark.parametrize("density", ["0.2:inf", "-0.5:0.4", "0.5:3", "nan:nan"])
@@ -496,6 +505,26 @@ def test_single_drop_minimal_matches_residual_definition():
         assert _single_drop_minimal(family, ids, crossing_table(family, inst.links)) == expect
         verdicts.add(expect)
     assert verdicts == {True, False}
+
+
+def test_single_drop_minimal_matches_drop_one_definition():
+    """_single_drop_minimal against dropping each solution link in turn
+    and testing every member by `covers`, on random families and link
+    subsets, some of which leave a member that no solution link crosses
+    (then every drop leaves it uncrossed, and the verdict is True)."""
+    rng = random.Random(53)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        full = (1 << n) - 1
+        f = SetFamily(n, rng.sample(range(1, full), rng.randint(0, min(full - 1, 25))))
+        links = [Link(*rng.sample(range(n), 2), 1, k) for k in range(rng.randint(0, 10))]
+        links += [Link(link.a, link.b, 1, len(links) + k) for k, link in enumerate(links[:2])]
+        ids = rng.sample(range(len(links)), rng.randint(0, len(links)))
+        expect = all(not covered(f, [links[i] for i in ids if i != lid]) for lid in ids)
+        assert _single_drop_minimal(f, ids, crossing_table(f, links)) == expect
+        outcomes.add((expect, covered(f, [links[i] for i in ids])))
+    assert outcomes == {(True, True), (False, True), (True, False)}
 
 
 def test_cli_byte_identical_across_processes():

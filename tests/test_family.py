@@ -32,7 +32,7 @@ from cutcover import (
 from cutcover.family import all_covered
 from cutcover.gen import generate
 from conftest import cycle, fam, mask, ns, random_graph
-from reference import crosses, delta_links
+from reference import covers, crosses, delta_links, link_components
 
 
 def _links(*pairs):
@@ -99,6 +99,37 @@ def test_residual_monotone(rng):
         small = _links(*pairs[:2])
         big = _links(*pairs)
         assert set(residual(f, big).masks) <= set(residual(f, small).masks)
+
+
+def test_all_covered_matches_definition():
+    """all_covered against `covers` on both of its branches: the test of
+    the link graph's component unions, taken when 2**(c-1) is at most the
+    member count, and the member scan. Families are symmetric and
+    asymmetric, links parallel or absent."""
+    rng = random.Random(43)
+    seen = set()
+    for trial in range(400):
+        n = rng.randint(2, 8)
+        full = (1 << n) - 1
+        masks = rng.sample(range(1, full), rng.randint(1, min(full - 1, 40)))
+        symmetric = trial % 2
+        if symmetric:
+            masks += [full ^ m for m in masks]
+        f = SetFamily(n, masks)
+        ends = [tuple(rng.sample(range(n), 2))
+                for _ in range(rng.choice([0, rng.randint(1, n), rng.randint(n, 2 * n)]))]
+        ends += rng.sample(ends, min(len(ends), rng.randint(0, 2)))  # parallel links
+        links = [Link(a, b, 1, k) for k, (a, b) in enumerate(ends)]
+        expect = all(any(covers(link, NodeSet(m, n)) for link in links) for m in f.masks)
+        assert all_covered(f, ends) == expect
+        unions = 1 << (len(link_components(ends, n)) - 1) <= len(f)
+        seen |= {(unions, "holds", expect), (unions, "links", bool(ends)),
+                 (unions, "symmetric", symmetric)}
+    assert seen == {(u, k, v) for u in (False, True) for k in ("holds", "links", "symmetric")
+                    for v in (False, True)}
+    for n in range(3):
+        assert all_covered(SetFamily(n, ()), [])
+    assert all_covered(SetFamily(2, ()), [(0, 1)])
 
 
 @pytest.mark.parametrize("call", [

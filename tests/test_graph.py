@@ -322,9 +322,9 @@ def test_enumerate_huge_rationals_uses_exact_path():
     assert set(family.masks) == set(enumerate_small_cuts(cycle(4), 3).masks)
 
 
-# ---------------------------------------------------------------- incremental scan
+# ---------------------------------------------------------------- cut table entries
 
-def test_incremental_scan_matches_scratch(rng):
+def test_cut_table_entries_equal_cut_capacity(rng):
     for _ in range(12):
         n = rng.randint(2, 8)
         g = random_graph(rng, n, density=rng.uniform(0.2, 0.8), rational=True)
@@ -335,5 +335,5 @@ def test_incremental_scan_matches_scratch(rng):
             assert Fraction(v, denom) == _cut(g, m)
 
 
-def test_nontrivial_cut_values_four_cycle():
+def test_distinct_cut_values_four_cycle():
     assert distinct_cut_values(cycle(4)) == (2, 4)

@@ -15,7 +15,7 @@ import pytest
 
 from cutcover import CapGraph, Link, NodeSet, enumerate_small_cuts, kernels, residual
 from conftest import child_env
-from reference import covers, cut_capacity
+from reference import covers, cut_capacity, link_components
 
 
 def elems(mask):
@@ -268,6 +268,38 @@ def test_cover_bits_parity():
     for ends in ([(0, 4)], [(4, 0)], [(0, 1), (2, 4)]):
         with pytest.raises(ValueError, match="outside ground set"):
             kernels.cover_bits([1], ends, 4)
+
+
+@pytest.mark.parametrize("n", [*range(13), 19, 20, 40])
+def test_cover_bits_every_split(n):
+    """Rows against the definition at every n up to 12 and at n = 19 and
+    20, so the low and high tables are both of equal and of unequal size;
+    at n = 40 the high table keeps `kernels.TABLE_NODES` nodes and the low
+    part splits again. The masks include the empty set and the ground
+    set, which no link crosses."""
+    rng = random.Random(41 + n)
+    ends = [tuple(rng.sample(range(n), 2)) for _ in range(2 * n)] if n > 1 else []
+    ends += ends[:3]  # parallel links
+    masks = [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(60)]
+    rows = kernels.cover_bits(masks, ends, n)
+    links = [Link(a, b, 1, k) for k, (a, b) in enumerate(ends)]
+    for m, row in zip(masks, rows):
+        assert row == sum(1 << k for k, l in enumerate(links) if covers(l, NodeSet(m, n)))
+    assert rows[0] == rows[1] == 0
+    assert n < 6 or len(set(rows)) > 10
+
+
+def test_components_match_bfs():
+    rng = random.Random(31)
+    counts = set()
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        ends = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n))] if n > 1 else []
+        ends += rng.sample(ends, min(len(ends), rng.randint(0, 2)))  # parallel links
+        comps = kernels.components(ends, n)
+        assert [elems(m) for m in comps] == link_components(ends, n)
+        counts.add(min(len(comps), 3) if n else "empty")
+    assert counts == {"empty", 1, 2, 3}
 
 
 def test_import_leaves_numpy_unloaded():

@@ -25,6 +25,7 @@ from cutcover import (
 )
 from cutcover.family import all_covered, crossing_table
 from conftest import cycle, fam, k2, ns, random_instance
+import reference
 from reference import covers, load
 
 
@@ -58,28 +59,28 @@ def _one_phase(f, link_specs):
     return solve([Link(a, b, cost, i) for i, (a, b, cost) in enumerate(link_specs)], f)
 
 
-def test_grow_phase_single_core():
+def test_phase_single_core():
     res = _one_phase(fam(3, (0,)), [(0, 1, 5)])
     pt = res.trace[0]
     assert pt.epsilon == 5 and pt.tight_link_ids == (0,)
     assert res.dual.y == {0b001: 5} and res.dual.total == 5
 
 
-def test_grow_phase_two_cores_half_slack():
+def test_phase_two_cores_half_slack():
     res = _one_phase(fam(2, (0,), (1,)), [(0, 1, 7)])
     pt = res.trace[0]
     assert pt.epsilon == Fraction(7, 2) and pt.tight_link_ids == (0,)
     assert res.dual.total == 7
 
 
-def test_grow_phase_zero_slack_link():
+def test_phase_zero_slack_link():
     res = _one_phase(fam(3, (0,)), [(0, 1, 0)])
     pt = res.trace[0]
     assert pt.epsilon == 0 and pt.tight_link_ids == (0,)
     assert res.dual.y == {} and res.dual.total == 0  # nothing actually raised
 
 
-def test_grow_phase_infeasible():
+def test_phase_uncrossed_core_infeasible():
     with pytest.raises(Infeasible) as err:
         _one_phase(fam(4, (0,), (1,)), [(1, 2, 1)])
     assert err.value.uncovered == ns(4, 0)
@@ -127,6 +128,34 @@ def test_reverse_delete_requires_cover():
     with pytest.raises(Infeasible):
         f = fam(2, (0,))
         reverse_delete([], f, crossing_table(f, [Link(0, 1, 1, 0)]))
+
+
+def test_reverse_delete_matches_drop_one_definition():
+    """reverse_delete against `reference.reverse_delete`, which tests every
+    candidate drop on every member by `covers`; an addition order that
+    leaves a member uncrossed raises Infeasible naming the first one."""
+    rng = random.Random(47)
+    outcomes = set()
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        full = (1 << n) - 1
+        f = SetFamily(n, rng.sample(range(1, full), rng.randint(0, min(full - 1, 25))))
+        links = [Link(*rng.sample(range(n), 2), 1, k) for k in range(rng.randint(0, 10))]
+        links += [Link(link.a, link.b, 1, len(links) + k) for k, link in enumerate(links[:2])]
+        order = rng.sample(range(len(links)), rng.randint(0, len(links)))
+        table = crossing_table(f, links)
+        if not reference.covered(f, [links[i] for i in order]):
+            first = next(m for m in f.masks
+                         if not any(covers(links[i], NodeSet(m, n)) for i in order))
+            with pytest.raises(Infeasible) as err:
+                reverse_delete(order, f, table)
+            assert err.value.uncovered == NodeSet(first, n)
+            outcomes.add("uncrossed member")
+            continue
+        kept = reverse_delete(order, f, table)
+        assert kept == reference.reverse_delete(order, f, links)
+        outcomes.add("dropped" if len(kept) < len(order) else "kept all")
+    assert outcomes == {"uncrossed member", "dropped", "kept all"}
 
 
 def test_dual_feasible_reports_violation():
