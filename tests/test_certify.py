@@ -34,17 +34,17 @@ def _links(*pairs):
 
 # ---------------------------------------------------------------- minimal cover
 
-def test_reverse_delete_keeps_single_link():
+def test_minimal_cover_single_link():
     f = fam(3, (0,))
     assert reverse_delete([0], f, crossing_table(f, _links((0, 1)))) == [0]
 
 
-def test_reverse_delete_empty_family():
+def test_minimal_cover_empty_target():
     f = SetFamily(3, ())
     assert reverse_delete([0, 1], f, crossing_table(f, _links((0, 1), (1, 2)))) == []
 
 
-def test_reverse_delete_random_single_drop_audit(rng):
+def test_minimal_cover_random_single_drop_audit(rng):
     for _ in range(15):
         inst = random_instance(rng, rng.randint(3, 7), rng.randint(0, 6))
         f = enumerate_small_cuts(inst.graph, inst.threshold)
