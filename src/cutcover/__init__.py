@@ -35,7 +35,6 @@ from .family import (
     check_sparse_crossing,
     check_structural_submodularity,
     check_symmetry,
-    cores,
     residual,
 )
 from .pd import DualState, PhaseTrace, SolveResult, dual_feasible, reverse_delete, solve
@@ -79,7 +78,6 @@ __all__ = [
     "check_sparse_crossing",
     "check_structural_submodularity",
     "check_symmetry",
-    "cores",
     "crossing_density_audit",
     "dual_feasible",
     "enumerate_small_cuts",

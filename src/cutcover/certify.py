@@ -19,9 +19,18 @@ from .pd import SolveResult, reverse_delete
 DEFAULT_WITNESS_BUDGET = 1_000_000
 
 
-def _laminar_pair(a: int, b: int) -> bool:
-    inter = a & b
-    return inter == 0 or inter == a or inter == b
+def _witness_candidates(j_hat, f_res: SetFamily, table) -> dict:
+    """Each link of the cover j_hat to the masks of the members of f_res
+    that it crosses and no other link of j_hat does, smallest first and
+    ascending among equal sizes.
+
+    A link's candidates are the bits of its column in f_res outside the
+    members that two or more cover links cross.
+    """
+    alone = table.bits(f_res) & ~table.crossed(j_hat)[1]
+    # stable, and the members arrive ascending, so ties stay ascending
+    return {lid: sorted(table.members(alone & table.cols[lid]), key=int.bit_count)
+            for lid in j_hat}
 
 
 def find_witness_laminar(j_hat, f_res: SetFamily, table,
@@ -31,31 +40,22 @@ def find_witness_laminar(j_hat, f_res: SetFamily, table,
     member that this link alone covers.
 
     Candidates for each link are the residual members covered by that link
-    and no other link of the cover; inclusion-minimality of the cover makes
-    every candidate list non-empty. Candidates are tried smallest first.
-    table maps each member of f_res to its `crossing_table` row over the
-    links.
+    and no other link of the cover (`_witness_candidates`);
+    inclusion-minimality of the cover makes every candidate list
+    non-empty. Candidates are tried smallest first. table is a
+    `crossing_table` over the links of f_res or of a family that f_res is
+    part of.
     """
     j_hat = list(j_hat)
     if not j_hat:
         return {}
 
-    candidates = {lid: [] for lid in j_hat}
-    j_bits = 0
-    for lid in j_hat:
-        j_bits |= 1 << lid
-    for m in f_res.masks:
-        # a member that link lid of the cover alone crosses has the row 1 << lid
-        row = table[m] & j_bits
-        if row and not row & (row - 1):
-            candidates[row.bit_length() - 1].append(m)
+    candidates = _witness_candidates(j_hat, f_res, table)
     for lid, cand in candidates.items():
         if not cand:
             raise WitnessSearchExhausted(
                 f"link {lid} has no witness candidate; the cover is not inclusion-minimal"
             )
-        # stable, and the members arrive ascending, so ties stay ascending
-        cand.sort(key=int.bit_count)
 
     order = sorted(j_hat, key=lambda lid: (len(candidates[lid]), lid))
     chosen = []
@@ -71,7 +71,11 @@ def find_witness_laminar(j_hat, f_res: SetFamily, table,
                 raise SearchBudgetExceeded(
                     f"witness search exceeded {node_budget} nodes"
                 )
-            if all(_laminar_pair(m, prev) for prev in chosen):
+            for prev in chosen:
+                inter = m & prev
+                if inter and inter != m and inter != prev:
+                    break
+            else:
                 chosen.append(m)
                 if assign(pos + 1):
                     return True
@@ -87,10 +91,6 @@ def find_witness_laminar(j_hat, f_res: SetFamily, table,
 
 def _size_order(m: int):
     return (m.bit_count(), m)
-
-
-def _crosses(a: int, b: int, full: int) -> bool:
-    return bool(a & b and a & ~b and b & ~a and full & ~(a | b))
 
 
 def _build_tree(l_star) -> dict:
@@ -143,7 +143,8 @@ class AuditReport:
 def crossing_density_audit(phase: int, f_res: SetFamily, witness: dict,
                            links, core_family: SetFamily) -> AuditReport:
     """Audit one phase's residual family against the witness map, each
-    cover link id to its witness mask; core_family is `cores(f_res)`.
+    cover link id to its witness mask; core_family holds the
+    inclusion-minimal members of f_res.
 
     Every set is a mask. The witness re-check runs from scratch: each
     witness must be a member of f_res that exactly one cover link, its own,
@@ -167,11 +168,14 @@ def crossing_density_audit(phase: int, f_res: SetFamily, witness: dict,
     l_hat = [witness[lid] for lid in j_hat]
     if witness_valid:
         for i, s in enumerate(l_hat):
-            if not all(_laminar_pair(s, t) for t in l_hat[i + 1:]):
+            if any(s & t and s & t != s and s & t != t for t in l_hat[i + 1:]):
                 witness_valid = False
                 break
 
-    crossing_of = {s: [c for c in core_masks if _crosses(s, c, full)] for s in l_hat}
+    crossing_of = {
+        s: [c for c in core_masks if s & c and s & ~c and c & ~s and full & ~(s | c)]
+        for s in l_hat
+    }
     l_star = [s for s in l_hat if crossing_of[s]]
     crossing_pairs = sum(len(v) for v in crossing_of.values())
     sparse_ok = all(len(v) <= 1 for v in crossing_of.values())
@@ -190,7 +194,8 @@ def crossing_density_audit(phase: int, f_res: SetFamily, witness: dict,
             kids = children[s0]
             if not any(k in red for k in kids):
                 red_ok = False
-            crossed_kids = [k for k in kids if _crosses(k, c0, full)]
+            crossed_kids = [k for k in kids
+                            if k & c0 and k & ~c0 and c0 & ~k and full & ~(k | c0)]
             remainder = s0 & ~c0
             for k in crossed_kids:
                 remainder &= ~k

@@ -96,10 +96,6 @@ def instance_from_obj(obj: dict) -> Instance:
     return Instance.build(graph, _exact_rational(obj["lambda"]), _triples(obj, "links"))
 
 
-def dump_instance(inst: Instance) -> str:
-    return json.dumps(instance_to_obj(inst), separators=(",", ":"))
-
-
 def load_instance(text: str) -> Instance:
     try:
         obj = json.loads(text)
@@ -149,20 +145,15 @@ def _single_drop_minimal(family: SetFamily, solution, table) -> bool:
 
     That holds when some member is crossed by no solution link, or when
     each solution link is the only solution link crossing some member.
-    table is the family's `crossing_table` over the links.
+    table is the family's `crossing_table` over the links, which counts
+    the solution links crossing each member up to two.
     """
-    chosen = 0
-    for lid in solution:
-        chosen |= 1 << lid
-    # the solution links that are some member's only crossing solution link
-    private = 0
-    for m in family.masks:
-        bits = table[m] & chosen
-        if not bits:
-            return True
-        if not bits & (bits - 1):
-            private |= bits
-    return private == chosen
+    live = table.bits(family)
+    once, twice = table.crossed(solution)
+    if live & ~once:
+        return True
+    alone = live & ~twice
+    return all(alone & table.cols[lid] for lid in solution)
 
 
 def _ends(links) -> list:

@@ -39,19 +39,24 @@ class ExactResult:
 def exact_optimum(links, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
                   warm_start: SolveResult | None = None) -> ExactResult:
     """Minimum-cost link set covering f; warm_start, a `solve` of links
-    and f, gives the first incumbent and the crossing table."""
+    and f, gives the first incumbent and the crossing table.
+
+    The uncovered members are a set of member bits over the table, which
+    each added link shrinks by its column; their minimal members come
+    from `kernels.minimal_indices`, and their allowed links from the
+    table's rows.
+    """
     if len(links) > limit:
         raise TooManyLinks(f"{len(links)} links exceed the exact-search limit {limit}")
     table = crossing_table(f, links) if warm_start is None else warm_start.table
-    masks = f.masks
-    if not masks:
+    if not f.masks:
         return ExactResult(Fraction(0), (), 0)
 
-    # bit lid of cover_bits[i] is set when link lid crosses masks[i]
-    cover_bits = [table[m] for m in masks]
-    for m, bits in zip(masks, cover_bits):
-        if bits == 0:
-            raise Infeasible(NodeSet(m, f.n))
+    target = table.bits(f)
+    masks, rows, node_bits, cols = table.family.masks, table.rows, table.nodes, table.cols
+    uncovered = target & ~table.crossed(range(len(links)))[0]
+    if uncovered:
+        raise Infeasible(NodeSet(masks[(uncovered & -uncovered).bit_length() - 1], f.n))
     denom = lcm(*(link.cost.denominator for link in links))
     costs = [link.cost.numerator * (denom // link.cost.denominator) for link in links]
     by_cost = sorted(range(len(links)), key=lambda lid: (costs[lid], lid))
@@ -59,37 +64,31 @@ def exact_optimum(links, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
     best_cost = None
     best_set = None
     if warm_start is not None:
-        chosen = sum(1 << lid for lid in warm_start.solution)
-        if all(bits & chosen for bits in cover_bits):
+        if not target & ~table.crossed(warm_start.solution)[0]:
             best_cost = sum(costs[lid] for lid in warm_start.solution)
             best_set = tuple(sorted(warm_start.solution))
 
     nodes = 0
 
-    def search(chosen: int, cost: int, forbidden: int, rows: list, added: int) -> None:
-        """Explore the covers that extend `chosen`, which has just gained the
-        link bit `added`, with no forbidden link; rows are the indices of
-        the members left uncovered before `added` joined."""
+    def search(chosen: int, cost: int, forbidden: int, live: int) -> None:
+        """Explore the covers that extend `chosen` with no forbidden link;
+        live holds the bits of the members `chosen` leaves uncovered."""
         nonlocal best_cost, best_set, nodes
         nodes += 1
         if best_cost is not None and cost >= best_cost:
             return
-        uncovered = [i for i in rows if not cover_bits[i] & added]
-        if not uncovered:
+        if not live:
             best_cost = cost
             best_set = tuple(
                 lid for lid in range(len(links)) if (chosen >> lid) & 1
             )
             return
-        minimal = kernels.minimal_flags([masks[i] for i in uncovered])
         branch_bits = None
         branch_count = 0
         bound = 0
         bound_links = 0  # union of the allowed links of the members in the bound
-        for i, keep in zip(uncovered, minimal):
-            if not keep:
-                continue
-            allowed = cover_bits[i] & ~forbidden
+        for i in kernels.minimal_indices(live, masks, node_bits):
+            allowed = rows[i] & ~forbidden
             if not allowed:
                 return
             cnt = allowed.bit_count()
@@ -101,13 +100,13 @@ def exact_optimum(links, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
                 bound += costs[next(lid for lid in by_cost if (allowed >> lid) & 1)]
         if best_cost is not None and cost + bound >= best_cost:
             return
-        choices = [lid for lid in by_cost if (branch_bits >> lid) & 1]
         banned = forbidden
-        for lid in choices:
-            search(chosen | (1 << lid), cost + costs[lid], banned, uncovered, 1 << lid)
-            banned |= 1 << lid
+        for lid in by_cost:
+            if (branch_bits >> lid) & 1:
+                search(chosen | (1 << lid), cost + costs[lid], banned, live & ~cols[lid])
+                banned |= 1 << lid
 
-    search(0, 0, 0, list(range(len(masks))), 0)
+    search(0, 0, 0, target)
     return ExactResult(Fraction(best_cost, denom), best_set, nodes)
 
 

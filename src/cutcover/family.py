@@ -126,6 +126,12 @@ def residual(f: SetFamily, cover_links) -> SetFamily:
     return SetFamily._from_sorted(f.n, kept)
 
 
+#: the fewest members for which `all_covered` may test link-graph
+#: components: a scan of a smaller family costs less than building them
+#: (measured on replayed generator draws)
+UNION_TEST_MEMBERS = 64
+
+
 def all_covered(f: SetFamily, ends) -> bool:
     """True when every member of f is crossed by some link, given by its
     (a, b) endpoint pair: the links are a feasible cover of f.
@@ -133,17 +139,18 @@ def all_covered(f: SetFamily, ends) -> bool:
     No link crosses a set exactly when the set is a union of components of
     the link graph. With c components there are 2**c unions, 2**(c-1) and
     their complements, and f is covered when none of them is a member.
-    That test runs when 2**(c-1) is at most the member count; otherwise
-    each member is scanned against the links. Each link merges at most two
-    components into one, so c >= n - len(links), which often settles the
-    choice before the components are built.
+    That test runs when f has at least `UNION_TEST_MEMBERS` members and
+    2**(c-1) is at most the member count; otherwise each member is scanned
+    against the links. Each link merges at most two components into one,
+    so c >= n - len(links), which often settles the choice before the
+    components are built.
     """
     pairs = kernels.check_ends(ends, f.n)
     masks = f._masks
     if not masks:
         return True
     spare = f.n - len(pairs)
-    if spare < 1 or 1 << (spare - 1) <= len(masks):
+    if len(masks) >= UNION_TEST_MEMBERS and (spare < 1 or 1 << (spare - 1) <= len(masks)):
         comps = kernels.components(pairs, f.n)
         if 1 << (len(comps) - 1) <= len(masks):
             unions = [0]
@@ -159,20 +166,95 @@ def all_covered(f: SetFamily, ends) -> bool:
     return True
 
 
-def crossing_table(f: SetFamily, links) -> dict:
-    """Each member mask of f to its crossing row: an int whose bit k is set
-    when links[k] crosses the member. Instance links carry their position
-    as id, so bit k stands for link id k."""
-    rows = kernels.cover_bits(f.masks, [(link.a, link.b) for link in links], f.n)
-    return dict(zip(f.masks, rows))
+#: byte translation of the binary digits b"0" and b"1" to the bytes 0 and 1
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+#: byte translation of the bytes 0 and 1 to the binary digits b"0" and b"1"
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def cores(f: SetFamily) -> SetFamily:
-    """Inclusion-minimal members of f."""
-    if len(f) == 0:
-        return f
-    flags = kernels.minimal_flags(f.masks)
-    return SetFamily._from_sorted(f.n, (m for m, keep in zip(f.masks, flags) if keep))
+class CrossingTable:
+    """The crossings between the members of one family and a list of
+    links, indexed both ways, with member i standing for family.masks[i]:
+
+    - rows[i]: bit k set when links[k] crosses member i;
+    - nodes[v]: bit i set when member i contains node v;
+    - cols[k] = nodes[a] ^ nodes[b]: bit i set when links[k] = (a, b)
+      crosses member i.
+
+    A set of members is an int over the member indices. `members` and
+    `subfamily` turn one into masks or a SetFamily, and `bits` turns a
+    subfamily back; the table remembers the bits of every subfamily it has
+    built. `crossed` counts a link set's crossings up to two.
+    """
+
+    __slots__ = ("family", "rows", "nodes", "cols", "_bits")
+
+    def __init__(self, family: SetFamily, rows: list, nodes: list, cols: list):
+        self.family = family
+        self.rows = rows
+        self.nodes = nodes
+        self.cols = cols
+        self._bits = {}
+
+    def members(self, bits: int) -> list:
+        """The masks, ascending, of the members whose bit is set in bits.
+
+        Up to one member in sixteen is walked bit by bit, from the top;
+        more are read at C speed, by `compress` over the binary digits of
+        bits turned into flags, which costs about as much as walking one
+        bit in sixteen.
+        """
+        masks = self.family.masks
+        if bits.bit_count() * 16 > len(masks):
+            return list(compress(masks, format(bits, "b").encode()[::-1].translate(_DIGIT_FLAGS)))
+        found = []
+        while bits:
+            i = bits.bit_length() - 1
+            found.append(masks[i])
+            bits ^= 1 << i
+        return found[::-1]
+
+    def subfamily(self, bits: int) -> SetFamily:
+        """The members whose bit is set in bits, as a SetFamily."""
+        sub = SetFamily._from_sorted(self.family.n, self.members(bits))
+        # keyed by identity, which the entry keeps alive, so that a lookup
+        # does not hash the masks
+        self._bits[id(sub)] = (sub, bits)
+        return sub
+
+    def crossed(self, lids) -> tuple:
+        """(once, twice): the members that at least one, and at least
+        two, of the links lids cross."""
+        once = twice = 0
+        for lid in lids:
+            twice |= once & self.cols[lid]
+            once |= self.cols[lid]
+        return once, twice
+
+    def bits(self, sub: SetFamily) -> int:
+        """The member bits of sub, a subfamily of the table's family."""
+        known = self._bits.get(id(sub))
+        if known is not None:
+            return known[1]
+        masks = self.family.masks
+        if sub.n == self.family.n:
+            if sub.masks == masks:
+                return (1 << len(masks)) - 1
+            flags = bytes(map(sub._mask_set.__contains__, reversed(masks)))
+            bits = int(flags.translate(_FLAG_DIGITS) or b"0", 2)
+            if bits.bit_count() == len(sub):
+                return bits
+        raise ValueError(f"{sub!r} is not a subfamily of {self.family!r}")
+
+
+def crossing_table(f: SetFamily, links) -> CrossingTable:
+    """The `CrossingTable` of f's members and links. Instance links carry
+    their position as id, so bit k of a row stands for link id k."""
+    ends = [(link.a, link.b) for link in links]
+    rows = kernels.cover_bits(f.masks, ends, f.n)
+    nodes = kernels.node_bits(f.masks, f.n)
+    return CrossingTable(f, rows, nodes, [nodes[a] ^ nodes[b] for a, b in ends])
 
 
 def _missing_complement(f: SetFamily) -> int | None:

@@ -14,6 +14,9 @@ outside of A | B are non-empty.
 
 from __future__ import annotations
 
+import sys
+from array import array
+
 #: the kernel implementation, recorded with every benchmark timing
 BACKEND = "python"
 
@@ -59,7 +62,7 @@ def check_ends(ends, n):
 
 
 #: the most nodes one `cover_bits` table spans, so no table outgrows 2**16
-#: entries; every ground set of up to 32 nodes takes two lookups per row
+#: entries
 TABLE_NODES = 16
 
 
@@ -76,26 +79,35 @@ def cover_bits(masks, ends, n):
     for k, (a, b) in enumerate(check_ends(ends, n)):
         incidence[a] ^= 1 << k
         incidence[b] ^= 1 << k
-    return _subset_xor(masks, incidence)
+    width = max(1, min(TABLE_NODES, len(masks).bit_length()))
+    return _subset_xor(masks, incidence, width)
 
 
-def _subset_xor(masks, incidence):
+def _subset_xor(masks, incidence, width):
     """For each mask, the XOR of incidence[v] over its bits v.
 
     Tables built by doubling hold the XOR over every subset of the low
     h = n // 2 nodes and over every subset of the rest, so a row is
-    lo[m & low] ^ hi[m >> h]. Past 2 * TABLE_NODES nodes the high table
-    keeps TABLE_NODES nodes and the low part splits again.
+    lo[m & low] ^ hi[m >> h]. No table spans more than `width` nodes: past
+    2 * width nodes, chunks of width nodes are peeled off the top, each
+    with a table of its own. `cover_bits` sizes width to the mask count,
+    so building the tables never costs much more than reading the rows.
     """
     n = len(incidence)
-    h = max(n // 2, n - TABLE_NODES)
-    low = (1 << h) - 1
-    hi = _xor_table(incidence[h:])
-    if h <= TABLE_NODES:
-        lo = _xor_table(incidence[:h])
+    chunk = (1 << width) - 1
+    rows = None
+    while n > 2 * width:
+        n -= width
+        table = _xor_table(incidence[n:n + width])
+        rows = [table[m >> n & chunk] for m in masks] if rows is None else [
+            r ^ table[m >> n & chunk] for r, m in zip(rows, masks)]
+    h = n // 2
+    low, top = (1 << h) - 1, (1 << (n - h)) - 1
+    lo = _xor_table(incidence[:h])
+    hi = _xor_table(incidence[h:n])
+    if rows is None:
         return [lo[m & low] ^ hi[m >> h] for m in masks]
-    rows = _subset_xor([m & low for m in masks], incidence[:h])
-    return [r ^ hi[m >> h] for r, m in zip(rows, masks)]
+    return [r ^ lo[m & low] ^ hi[m >> h & top] for r, m in zip(rows, masks)]
 
 
 def _xor_table(incidence):
@@ -105,6 +117,33 @@ def _xor_table(incidence):
     for inc in incidence:
         table += [x ^ inc for x in table]
     return table
+
+
+#: per bit b of a byte, the byte translation that maps each byte to the
+#: digit b"0" or b"1" of its bit b
+_DIGIT = [bytes(48 + (x >> b & 1) for x in range(256)) for b in range(8)]
+
+
+def node_bits(masks, n):
+    """For each node v < n, an int whose bit i is set when masks[i]
+    contains v.
+
+    The masks are packed `width` bytes each, little-endian and last first,
+    so byte v >> 3 of every mask is a strided slice of the packed bytes;
+    translating each byte to the digit of its bit v & 7 spells nodes[v] in
+    binary, most significant member first, and int() reads it at C speed.
+    """
+    if not masks:
+        return [0] * n
+    if n <= 64:
+        packed = array("Q", masks[::-1])
+        if sys.byteorder == "big":
+            packed.byteswap()
+        packed, width = packed.tobytes(), 8
+    else:
+        width = (n + 7) >> 3
+        packed = b"".join(m.to_bytes(width, "little") for m in reversed(masks))
+    return [int(packed[v >> 3::width].translate(_DIGIT[v & 7]), 2) for v in range(n)]
 
 
 def components(ends, n):
@@ -151,6 +190,29 @@ def minimal_flags(masks):
             found.append(m)
             flags.append(True)
     return flags
+
+
+def minimal_indices(live, masks, nodes):
+    """The indices, ascending, of the inclusion-minimal members among the
+    ascending, distinct masks whose bit is set in live; nodes is
+    `node_bits(masks, n)`.
+
+    A proper subset is a smaller int, so the lowest member left is
+    minimal; the members that contain it, the AND of nodes[v] over its
+    nodes v, drop out with it, and the loop repeats on the rest.
+    """
+    found = []
+    while live:
+        i = (live & -live).bit_length() - 1
+        found.append(i)
+        m = masks[i]
+        supersets = live
+        while m:
+            low = m & -m
+            supersets &= nodes[low.bit_length() - 1]
+            m ^= low
+        live ^= supersets
+    return found
 
 
 def pliable_violation(masks, members):

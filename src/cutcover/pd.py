@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 from . import kernels
 from .errors import Infeasible
-from .family import SetFamily, cores, crossing_table
+from .family import SetFamily, crossing_table
 from .graph import NodeSet
 
 
@@ -62,9 +62,11 @@ def solve(links, f: SetFamily) -> SolveResult:
 
     Each phase raises the duals of all cores of the residual family
     uniformly until some unpicked link goes tight, admits every tight link
-    and shrinks the residual by them. Core degrees, the residual shrink
-    and the reverse delete are bit tests on the rows of f's
-    `crossing_table` over links, which the result carries.
+    and shrinks the residual by them. The residual and its cores are sets
+    of member bits over f's `crossing_table` with links, which the result
+    carries: the cores come from `kernels.minimal_indices`, a link's
+    degree is the count of core bits in its column, and the residual
+    loses each tight link's column.
 
     The duals grow on integers: slacks, y and the total are
     numerators over one common denominator, which a phase multiplies by
@@ -73,29 +75,33 @@ def solve(links, f: SetFamily) -> SolveResult:
     cross-multiplying slack against degree.
     """
     table = crossing_table(f, links)
-    n = f.n
+    masks, nodes, cols = f.masks, table.nodes, table.cols
     den = lcm(*(link.cost.denominator for link in links))
     # link id -> numerator of its cost minus its dual load
     slack = [link.cost.numerator * (den // link.cost.denominator) for link in links]
     y = {}  # core mask -> dual numerator, for every core raised above zero
     total = 0
-    unpicked = (1 << len(links)) - 1
+    unpicked = list(range(len(links)))
     picked = []
     trace = []
+    live = (1 << len(masks)) - 1
     remaining = f
-    while len(remaining):
-        core_family = cores(remaining)
-        degree = [0] * len(links)
-        for c in core_family.masks:
-            row = table[c] & unpicked
-            if not row:
-                raise Infeasible(NodeSet(c, n))
-            while row:
-                low = row & -row
-                degree[low.bit_length() - 1] += 1
-                row ^= low
+    while live:
+        core_bits = 0
+        for i in kernels.minimal_indices(live, masks, nodes):
+            core_bits |= 1 << i
         # (link id, degree, slack) of every candidate, in ascending id order
-        cand = [(lid, d, slack[lid]) for lid, d in enumerate(degree) if d]
+        cand = []
+        reach = 0
+        for lid in unpicked:
+            d = (core_bits & cols[lid]).bit_count()
+            if d:
+                cand.append((lid, d, slack[lid]))
+                reach |= cols[lid]
+        stuck = core_bits & ~reach
+        if stuck:
+            raise Infeasible(NodeSet(masks[(stuck & -stuck).bit_length() - 1], f.n))
+        core_family = table.subfamily(core_bits)
         _, best_d, best_s = cand[0]
         for _, d, s in cand:
             if s * best_d < best_s * d:
@@ -117,13 +123,12 @@ def solve(links, f: SetFamily) -> SolveResult:
             total += step * len(core_family)
 
         picked.extend(tight)
-        tight_bits = sum(1 << lid for lid in tight)
-        unpicked &= ~tight_bits
+        for lid in tight:
+            unpicked.remove(lid)
+            live &= ~cols[lid]
         trace.append(PhaseTrace(len(trace), core_family, Fraction(step, den), tuple(tight),
                                 remaining))
-        remaining = SetFamily._from_sorted(
-            n, [m for m in remaining.masks if not table[m] & tight_bits]
-        )
+        remaining = table.subfamily(live)
     state = DualState({c: Fraction(v, den) for c, v in y.items()}, Fraction(total, den))
     solution = reverse_delete(picked, f, table)
     cost = sum((links[i].cost for i in solution), Fraction(0))
@@ -134,22 +139,30 @@ def reverse_delete(addition_order, f: SetFamily, table):
     """Drop links in reverse addition order whenever the rest still covers f.
 
     The result is an inclusion-minimal cover of f, returned in the original
-    addition order. table maps each member of f to its `crossing_table`
-    row over the links. Members with equal rows on the added links stand
-    or fall together, so each such row is tested once per candidate drop.
+    addition order; the link ids are distinct. table is a `crossing_table`
+    over the links of f or of a family that f is part of. The rest covers
+    f when the OR of its columns holds f's member bits, and the rest of
+    the link at position j is the links before j, whose ORs are built
+    once, with the links after j that were kept.
     """
-    kept = 0
-    for lid in addition_order:
-        kept |= 1 << lid
-    rows = {table[m] & kept for m in f.masks}
-    if 0 in rows:
-        m = next(m for m in f.masks if not table[m] & kept)
+    order = list(addition_order)
+    target = table.bits(f)
+    cols = table.cols
+    before = [0]
+    for lid in order:
+        before.append(before[-1] | cols[lid])
+    uncovered = target & ~before[-1]
+    if uncovered:
+        m = table.family.masks[(uncovered & -uncovered).bit_length() - 1]
         raise Infeasible(NodeSet(m, f.n), "addition order does not cover the family")
-    for lid in reversed(addition_order):
-        rest = kept & ~(1 << lid)
-        if 0 not in map(rest.__and__, rows):
-            kept = rest
-    return [lid for lid in addition_order if (kept >> lid) & 1]
+    kept = []
+    after = 0
+    for j in range(len(order) - 1, -1, -1):
+        lid = order[j]
+        if target & ~(before[j] | after):
+            kept.append(lid)
+            after |= cols[lid]
+    return kept[::-1]
 
 
 def dual_feasible(links, f: SetFamily, state: DualState) -> bool:

@@ -4,10 +4,24 @@ against."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from cutcover import AuditReport, NodeSet, SetFamily, cores
+from cutcover import AuditReport, NodeSet, SetFamily, kernels
+from cutcover.cli import instance_to_obj
+
+
+def dump_instance(inst) -> str:
+    """The instance as one compact JSON object, as `cutcover gen` writes it."""
+    return json.dumps(instance_to_obj(inst), separators=(",", ":"))
+
+
+def cores(f: SetFamily) -> SetFamily:
+    """Inclusion-minimal members of f, by `kernels.minimal_flags`."""
+    flags = kernels.minimal_flags(f.masks)
+    return SetFamily._from_sorted(f.n, (m for m, keep in zip(f.masks, flags) if keep))
 
 
 def crosses(a: NodeSet, b: NodeSet) -> bool:
@@ -50,6 +64,72 @@ def reverse_delete(order, f: SetFamily, links) -> list:
         if covered(f, [links[i] for i in rest]):
             kept = rest
     return kept
+
+
+def exact_optimum(links, f: SetFamily, warm_solution=None) -> tuple:
+    """The branch and bound of `cutcover.exact.exact_optimum` as it stood
+    with member-list nodes, frozen: each node lists the indices of its
+    uncovered members and takes their cores from `kernels.minimal_flags`;
+    crossing rows come from endpoint parity. Returns (opt_cost, opt_links,
+    nodes_explored); warm_solution is a solve's solution, the first
+    incumbent when it covers f."""
+    masks = f.masks
+    if not masks:
+        return Fraction(0), (), 0
+    cover_bits = [sum(1 << k for k, link in enumerate(links)
+                      if ((m >> link.a) ^ (m >> link.b)) & 1) for m in masks]
+    denom = lcm(*(link.cost.denominator for link in links))
+    costs = [link.cost.numerator * (denom // link.cost.denominator) for link in links]
+    by_cost = sorted(range(len(links)), key=lambda lid: (costs[lid], lid))
+
+    best_cost = None
+    best_set = None
+    if warm_solution is not None:
+        chosen = sum(1 << lid for lid in warm_solution)
+        if all(bits & chosen for bits in cover_bits):
+            best_cost = sum(costs[lid] for lid in warm_solution)
+            best_set = tuple(sorted(warm_solution))
+
+    nodes = 0
+
+    def search(chosen, cost, forbidden, rows, added):
+        nonlocal best_cost, best_set, nodes
+        nodes += 1
+        if best_cost is not None and cost >= best_cost:
+            return
+        uncovered = [i for i in rows if not cover_bits[i] & added]
+        if not uncovered:
+            best_cost = cost
+            best_set = tuple(lid for lid in range(len(links)) if (chosen >> lid) & 1)
+            return
+        minimal = kernels.minimal_flags([masks[i] for i in uncovered])
+        branch_bits = None
+        branch_count = 0
+        bound = 0
+        bound_links = 0
+        for i, keep in zip(uncovered, minimal):
+            if not keep:
+                continue
+            allowed = cover_bits[i] & ~forbidden
+            if not allowed:
+                return
+            cnt = allowed.bit_count()
+            if branch_bits is None or cnt < branch_count:
+                branch_bits = allowed
+                branch_count = cnt
+            if not allowed & bound_links:
+                bound_links |= allowed
+                bound += costs[next(lid for lid in by_cost if (allowed >> lid) & 1)]
+        if best_cost is not None and cost + bound >= best_cost:
+            return
+        choices = [lid for lid in by_cost if (branch_bits >> lid) & 1]
+        banned = forbidden
+        for lid in choices:
+            search(chosen | (1 << lid), cost + costs[lid], banned, uncovered, 1 << lid)
+            banned |= 1 << lid
+
+    search(0, 0, 0, list(range(len(masks))), 0)
+    return Fraction(best_cost, denom), best_set, nodes
 
 
 def link_components(ends, n: int) -> list:

@@ -13,7 +13,6 @@ from cutcover import (
     SetFamily,
     WitnessSearchExhausted,
     audit_run,
-    cores,
     crossing_density_audit,
     enumerate_small_cuts,
     find_witness_laminar,
@@ -21,30 +20,30 @@ from cutcover import (
     reverse_delete,
     solve,
 )
-from cutcover.certify import _build_tree, _psi_map
+from cutcover.certify import _build_tree, _psi_map, _witness_candidates
 from cutcover.family import crossing_table
 from conftest import cycle, fam, mask, random_instance
 import reference
-from reference import covers, crosses, delta_links
+from reference import cores, covers, crosses, delta_links
 
 
 def _links(*pairs):
     return [Link(a, b, 1, i) for i, (a, b) in enumerate(pairs)]
 
 
-# ---------------------------------------------------------------- minimal cover
+# ---------------------------------------------------------------- reverse delete gives a minimal cover
 
-def test_minimal_cover_single_link():
+def test_reverse_delete_minimal_single_link():
     f = fam(3, (0,))
     assert reverse_delete([0], f, crossing_table(f, _links((0, 1)))) == [0]
 
 
-def test_minimal_cover_empty_target():
+def test_reverse_delete_minimal_empty_target():
     f = SetFamily(3, ())
     assert reverse_delete([0, 1], f, crossing_table(f, _links((0, 1), (1, 2)))) == []
 
 
-def test_minimal_cover_random_single_drop_audit(rng):
+def test_reverse_delete_minimal_random_single_drop_audit(rng):
     for _ in range(15):
         inst = random_instance(rng, rng.randint(3, 7), rng.randint(0, 6))
         f = enumerate_small_cuts(inst.graph, inst.threshold)
@@ -108,6 +107,34 @@ def test_witness_candidates_missing_for_non_minimal_cover():
     links = _links((0, 1), (0, 2))
     with pytest.raises(WitnessSearchExhausted):
         find_witness_laminar([0, 1], f, crossing_table(f, links))
+
+
+def test_witness_candidates_match_member_scan():
+    """The candidates from the cover's columns against the member-scan
+    definition: the members of the residual whose crossing links among
+    the cover are exactly the one link, smallest first. The tables are
+    built over the whole family and the residuals are subfamilies of it,
+    as in a solve's audit."""
+    rng = random.Random(67)
+    kinds = set()
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        full = (1 << n) - 1
+        f = SetFamily(n, rng.sample(range(1, full), rng.randint(0, min(full - 1, 90))))
+        links = _links(*(rng.sample(range(n), 2) for _ in range(rng.randint(1, 8))))
+        table = crossing_table(f, links)
+        f_res = SetFamily(n, [m for m in f.masks if rng.random() < 0.7])
+        j_hat = rng.sample(range(len(links)), rng.randint(1, len(links)))
+        expect = {
+            lid: sorted((m for m in f_res.masks
+                         if [j for j in j_hat if covers(links[j], NodeSet(m, n))] == [lid]),
+                        key=lambda m: (m.bit_count(), m))
+            for lid in j_hat
+        }
+        got = _witness_candidates(j_hat, f_res, table)
+        assert got == expect and list(got) == j_hat
+        kinds.update(min(len(c), 2) for c in got.values())
+    assert kinds == {0, 1, 2}
 
 
 def test_witness_budget_exceeded():

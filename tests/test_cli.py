@@ -26,7 +26,6 @@ from cutcover import (
 )
 from cutcover.cli import (
     _single_drop_minimal,
-    dump_instance,
     instance_from_obj,
     load_instance,
     main,
@@ -39,7 +38,7 @@ from cutcover.family import crossing_table, residual
 from cutcover.gen import generate
 from cutcover.graph import enumerate_small_cuts
 from conftest import child_env, many_link_path, random_instance
-from reference import covered
+from reference import covered, dump_instance
 
 
 def _cfg(**kw):
@@ -277,20 +276,26 @@ def test_cli_exact_and_audit(tmp_path):
 
 
 def test_one_crossing_table_per_solve(tmp_path, monkeypatch):
-    """The solve builds the one crossing table of a record; the audits, the
-    minimality check and the exact search read it from the result."""
+    """The solve builds the one crossing table of a record, its rows by
+    `kernels.cover_bits` and its node and link columns by
+    `kernels.node_bits`; the audits, the minimality check and the exact
+    search read it from the result."""
     calls = []
-    cover_bits = kernels.cover_bits
-    monkeypatch.setattr(kernels, "cover_bits", lambda *a: calls.append(a) or cover_bits(*a))
+    for name in ("cover_bits", "node_bits"):
+        kernel = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name,
+                            lambda *a, name=name, kernel=kernel: calls.append(name) or kernel(*a))
     cfg = _cfg(count=6)
     for index in range(cfg.count):
         calls.clear()
-        assert pipeline_record(cfg, index)["feasible"] and len(calls) == 1
+        assert pipeline_record(cfg, index)["feasible"]
+        assert sorted(calls) == ["cover_bits", "node_bits"]
     path = tmp_path / "inst.json"
     path.write_text(_run_main(["gen", "--seed", "6", "--count", "1"])[1])
     for command in ("solve", "audit", "exact"):
         calls.clear()
-        assert _run_main([command, str(path)])[0] == 0 and len(calls) == 1, command
+        assert _run_main([command, str(path)])[0] == 0, command
+        assert sorted(calls) == ["cover_bits", "node_bits"], command
 
 
 def test_cli_bench_json_and_csv(tmp_path, monkeypatch):

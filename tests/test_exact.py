@@ -24,8 +24,10 @@ from cutcover import (
     residual,
     solve,
 )
+from cutcover.gen import RunConfig, generate
 from cutcover.pd import DualState
 from conftest import fam, k2, many_link_path, random_instance
+import reference
 
 
 def naive_optimum(inst, family):
@@ -149,6 +151,32 @@ def test_warm_start_does_not_change_optimum(rng):
         warm = exact_optimum(inst.links, f, warm_start=pd)
         assert cold.opt_cost == warm.opt_cost
         assert warm.nodes_explored <= cold.nodes_explored + 1
+
+
+def test_exact_matches_frozen_member_list_search():
+    """exact_optimum on member bitsets against `reference.exact_optimum`,
+    the member-list search it replaced: the same optimum, the same links
+    and the same node count, cold and warm, on 300 generated instances of
+    the acceptance configuration (n 4-10) and 60 hand-built ones with
+    rational costs."""
+    cfg = RunConfig(seed=23, n_range=(4, 10), density_range=(0.15, 0.7))
+    cases = [generate(cfg, index) for index in range(300)]
+    rng = random.Random(61)
+    for _ in range(60):
+        inst = random_instance(rng, rng.randint(3, 7), rng.randint(0, 6), rational=True)
+        cases.append((inst, enumerate_small_cuts(inst.graph, inst.threshold)))
+    closed = 0
+    for inst, f in cases:
+        cold = exact_optimum(inst.links, f)
+        assert (cold.opt_cost, cold.opt_links, cold.nodes_explored) == \
+            reference.exact_optimum(inst.links, f)
+        res = solve(inst.links, f)
+        warm = exact_optimum(inst.links, f, warm_start=res)
+        assert (warm.opt_cost, warm.opt_links, warm.nodes_explored) == \
+            reference.exact_optimum(inst.links, f, res.solution)
+        closed += warm.nodes_explored == 1
+    # warm starts both close the search at its root and leave it work
+    assert 0 < closed < len(cases)
 
 
 def test_ratio_examples():

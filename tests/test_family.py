@@ -22,17 +22,16 @@ from cutcover import (
     check_sparse_crossing,
     check_structural_submodularity,
     check_symmetry,
-    cores,
     crossing_density_audit,
     dual_feasible,
     enumerate_small_cuts,
     kernels,
     residual,
 )
-from cutcover.family import all_covered
+from cutcover.family import UNION_TEST_MEMBERS, all_covered, crossing_table
 from cutcover.gen import generate
 from conftest import cycle, fam, mask, ns, random_graph
-from reference import covers, crosses, delta_links, link_components
+from reference import cores, covers, crosses, delta_links, link_components
 
 
 def _links(*pairs):
@@ -103,15 +102,16 @@ def test_residual_monotone(rng):
 
 def test_all_covered_matches_definition():
     """all_covered against `covers` on both of its branches: the test of
-    the link graph's component unions, taken when 2**(c-1) is at most the
-    member count, and the member scan. Families are symmetric and
-    asymmetric, links parallel or absent."""
+    the link graph's component unions, taken when the family has at least
+    `UNION_TEST_MEMBERS` members and 2**(c-1) is at most the member count,
+    and the member scan. Families are symmetric and asymmetric, links
+    parallel or absent."""
     rng = random.Random(43)
     seen = set()
     for trial in range(400):
         n = rng.randint(2, 8)
         full = (1 << n) - 1
-        masks = rng.sample(range(1, full), rng.randint(1, min(full - 1, 40)))
+        masks = rng.sample(range(1, full), rng.randint(1, min(full - 1, rng.choice((40, 120)))))
         symmetric = trial % 2
         if symmetric:
             masks += [full ^ m for m in masks]
@@ -122,7 +122,8 @@ def test_all_covered_matches_definition():
         links = [Link(a, b, 1, k) for k, (a, b) in enumerate(ends)]
         expect = all(any(covers(link, NodeSet(m, n)) for link in links) for m in f.masks)
         assert all_covered(f, ends) == expect
-        unions = 1 << (len(link_components(ends, n)) - 1) <= len(f)
+        unions = (len(f) >= UNION_TEST_MEMBERS
+                  and 1 << (len(link_components(ends, n)) - 1) <= len(f))
         seen |= {(unions, "holds", expect), (unions, "links", bool(ends)),
                  (unions, "symmetric", symmetric)}
     assert seen == {(u, k, v) for u in (False, True) for k in ("holds", "links", "symmetric")
@@ -130,6 +131,47 @@ def test_all_covered_matches_definition():
     for n in range(3):
         assert all_covered(SetFamily(n, ()), [])
     assert all_covered(SetFamily(2, ()), [(0, 1)])
+
+
+def test_crossing_table_index():
+    """crossing_table's rows, nodes and columns against endpoint parity and
+    membership, and its conversions between member bits and subfamilies:
+    `members` walks a few bits and reads many through `compress`, both in
+    ascending order; `bits` reads back the bits of every subfamily the
+    table built, of the whole family, and of any other subfamily, and
+    refuses a family that is not one."""
+    rng = random.Random(89)
+    paths = set()
+    for _ in range(120):
+        n = rng.randint(2, 9)
+        full = (1 << n) - 1
+        f = SetFamily(n, rng.sample(range(1, full), rng.randint(0, min(full - 1, 200))))
+        links = _links(*(rng.sample(range(n), 2) for _ in range(rng.randint(0, 8))))
+        table = crossing_table(f, links)
+        assert table.family is f
+        assert table.nodes == [sum(1 << i for i, m in enumerate(f.masks) if (m >> v) & 1)
+                               for v in range(n)]
+        for k, link in enumerate(links):
+            assert table.cols[k] == sum(1 << i for i, m in enumerate(f.masks)
+                                        if covers(link, NodeSet(m, n)))
+        assert table.rows == [sum(1 << k for k, link in enumerate(links)
+                                  if covers(link, NodeSet(m, n))) for m in f.masks]
+        everything = (1 << len(f)) - 1
+        assert table.bits(f) == table.bits(SetFamily(n, f.masks)) == everything
+        for bits in (0, everything, rng.getrandbits(len(f)), 1 << rng.randrange(len(f) or 1)):
+            bits &= everything
+            expect = [m for i, m in enumerate(f.masks) if (bits >> i) & 1]
+            assert table.members(bits) == expect
+            paths.add(bits.bit_count() * 16 > len(f))
+            sub = table.subfamily(bits)
+            assert sub == SetFamily(n, expect)
+            assert table.bits(sub) == table.bits(SetFamily(n, expect)) == bits
+        if len(f) < full - 1:
+            outsider = next(m for m in range(1, full) if not f.contains_mask(m))
+            for other in (SetFamily(n, [outsider]), SetFamily(n + 1, f.masks)):
+                with pytest.raises(ValueError, match="is not a subfamily of"):
+                    table.bits(other)
+    assert paths == {False, True}
 
 
 @pytest.mark.parametrize("call", [
@@ -148,17 +190,25 @@ def test_link_outside_ground_set_refused(call):
 
 # ---------------------------------------------------------------- cores
 
+def bit_cores(f):
+    """The cores of f as the solver and the exact search take them: the
+    bit loop of `kernels.minimal_indices` over all of f's members."""
+    live = (1 << len(f)) - 1
+    return SetFamily(f.n, [f.masks[i] for i in
+                           kernels.minimal_indices(live, f.masks, kernels.node_bits(f.masks, f.n))])
+
+
 def test_cores_subset_inspection():
     f = fam(3, (0,), (0, 1), (2,))
-    assert set(cores(f).masks) == {mask(0), mask(2)}
+    assert set(bit_cores(f).masks) == {mask(0), mask(2)}
 
 
 def test_cores_empty():
-    assert len(cores(SetFamily(4, ()))) == 0
+    assert len(bit_cores(SetFamily(4, ()))) == 0
 
 
 def test_cores_four_cycle_singletons():
-    assert sorted(m.bit_count() for m in cores(ARCS4).masks) == [1, 1, 1, 1]
+    assert sorted(m.bit_count() for m in bit_cores(ARCS4).masks) == [1, 1, 1, 1]
 
 
 def test_cores_brute_force_and_idempotent(rng):
@@ -170,9 +220,9 @@ def test_cores_brute_force_and_idempotent(rng):
             m for m in f.masks
             if not any(o != m and o & ~m == 0 for o in f.masks)
         }
-        c = cores(f)
+        c = bit_cores(f)
         assert set(c.masks) == expect
-        assert cores(c) == c
+        assert bit_cores(c) == c
 
 
 # ---------------------------------------------------------------- checkers

@@ -273,20 +273,60 @@ def test_cover_bits_parity():
 @pytest.mark.parametrize("n", [*range(13), 19, 20, 40])
 def test_cover_bits_every_split(n):
     """Rows against the definition at every n up to 12 and at n = 19 and
-    20, so the low and high tables are both of equal and of unequal size;
-    at n = 40 the high table keeps `kernels.TABLE_NODES` nodes and the low
-    part splits again. The masks include the empty set and the ground
-    set, which no link crosses."""
+    20, so the low and high tables are both of equal and of unequal size.
+    Tables span at most as many nodes as the mask count has bits: 62
+    masks allow 6 nodes, so from n = 13 chunks are peeled off the top,
+    and 5 masks allow 3, so they are from n = 7. The masks include the
+    empty set and the ground set, which no link crosses."""
     rng = random.Random(41 + n)
     ends = [tuple(rng.sample(range(n), 2)) for _ in range(2 * n)] if n > 1 else []
     ends += ends[:3]  # parallel links
     masks = [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(60)]
-    rows = kernels.cover_bits(masks, ends, n)
     links = [Link(a, b, 1, k) for k, (a, b) in enumerate(ends)]
-    for m, row in zip(masks, rows):
-        assert row == sum(1 << k for k, l in enumerate(links) if covers(l, NodeSet(m, n)))
-    assert rows[0] == rows[1] == 0
+    for few in (True, False):
+        some = masks[:5] if few else masks
+        rows = kernels.cover_bits(some, ends, n)
+        for m, row in zip(some, rows):
+            assert row == sum(1 << k for k, l in enumerate(links) if covers(l, NodeSet(m, n)))
+        assert rows[0] == rows[1] == 0
     assert n < 6 or len(set(rows)) > 10
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 17, 20, 64, 65, 70])
+def test_node_bits_match_membership(n):
+    """nodes[v] against membership, member by member, at ground-set sizes
+    on both sides of each byte boundary and past 64 nodes, where the masks
+    are packed one byte string at a time; on the empty family every node
+    reads 0."""
+    rng = random.Random(83 + n)
+    assert kernels.node_bits((), n) == [0] * n
+    full = (1 << n) - 1
+    masks = sorted({0, full} | {rng.randrange(1 << n) for _ in range(150)})
+    nodes = kernels.node_bits(masks, n)
+    assert nodes == [sum(1 << i for i, m in enumerate(masks) if v in elems(m))
+                     for v in range(n)]
+    assert all(node.bit_length() <= len(masks) for node in nodes)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_minimal_indices_match_minimal_flags(seed):
+    """The bit-loop cores of a member set against `minimal_flags` on the
+    members it holds: of the whole family, and of random subsets of it,
+    as the solver's residuals and the exact search's uncovered members
+    are."""
+    rng = random.Random(seed)
+    counts = set()
+    for _ in range(80):
+        masks, n = random_family(rng, max_n=11, max_members=120)
+        masks = sorted(masks)
+        nodes = kernels.node_bits(masks, n)
+        for live in ((1 << len(masks)) - 1, rng.getrandbits(len(masks)), 0):
+            held = [i for i in range(len(masks)) if (live >> i) & 1]
+            flags = kernels.minimal_flags([masks[i] for i in held])
+            expect = [i for i, keep in zip(held, flags) if keep]
+            assert kernels.minimal_indices(live, masks, nodes) == expect
+            counts.add(min(len(expect), 3))
+    assert counts == {0, 1, 2, 3}
 
 
 def test_components_match_bfs():

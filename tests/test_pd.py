@@ -15,7 +15,6 @@ from cutcover import (
     NodeSet,
     SetFamily,
     check_symmetry,
-    cores,
     dual_feasible,
     enumerate_small_cuts,
     exact_optimum,
@@ -26,7 +25,7 @@ from cutcover import (
 from cutcover.family import all_covered, crossing_table
 from conftest import cycle, fam, k2, ns, random_instance
 import reference
-from reference import covers, load
+from reference import cores, covers, load
 
 
 def test_solve_empty_family():
