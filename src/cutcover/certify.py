@@ -234,7 +234,8 @@ def audit_run(links, result: SolveResult, mode: str = "per-phase"):
     Each phase is audited on the residual family and cores its trace
     recorded, against the final solution pruned to an inclusion-minimal
     cover of those cores. The reverse delete and the witness candidates
-    read the rows of the solve's crossing table.
+    read the columns of the solve's crossing table: the members each link
+    crosses.
     """
     if mode not in ("per-phase", "final"):
         raise ValueError(f"audit mode must be 'per-phase' or 'final', got {mode!r}")

@@ -277,14 +277,79 @@ def sparse_crossing_violation(masks, core_masks, full):
     return None
 
 
-def gamma_star_exhaustive(masks, members, minimal, full, budget, kmax):
+def crossing_bits(cores, nodes):
+    """For each inclusion-minimal member c of cores, an int whose bit i is
+    set when member i crosses c; nodes is `node_bits(masks, n)` of the
+    members.
+
+    A member crosses c when it meets c and the rest of the ground set and
+    contains neither. Every member but c meets the rest, since c is
+    minimal, and c contains c, so meeting c and containing neither side
+    is enough.
+    """
+    found = []
+    for c in cores:
+        meet = 0
+        within = beyond = -1
+        for v, x in enumerate(nodes):
+            if c >> v & 1:
+                meet |= x
+                within &= x
+            else:
+                beyond &= x
+        found.append(meet & ~(within | beyond))
+    return found
+
+
+def scan_enclosures(masks, cores, full):
+    """The (C, S0, candidates) a remainder search enumerates, by scanning
+    the ascending masks: for each core C in the order given and each member
+    S0 crossing C, ascending, the members crossing C that are proper
+    subsets of S0, ascending; an S0 without candidates is left out."""
+    for c in cores:
+        crossers = [s for s in masks if s & c and s & ~c and c & ~s and full & ~(s | c)]
+        for s0 in crossers:
+            cand = [t for t in crossers if t != s0 and t & ~s0 == 0]
+            if cand:
+                yield c, s0, cand
+
+
+def bit_enclosures(masks, cores, crossing, nodes):
+    """`scan_enclosures` read off member bits: crossing is
+    `crossing_bits(cores, nodes)`. A proper subset is a smaller mask, so
+    S0's candidates are among the crossers below it, and they are those in
+    no nodes[v] of a node v outside S0."""
+    for c, crossers in zip(cores, crossing):
+        rest = crossers
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cand = crossers & (low - 1)
+            if not cand:
+                continue
+            s0 = masks[low.bit_length() - 1]
+            for v, x in enumerate(nodes):
+                if not s0 >> v & 1:
+                    cand &= ~x
+            if cand:
+                found = []
+                while cand:
+                    i = cand & -cand
+                    found.append(masks[i.bit_length() - 1])
+                    cand ^= i
+                yield c, s0, found
+
+
+def gamma_star_exhaustive(enclosures, members, budget, kmax):
     """Enumerate remainder-property configurations up to a tuple budget.
 
     A configuration is a minimal set C, a member S0 crossing C, and k >= 1
     pairwise-disjoint proper subsets of S0 that are members crossing C; it
     passes when S0 minus (union of the subsets and C) is empty or a member.
-    kmax bounds k (0 means unbounded). The subsets are chosen by a
-    depth-first search over the candidates in ascending order. Returns
+    kmax bounds k (0 means unbounded). enclosures yields each (C, S0,
+    candidates) in turn, as `scan_enclosures` or `bit_enclosures` do, and
+    the subsets are chosen by a depth-first search over the candidates in
+    ascending order. Returns
         (completed, witness, tuples, max_k)
     where witness is (C, S0, subsets) for the first failing configuration
     or None, tuples counts the configurations tested, and completed means
@@ -292,43 +357,36 @@ def gamma_star_exhaustive(masks, members, minimal, full, budget, kmax):
     """
     tuples = 0
     max_k = 0
-    for c, keep in zip(masks, minimal):
-        if not keep:
-            continue
-        crossers = [s for s in masks if s & c and s & ~c and c & ~s and full & ~(s | c)]
-        for s0 in crossers:
-            cand = [t for t in crossers if t != s0 and t & ~s0 == 0]
-            nc = len(cand)
-            if nc == 0:
+    for c, s0, cand in enclosures:
+        nc = len(cand)
+        # level l holds the next candidate index to try and the union of
+        # the l subsets chosen so far
+        nxt = [0] * (nc + 1)
+        union = [0] * (nc + 1)
+        chosen = [0] * nc
+        level = 0
+        while level >= 0:
+            t_idx = nxt[level]
+            if t_idx == nc:
+                level -= 1
                 continue
-            # level l holds the next candidate index to try and the union of
-            # the l subsets chosen so far
-            nxt = [0] * (nc + 1)
-            union = [0] * (nc + 1)
-            chosen = [0] * nc
-            level = 0
-            while level >= 0:
-                t_idx = nxt[level]
-                if t_idx == nc:
-                    level -= 1
-                    continue
+            nxt[level] = t_idx + 1
+            t = cand[t_idx]
+            if t & union[level]:
+                continue
+            chosen[level] = t
+            union2 = union[level] | t
+            k = level + 1
+            tuples += 1
+            if k > max_k:
+                max_k = k
+            rem = s0 & ~(union2 | c)
+            if rem and rem not in members:
+                return False, (c, s0, tuple(chosen[:k])), tuples, max_k
+            if tuples > budget:
+                return False, None, tuples, max_k
+            if kmax == 0 or k < kmax:
+                level += 1
                 nxt[level] = t_idx + 1
-                t = cand[t_idx]
-                if t & union[level]:
-                    continue
-                chosen[level] = t
-                union2 = union[level] | t
-                k = level + 1
-                tuples += 1
-                if k > max_k:
-                    max_k = k
-                rem = s0 & ~(union2 | c)
-                if rem and rem not in members:
-                    return False, (c, s0, tuple(chosen[:k])), tuples, max_k
-                if tuples > budget:
-                    return False, None, tuples, max_k
-                if kmax == 0 or k < kmax:
-                    level += 1
-                    nxt[level] = t_idx + 1
-                    union[level] = union2
+                union[level] = union2
     return True, None, tuples, max_k

@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 from . import kernels
 from .errors import Infeasible
-from .family import SetFamily, crossing_table
+from .family import CrossingTable, SetFamily, crossing_table
 from .graph import NodeSet
 
 
@@ -54,7 +54,7 @@ class SolveResult:
     dual: DualState
     trace: tuple
     addition_order: tuple
-    table: dict
+    table: CrossingTable
 
 
 def solve(links, f: SetFamily) -> SolveResult:

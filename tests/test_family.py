@@ -28,9 +28,9 @@ from cutcover import (
     kernels,
     residual,
 )
-from cutcover.family import UNION_TEST_MEMBERS, all_covered, crossing_table
+from cutcover.family import BITS_MEMBERS, UNION_TEST_MEMBERS, all_covered, crossing_table
 from cutcover.gen import generate
-from conftest import cycle, fam, mask, ns, random_graph
+from conftest import cycle, distinct_cut_values, fam, mask, ns, random_graph
 from reference import cores, covers, crosses, delta_links, link_components
 
 
@@ -595,3 +595,58 @@ def test_checker_reports_pinned():
     # every checker both holds and fails somewhere
     assert len(verdicts) == 2 * len(CHECKERS)
     assert h.hexdigest() == CHECKER_REPORTS_SHA256
+
+
+#: sha256 of the repr of every checker's report over
+#: `_large_pinned_families()`, computed before the sparse-crossing and
+#: remainder checks read member bits on families this large
+LARGE_CHECKER_REPORTS_SHA256 = "68dc524e271a3548cc741e803344cbd42aa171363ad619b8a5f57d470f67e70a"
+
+
+def _large_pinned_families():
+    """Families of at least 32 members at n 6-9: small-cut families with a
+    threshold in the upper half of the cut values and their residuals,
+    which hold; copies with a few members dropped; random families, half
+    of them closed under complements; and the many-configuration family
+    with each size of leftover dropped, which plants remainder
+    violations."""
+    rng = random.Random(29)
+    for trial in range(120):
+        n = rng.randint(6, 9)
+        full = (1 << n) - 1
+        if trial % 4 == 3:
+            masks = set(rng.sample(range(1, full), rng.randint(32, min(150, full - 1))))
+            if trial % 8 == 3:
+                masks |= {full ^ m for m in masks}
+            f = SetFamily(n, masks)
+        else:
+            g = random_graph(rng, n, rng.uniform(0.3, 0.9))
+            values = distinct_cut_values(g)
+            f = enumerate_small_cuts(g, rng.choice(values[len(values) // 2:]))
+            if trial % 4 == 1:
+                pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 2))]
+                f = residual(f, _links(*(p for p in pairs if p[0] != p[1])))
+            elif trial % 4 == 2 and f.masks:
+                masks = list(f.masks)
+                for _ in range(rng.randint(1, 3)):
+                    masks.remove(rng.choice(masks))
+                f = SetFamily(n, masks)
+        if len(f) >= 32:
+            yield f
+    for drop in (None, 1, 2, 3, 4, 5):
+        yield _many_config_family(drop)
+
+
+def test_large_checker_reports_pinned():
+    """As `test_checker_reports_pinned`, over families at or above the
+    member count from which the checkers read member bits."""
+    h = hashlib.sha256()
+    verdicts = set()
+    for f in _large_pinned_families():
+        assert len(f) >= BITS_MEMBERS
+        for check in CHECKERS:
+            rep = check(f, budget=2_000) if check in (check_gamma, check_gamma_star) else check(f)
+            verdicts.add((rep.name, rep.holds))
+            h.update(repr(rep).encode())
+    assert len(verdicts) == 2 * len(CHECKERS)
+    assert h.hexdigest() == LARGE_CHECKER_REPORTS_SHA256

@@ -13,8 +13,22 @@ from itertools import combinations
 
 import pytest
 
-from cutcover import CapGraph, Link, NodeSet, enumerate_small_cuts, kernels, residual
-from conftest import child_env
+from cutcover import (
+    CapGraph,
+    Link,
+    NodeSet,
+    PropertyReport,
+    SearchBudgetExceeded,
+    SetFamily,
+    check_gamma,
+    check_gamma_star,
+    check_sparse_crossing,
+    enumerate_small_cuts,
+    kernels,
+    residual,
+)
+from cutcover.family import BITS_MEMBERS
+from conftest import child_env, distinct_cut_values, random_graph
 from reference import covers, cut_capacity, link_components
 
 
@@ -209,8 +223,9 @@ def test_gamma_scan_parity(kmax):
         if trial % 3 == 0 and tested > 1:
             # a budget that runs out before the search ends
             budget = rng.randrange(tested - 1)
+        cores = [m for m, keep in zip(masks, minimal_def(masks)) if keep]
         got = kernels.gamma_star_exhaustive(
-            masks, frozenset(masks), minimal_def(masks), full, budget, kmax
+            kernels.scan_enclosures(masks, cores, full), frozenset(masks), budget, kmax
         )
         assert got == gamma_star_def(masks, n, budget, kmax)
         completed, witness, tuples, max_k = got
@@ -220,6 +235,122 @@ def test_gamma_scan_parity(kmax):
         deepest = max(deepest, max_k)
     assert outcomes == {"holds", "violated", "budget"}
     assert deepest >= 2 if kmax == 0 else deepest == 1
+
+
+def bit_path_families(rng):
+    """Masks of families from one seeded small-cut family at n 6-9 with
+    `BITS_MEMBERS` - 1 to 150 members: the family, a residual of it,
+    copies cut down to `BITS_MEMBERS` - 1 and `BITS_MEMBERS` members, a
+    copy with a few members dropped, and a copy missing the leftover of
+    one one-subset remainder configuration, which plants a violation."""
+    while True:
+        n = rng.randint(6, 9)
+        g = random_graph(rng, n, rng.uniform(0.3, 0.9))
+        fams = [enumerate_small_cuts(g, v) for v in distinct_cut_values(g)]
+        fams = [f for f in fams if BITS_MEMBERS - 1 <= len(f) <= 150]
+        if fams:
+            break
+    f = rng.choice(fams)
+    a, b = rng.sample(range(n), 2)
+    masks = list(f.masks)
+    yield masks, n
+    yield residual(f, [Link(a, b, 1, 0)]).masks, n
+    for size in (BITS_MEMBERS - 1, BITS_MEMBERS):
+        if len(masks) >= size:
+            yield sorted(rng.sample(masks, size)), n
+    dropped = set(masks)
+    for _ in range(rng.randint(1, 3)):
+        dropped.discard(rng.choice(masks))
+    yield sorted(dropped), n
+    ground = frozenset(range(n))
+    cores = [m for m, keep in zip(masks, minimal_def(masks)) if keep]
+    leftovers = set()
+    for c in cores:
+        crossers = [s for s in masks if crosses_def(elems(s), elems(c), ground)]
+        for s0 in crossers:
+            for t in crossers:
+                if elems(t) < elems(s0) and s0 & ~(t | c):
+                    leftovers.add(s0 & ~(t | c))
+    leftovers &= set(masks)
+    if leftovers:
+        yield sorted(set(masks) - {rng.choice(sorted(leftovers))}), n
+
+
+def padded_remainder_family(rng, drop):
+    """A family on n = 10 whose remainder configurations are all around
+    the core C = {4..7}: S0 = {0..5} and the eight sets {x, c}, x < 4 <= c
+    <= 5, cross it, and every non-empty subset of {0..3} is a member, so
+    the 20 configurations (up to two disjoint subsets) all hold unless
+    drop removes one of the two- and three-element ones they leave. Ten
+    random supersets of C pad it past `BITS_MEMBERS` without adding a
+    configuration: they are not minimal and cross no core, as the other
+    cores are singletons."""
+    c = 0b11110000
+    masks = {c, 0b111111}
+    masks |= {(1 << x) | (1 << y) for x in range(4) for y in (4, 5)}
+    leftovers = set(range(1, 16))
+    if drop:
+        leftovers.discard(rng.choice([y for y in sorted(leftovers) if y.bit_count() in (2, 3)]))
+    padding = [c | y for y in range(1, 1 << 10) if not y & c and (c | y) != (1 << 10) - 1]
+    return sorted(masks | leftovers | set(rng.sample(padding, 10))), 10
+
+
+def expected_remainder_report(masks, n, budget, kmax):
+    """The report `gamma_star_def` implies, or None when the budget runs
+    out before a verdict."""
+    completed, witness, tuples, max_k = gamma_star_def(masks, n, budget, kmax)
+    name = "gamma" if kmax == 1 else "gamma_star"
+    if witness is not None:
+        c, s0, chosen = witness
+        sets = tuple(NodeSet(m, n) for m in (c, s0) + chosen)
+        return PropertyReport(name, False, sets, tuples, max_k, False)
+    if completed:
+        return PropertyReport(name, True, None, tuples, max_k, True)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_checkers_bit_path_parity(seed):
+    """The sparse-crossing and remainder checkers against the brute-force
+    definitions on families on both sides of `BITS_MEMBERS`, with budgets
+    that hold, find a violation and run out; the two enclosure scans
+    agree on each family."""
+    rng = random.Random(seed)
+    outcomes = set()
+    sizes = set()
+    families = [fam for _ in range(12) for fam in bit_path_families(rng)]
+    families += [padded_remainder_family(rng, drop) for drop in (False, True)]
+    for masks, n in families:
+        masks = tuple(masks)
+        f = SetFamily(n, masks)
+        bits = len(masks) >= BITS_MEMBERS
+        sizes.add(len(masks) if len(masks) < BITS_MEMBERS + 1 else "more")
+        full = (1 << n) - 1
+        cores = [m for m, keep in zip(masks, minimal_def(masks)) if keep]
+        nodes = kernels.node_bits(masks, n)
+        crossing = kernels.crossing_bits(cores, nodes)
+        assert list(kernels.bit_enclosures(masks, cores, crossing, nodes)) == list(
+            kernels.scan_enclosures(masks, cores, full))
+        triple = sparse_crossing_def(masks, n)
+        assert check_sparse_crossing(f) == (
+            PropertyReport("sparse_crossing", True) if triple is None else
+            PropertyReport("sparse_crossing", False, tuple(NodeSet(m, n) for m in triple)))
+        outcomes.add((bits, "sparse", triple is None))
+        for kmax, check in ((0, check_gamma_star), (1, check_gamma)):
+            tested = gamma_star_def(masks, n, 10**6, kmax)[2]
+            for budget in [10**6] + ([rng.randrange(tested - 1)] if tested > 1 else []):
+                expect = expected_remainder_report(masks, n, budget, kmax)
+                if expect is None:
+                    with pytest.raises(SearchBudgetExceeded, match=f"exceeded {budget} "):
+                        check(f, budget=budget)
+                    outcomes.add((bits, "remainder", "budget"))
+                else:
+                    assert check(f, budget=budget) == expect
+                    outcomes.add((bits, "remainder", "holds" if expect.holds else "violated"))
+    assert sizes >= {BITS_MEMBERS - 1, BITS_MEMBERS, "more"}
+    # every outcome occurs on the bit path
+    assert outcomes >= {(True, "sparse", True), (True, "sparse", False)} | {
+        (True, "remainder", o) for o in ("holds", "violated", "budget")}
 
 
 def test_cut_kernel_parity():
