@@ -10,8 +10,7 @@ each is still to pay. Only a strictly cheaper cover replaces the
 incumbent, so the bound changes which nodes are explored but not the
 cover reported. An optional warm start, a solve of the same links and
 family, lends the search its solution as first incumbent and its crossing
-table as the cover rows; the search is used as ground truth for the
-solver's guarantee.
+table; the search is used as ground truth for the solver's guarantee.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ def exact_optimum(links, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
     The uncovered members are a set of member bits over the table, which
     each added link shrinks by its column; their minimal members come
     from `kernels.minimal_indices`, and their allowed links from the
-    table's rows.
+    members' `kernels.cover_bits` rows.
     """
     if len(links) > limit:
         raise TooManyLinks(f"{len(links)} links exceed the exact-search limit {limit}")
@@ -53,10 +52,11 @@ def exact_optimum(links, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
         return ExactResult(Fraction(0), (), 0)
 
     target = table.bits(f)
-    masks, rows, node_bits, cols = table.family.masks, table.rows, table.nodes, table.cols
+    masks, node_bits, cols = table.family.masks, table.nodes, table.cols
     uncovered = target & ~table.crossed(range(len(links)))[0]
     if uncovered:
         raise Infeasible(NodeSet(masks[(uncovered & -uncovered).bit_length() - 1], f.n))
+    rows = kernels.cover_bits(masks, [(link.a, link.b) for link in links], f.n)
     denom = lcm(*(link.cost.denominator for link in links))
     costs = [link.cost.numerator * (denom // link.cost.denominator) for link in links]
     by_cost = sorted(range(len(links)), key=lambda lid: (costs[lid], lid))

@@ -36,6 +36,8 @@ class SetFamily:
 
     def __init__(self, n: int, masks: Iterable[int]):
         n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"the ground-set size n must be non-negative, got {n}")
         full = (1 << n) - 1
         seen = set()
         for m in masks:
@@ -113,17 +115,11 @@ class PropertyReport:
 
 
 def residual(f: SetFamily, cover_links) -> SetFamily:
-    """Members of f crossed by none of the given links; kept for its one
-    caller, `pipebench/workloads.py`."""
-    pairs = kernels.check_ends(((link.a, link.b) for link in cover_links), f.n)
-    kept = []
-    for m in f.masks:
-        for a, b in pairs:
-            if ((m >> a) ^ (m >> b)) & 1:
-                break
-        else:
-            kept.append(m)
-    return SetFamily._from_sorted(f.n, kept)
+    """Members of f crossed by none of the given links, read off their
+    `crossing_table`; kept for its one caller, `pipebench/workloads.py`."""
+    table = crossing_table(f, cover_links)
+    crossed = table.crossed(range(len(table.cols)))[0]
+    return table.subfamily(table.bits(f) & ~crossed)
 
 
 #: the fewest members for which `all_covered` may test link-graph
@@ -175,9 +171,8 @@ _FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 class CrossingTable:
     """The crossings between the members of one family and a list of
-    links, indexed both ways, with member i standing for family.masks[i]:
+    links, as member bits, with member i standing for family.masks[i]:
 
-    - rows[i]: bit k set when links[k] crosses member i;
     - nodes[v]: bit i set when member i contains node v;
     - cols[k] = nodes[a] ^ nodes[b]: bit i set when links[k] = (a, b)
       crosses member i.
@@ -188,11 +183,10 @@ class CrossingTable:
     built. `crossed` counts a link set's crossings up to two.
     """
 
-    __slots__ = ("family", "rows", "nodes", "cols", "_bits")
+    __slots__ = ("family", "nodes", "cols", "_bits")
 
-    def __init__(self, family: SetFamily, rows: list, nodes: list, cols: list):
+    def __init__(self, family: SetFamily, nodes: list, cols: list):
         self.family = family
-        self.rows = rows
         self.nodes = nodes
         self.cols = cols
         self._bits = {}
@@ -250,11 +244,10 @@ class CrossingTable:
 
 def crossing_table(f: SetFamily, links) -> CrossingTable:
     """The `CrossingTable` of f's members and links. Instance links carry
-    their position as id, so bit k of a row stands for link id k."""
-    ends = [(link.a, link.b) for link in links]
-    rows = kernels.cover_bits(f.masks, ends, f.n)
+    their position as id, so column k stands for link id k."""
+    ends = kernels.check_ends(((link.a, link.b) for link in links), f.n)
     nodes = kernels.node_bits(f.masks, f.n)
-    return CrossingTable(f, rows, nodes, [nodes[a] ^ nodes[b] for a, b in ends])
+    return CrossingTable(f, nodes, [nodes[a] ^ nodes[b] for a, b in ends])
 
 
 def _missing_complement(f: SetFamily) -> int | None:

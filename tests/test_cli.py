@@ -276,10 +276,10 @@ def test_cli_exact_and_audit(tmp_path):
 
 
 def test_one_crossing_table_per_solve(tmp_path, monkeypatch):
-    """The solve builds the one crossing table of a record, its rows by
-    `kernels.cover_bits` and its node and link columns by
-    `kernels.node_bits`; the audits, the minimality check and the exact
-    search read it from the result."""
+    """The solve builds the one crossing table of a record, its node and
+    link columns by `kernels.node_bits`; the audits, the minimality check
+    and the exact search read it from the result. Only the exact search
+    builds rows of link bits, by one `kernels.cover_bits` call."""
     calls = []
     for name in ("cover_bits", "node_bits"):
         kernel = getattr(kernels, name)
@@ -292,10 +292,11 @@ def test_one_crossing_table_per_solve(tmp_path, monkeypatch):
         assert sorted(calls) == ["cover_bits", "node_bits"]
     path = tmp_path / "inst.json"
     path.write_text(_run_main(["gen", "--seed", "6", "--count", "1"])[1])
-    for command in ("solve", "audit", "exact"):
+    for command, expect in (("solve", ["node_bits"]), ("audit", ["node_bits"]),
+                            ("exact", ["cover_bits", "node_bits"])):
         calls.clear()
         assert _run_main([command, str(path)])[0] == 0, command
-        assert sorted(calls) == ["cover_bits", "node_bits"], command
+        assert sorted(calls) == expect, command
 
 
 def test_cli_bench_json_and_csv(tmp_path, monkeypatch):

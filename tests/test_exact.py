@@ -24,6 +24,7 @@ from cutcover import (
     residual,
     solve,
 )
+from cutcover.family import crossing_table
 from cutcover.gen import RunConfig, generate
 from cutcover.pd import DualState
 from conftest import fam, k2, many_link_path, random_instance
@@ -56,7 +57,7 @@ def naive_optimum(inst, family):
 
 
 def _dummy_result(cost) -> SolveResult:
-    return SolveResult((), Fraction(cost), DualState(), (), (), {})
+    return SolveResult((), Fraction(cost), DualState(), (), (), crossing_table(SetFamily(2, ()), []))
 
 
 def test_exact_empty_family():

@@ -6,10 +6,13 @@ scan in ascending mask order, so they also fix which violation comes first.
 
 from __future__ import annotations
 
+import ast
+import inspect
 import random
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -481,3 +484,18 @@ def test_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=child_env())
     assert out.stdout.split() == ["False"] * len(unloaded)
+
+
+def test_every_kernel_has_a_src_caller():
+    """Every public function of `kernels` is used as `kernels.<name>` in
+    another module of the package, so none is kept for the tests alone."""
+    used = set()
+    for path in Path(kernels.__file__).parent.glob("*.py"):
+        if path.name != "kernels.py":
+            used.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "kernels")
+    public = {name for name, obj in vars(kernels).items()
+              if inspect.isfunction(obj) and obj.__module__ == kernels.__name__
+              and not name.startswith("_")}
+    assert public and public <= used, sorted(public - used)
