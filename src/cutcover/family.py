@@ -16,6 +16,7 @@ from itertools import compress
 from typing import Iterable
 
 from . import kernels
+from .kernels import BITS_MEMBERS
 from .errors import SearchBudgetExceeded
 from .graph import NodeSet
 
@@ -305,15 +306,6 @@ _DISJOINT_CORES_HOLDS = PropertyReport("disjoint_cores", True)
 _UNTESTED_HOLDS = {
     name: PropertyReport(name, True, None, 0, 0, True) for name in ("gamma", "gamma_star")
 }
-
-
-#: the fewest members for which the sparse-crossing and remainder checks
-#: read the crossings off member bits (`kernels.node_bits`) instead of
-#: scanning member lists. Timed per family size on criterion-3 residuals,
-#: the bits cost less from about 22 members for the remainder check and
-#: from about 32 for sparse crossing, and from about 26 for the two
-#: together, as the `lemma` benchmark runs them.
-BITS_MEMBERS = 28
 
 
 def _core_crossings(f: SetFamily) -> tuple:

@@ -26,11 +26,12 @@ from cutcover import (
     check_gamma,
     check_gamma_star,
     check_sparse_crossing,
+    check_structural_submodularity,
     enumerate_small_cuts,
     kernels,
     residual,
 )
-from cutcover.family import BITS_MEMBERS
+from cutcover.kernels import BITS_MEMBERS
 from conftest import child_env, distinct_cut_values, random_graph
 from reference import covers, cut_capacity, link_components
 
@@ -48,8 +49,8 @@ def minimal_def(masks):
     return [not any(o < s for o in sets) for s in sets]
 
 
-def pliable_def(masks):
-    family = {elems(m) for m in masks}
+def pliable_def(masks, members=None):
+    family = {elems(m) for m in (masks if members is None else members)}
     for i, a in enumerate(masks):
         for b in masks[i + 1:]:
             sa, sb = elems(a), elems(b)
@@ -59,8 +60,8 @@ def pliable_def(masks):
     return None
 
 
-def structsub_def(masks, n):
-    family = {elems(m) for m in masks}
+def structsub_def(masks, n, members=None):
+    family = {elems(m) for m in (masks if members is None else members)}
     ground = frozenset(range(n))
     for i, a in enumerate(masks):
         for b in masks[i + 1:]:
@@ -206,6 +207,135 @@ def test_family_scan_parity(seed):
     assert verdicts == {(k, ok) for k in range(3) for ok in (True, False)}
     # and met every kind of pair the scans skip or test
     assert kinds == {"nested", "disjoint", "union is ground", "crossing"}
+
+
+def lane_scan_lists(rng):
+    """(masks, members, n) scan lists at n 2-9 on both sides of
+    `BITS_MEMBERS`: uniform random asymmetric families, and small-cut
+    families (symmetric), each whole, with a complement pair dropped (still
+    symmetric) or with one member dropped (asymmetric), of at most 64
+    members so the definitions stay quick. A symmetric family
+    gives its full list and its half list, the members without node n-1."""
+    n = rng.randint(2, 9)
+    full = (1 << n) - 1
+    if full < 3:
+        return
+    size = rng.choice((rng.randint(1, BITS_MEMBERS - 1), rng.randint(BITS_MEMBERS, 64)))
+    masks = {rng.randint(1, full - 1) for _ in range(size)}
+    yield sorted(masks), frozenset(masks), n
+    g = random_graph(rng, n, rng.uniform(0.3, 0.9))
+    fams = [enumerate_small_cuts(g, v).masks for v in distinct_cut_values(g)]
+    masks = set(rng.choice([m for m in fams if len(m) <= 64] or [()]))
+    if not masks:
+        return
+    drop = rng.choice(sorted(masks))
+    for members, symmetric in ((masks, True), (masks - {drop, full ^ drop}, True),
+                               (masks - {drop}, False)):
+        if not members:
+            continue
+        yield sorted(members), frozenset(members), n
+        if symmetric:
+            half = sorted(m for m in members if m < 1 << (n - 1))
+            yield half, frozenset(members), n
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_lanes_parity(seed, monkeypatch):
+    """The pair scans' lane path, their loop and the brute-force
+    definitions name the same first violation, or none, on full and half
+    scan lists; the lanes are forced below `BITS_MEMBERS` and the loop
+    above it by moving the gate."""
+    rng = random.Random(seed)
+    verdicts = set()
+    kinds = set()
+    sizes = set()
+    for _ in range(30):
+        for masks, members, n in lane_scan_lists(rng):
+            masks = tuple(masks)
+            full = (1 << n) - 1
+            expect = (pliable_def(masks, members), structsub_def(masks, n, members))
+            scans = [(kernels.pliable_violation(masks, members),
+                      kernels.structsub_violation(masks, members, full))]
+            for gate in (len(masks) + 1, 0):
+                monkeypatch.setattr(kernels, "BITS_MEMBERS", gate)
+                scans.append((kernels.pliable_violation(masks, members),
+                              kernels.structsub_violation(masks, members, full)))
+            monkeypatch.undo()
+            assert scans == [expect] * 3, (masks, n)
+            lanes = len(masks) >= BITS_MEMBERS and masks[-1] < 256
+            sizes.add(lanes)
+            if lanes:
+                verdicts.update((k, v is None) for k, v in enumerate(expect))
+                kinds |= pair_kinds(masks, n)
+    # lists on both sides of the gate, and on the lane path both verdicts of
+    # both scans and every kind of pair
+    assert sizes == {True, False}
+    assert verdicts == {(k, ok) for k in range(2) for ok in (True, False)}
+    assert kinds == {"nested", "disjoint", "union is ground", "crossing"}
+
+
+def lane_calls(monkeypatch):
+    """A list that gains the mask count each time a pair scan takes its
+    lanes."""
+    calls = []
+    lane_corners = kernels._lane_corners
+
+    def counted(masks, members, full):
+        calls.append(len(masks))
+        return lane_corners(masks, members, full)
+
+    monkeypatch.setattr(kernels, "_lane_corners", counted)
+    return calls
+
+
+def test_pair_lanes_half_list_below_node_8(monkeypatch):
+    """The half list of a symmetric family at n = 9 whose top mask is 255:
+    full = 511 fits no byte, so a pair whose union is 255 = V - {8} still
+    crosses. With {0..3} and {5,6,7} missing, ({0..4}, {4..7}) lacks both
+    differences and is the first violation of structural submodularity."""
+    half = tuple(m for m in range(1, 256) if m not in (0b1111, 0b11100000))
+    members = frozenset(half) | {511 ^ m for m in half}
+    calls = lane_calls(monkeypatch)
+    got = kernels.structsub_violation(half, members, 511)
+    assert got == (0b11111, 0b11110000) == structsub_def(half, 9, members)
+    assert got[0] | got[1] == 255
+    assert kernels.pliable_violation(half, members) == pliable_def(half, members)
+    assert calls == [len(half)] * 2
+    f = SetFamily(9, members)
+    assert check_structural_submodularity(f) == PropertyReport(
+        "structural_submodularity", False, (NodeSet(0b11111, 9), NodeSet(0b11110000, 9)))
+
+
+def test_pair_lanes_union_is_ground(monkeypatch):
+    """The same masks, less 255, as an asymmetric family at n = 8: a pair
+    whose union is 255 is now the ground set. Pliability counts it, and its first
+    violation ({0..4}, {0..3,5,6,7}) has one corner, {4}; structural
+    submodularity skips it and holds."""
+    masks = tuple(m for m in range(1, 255) if m not in (0b1111, 0b11100000))
+    members = frozenset(masks)
+    calls = lane_calls(monkeypatch)
+    got = kernels.pliable_violation(masks, members)
+    assert got == (0b11111, 0b11101111) == pliable_def(masks, members)
+    assert got[0] | got[1] == 255
+    assert kernels.structsub_violation(masks, members, 255) is None
+    assert structsub_def(masks, 8, members) is None
+    assert calls == [len(masks)] * 2
+
+
+def test_pair_lanes_gate(monkeypatch):
+    """The lanes take scan lists of at least `BITS_MEMBERS` masks that all
+    fit a byte: one mask fewer, or a top mask of 256, takes the loop."""
+    rng = random.Random(7)
+    calls = lane_calls(monkeypatch)
+    for top, size, lanes in ((255, BITS_MEMBERS - 1, False), (255, BITS_MEMBERS, True),
+                             (256, BITS_MEMBERS, False), (256, 40, False)):
+        for _ in range(10):
+            masks = tuple(sorted(rng.sample(range(1, top), size - 1))) + (top,)
+            members = frozenset(masks)
+            calls.clear()
+            assert kernels.pliable_violation(masks, members) == pliable_def(masks)
+            assert kernels.structsub_violation(masks, members, 511) == structsub_def(masks, 9)
+            assert calls == ([size] * 2 if lanes else [])
 
 
 @pytest.mark.parametrize("kmax", [0, 1])
