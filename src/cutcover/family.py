@@ -16,7 +16,6 @@ from itertools import compress
 from typing import Iterable
 
 from . import kernels
-from .kernels import BITS_MEMBERS
 from .errors import SearchBudgetExceeded
 from .graph import NodeSet
 
@@ -31,9 +30,13 @@ class SetFamily:
     Neither the empty set nor the full ground set may be a member. Members
     are kept in ascending mask order, which fixes the scan order (and hence
     the reported counterexamples) of every checker.
+
+    A family built by `CrossingTable.subfamily` is a view of that table:
+    `_view` holds (table, bits), its member bits over the table's family,
+    from which the checkers read it. Any other family has `_view` None.
     """
 
-    __slots__ = ("n", "_masks", "_mask_set")
+    __slots__ = ("n", "_masks", "_mask_set", "_view")
 
     def __init__(self, n: int, masks: Iterable[int]):
         n = operator.index(n)
@@ -53,9 +56,10 @@ class SetFamily:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_masks", tuple(sorted(seen)))
         object.__setattr__(self, "_mask_set", frozenset(seen))
+        object.__setattr__(self, "_view", None)
 
     @classmethod
-    def _from_sorted(cls, n: int, masks) -> "SetFamily":
+    def _from_sorted(cls, n: int, masks, view=None) -> "SetFamily":
         """Family of masks that are already ascending, distinct and
         non-trivial, such as a filtered subsequence of a family's masks;
         skips the validation and the sort."""
@@ -64,6 +68,7 @@ class SetFamily:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_mask_set", frozenset(masks))
+        object.__setattr__(self, "_view", view)
         return self
 
     def __setattr__(self, name, value):
@@ -116,8 +121,8 @@ class PropertyReport:
 
 
 def residual(f: SetFamily, cover_links) -> SetFamily:
-    """Members of f crossed by none of the given links, read off their
-    `crossing_table`; kept for its one caller, `pipebench/workloads.py`."""
+    """Members of f crossed by none of the given links, as a view of their
+    `crossing_table`; criterion 3 and the `lemma` benchmark call it."""
     table = crossing_table(f, cover_links)
     crossed = table.crossed(range(len(table.cols)))[0]
     return table.subfamily(table.bits(f) & ~crossed)
@@ -180,17 +185,16 @@ class CrossingTable:
 
     A set of members is an int over the member indices. `members` and
     `subfamily` turn one into masks or a SetFamily, and `bits` turns a
-    subfamily back; the table remembers the bits of every subfamily it has
-    built. `crossed` counts a link set's crossings up to two.
+    subfamily back; a subfamily the table built is a view of it, which
+    carries its bits. `crossed` counts a link set's crossings up to two.
     """
 
-    __slots__ = ("family", "nodes", "cols", "_bits")
+    __slots__ = ("family", "nodes", "cols")
 
     def __init__(self, family: SetFamily, nodes: list, cols: list):
         self.family = family
         self.nodes = nodes
         self.cols = cols
-        self._bits = {}
 
     def members(self, bits: int) -> list:
         """The masks, ascending, of the members whose bit is set in bits.
@@ -211,12 +215,9 @@ class CrossingTable:
         return found[::-1]
 
     def subfamily(self, bits: int) -> SetFamily:
-        """The members whose bit is set in bits, as a SetFamily."""
-        sub = SetFamily._from_sorted(self.family.n, self.members(bits))
-        # keyed by identity, which the entry keeps alive, so that a lookup
-        # does not hash the masks
-        self._bits[id(sub)] = (sub, bits)
-        return sub
+        """The members whose bit is set in bits, as a SetFamily that is a
+        view of this table."""
+        return SetFamily._from_sorted(self.family.n, self.members(bits), (self, bits))
 
     def crossed(self, lids) -> tuple:
         """(once, twice): the members that at least one, and at least
@@ -228,10 +229,11 @@ class CrossingTable:
         return once, twice
 
     def bits(self, sub: SetFamily) -> int:
-        """The member bits of sub, a subfamily of the table's family."""
-        known = self._bits.get(id(sub))
-        if known is not None:
-            return known[1]
+        """The member bits of sub, a subfamily of the table's family: read
+        off sub when it is a view of this table, else found by membership."""
+        view = sub._view
+        if view is not None and view[0] is self:
+            return view[1]
         masks = self.family.masks
         if sub.n == self.family.n:
             if sub.masks == masks:
@@ -268,9 +270,7 @@ def _missing_complement(f: SetFamily) -> int | None:
     test and both structural-submodularity clauses are unchanged; the same
     holds for A. Violating pairs therefore come in complement classes, and
     the first violating pair in ascending order has both members among
-    those without node n-1. Likewise S crosses a core C exactly when V - S
-    does, so the first member the sparse-crossing scan reports is one of
-    them too.
+    those without node n-1.
     """
     full = (1 << f.n) - 1
     masks = f._masks
@@ -308,13 +308,31 @@ _UNTESTED_HOLDS = {
 }
 
 
-def _core_crossings(f: SetFamily) -> tuple:
-    """(core masks, ascending; `kernels.node_bits` of f's members; for
-    each core, the bits of the members crossing it)."""
+def _member_bits(f: SetFamily) -> tuple:
+    """(masks, nodes, live): f's members are the bits of live over the
+    ascending masks, and nodes is `kernels.node_bits(masks, f.n)`.
+
+    A view reads them off its table: the parent's masks and nodes, and its
+    own bits. Parent indices keep ascending mask order, so a scan over the
+    bits meets f's members in the order of f.masks. Any other family is
+    its own parent, with every bit set.
+    """
+    view = f._view
+    if view is not None:
+        table, live = view
+        return table.family._masks, table.nodes, live
     masks = f._masks
-    nodes = kernels.node_bits(masks, f.n)
-    cores = [masks[i] for i in kernels.minimal_indices((1 << len(masks)) - 1, masks, nodes)]
-    return cores, nodes, kernels.crossing_bits(cores, nodes)
+    return masks, kernels.node_bits(masks, f.n), (1 << len(masks)) - 1
+
+
+def _core_crossings(f: SetFamily) -> tuple:
+    """(masks, nodes, cores, crossing): `_member_bits`' masks and nodes,
+    f's core masks, and for each core the bits of f's members crossing it.
+    A parent member outside f may lie inside a core, which
+    `kernels.crossing_bits` counts, so live masks it out."""
+    masks, nodes, live = _member_bits(f)
+    cores = [masks[i] for i in kernels.minimal_indices(live, masks, nodes)]
+    return masks, nodes, cores, [x & live for x in kernels.crossing_bits(cores, nodes)]
 
 
 def check_symmetry(f: SetFamily) -> PropertyReport:
@@ -351,26 +369,25 @@ def check_structural_submodularity(f: SetFamily) -> PropertyReport:
 def check_sparse_crossing(f: SetFamily) -> PropertyReport:
     """No member crosses two inclusion-minimal members.
 
-    On a family of at least `BITS_MEMBERS` members, the members crossed by
-    two cores are collected from the cores' crossing bits first, and the
-    family holds when there are none; only otherwise are the members
-    scanned, to name the first violating (S, C1, C2)."""
-    masks = f._masks
-    if not masks:
+    The members crossed by two cores are read off the cores' crossing
+    bits. The violation reported is (S, C1, C2): S the lowest of those
+    members, C1 and C2 the first two cores whose crossing bits hold S. In
+    a symmetric family V - S crosses the same cores as S, and the lower of
+    the two lacks node n-1, so S is also the first member of the half scan
+    `_missing_complement` describes.
+    """
+    if not f._masks:
         return _SPARSE_CROSSING_HOLDS
-    if len(masks) >= BITS_MEMBERS:
-        core_masks, _, crossing = _core_crossings(f)
-        once = twice = 0
-        for x in crossing:
-            twice |= once & x
-            once |= x
-        if not twice:
-            return _SPARSE_CROSSING_HOLDS
-    else:
-        core_masks = list(compress(masks, kernels.minimal_flags(masks)))
-    triple = kernels.sparse_crossing_violation(_pair_scan_masks(f), core_masks, (1 << f.n) - 1)
-    if triple is None:
+    masks, _, cores, crossing = _core_crossings(f)
+    once = twice = 0
+    for x in crossing:
+        twice |= once & x
+        once |= x
+    if not twice:
         return _SPARSE_CROSSING_HOLDS
+    low = twice & -twice
+    c1, c2 = [c for c, x in zip(cores, crossing) if x & low][:2]
+    triple = (masks[low.bit_length() - 1], c1, c2)
     return PropertyReport("sparse_crossing", False, tuple(NodeSet(m, f.n) for m in triple))
 
 
@@ -380,10 +397,10 @@ def check_disjoint_cores(f: SetFamily) -> PropertyReport:
     They are exactly when none meets the union of those before it, which
     one pass over the cores tests; only when one does are the pairs
     scanned, to name the first overlapping pair in ascending order."""
-    masks = f._masks
-    if not masks:
+    if not f._masks:
         return _DISJOINT_CORES_HOLDS
-    core_masks = list(compress(masks, kernels.minimal_flags(masks)))
+    masks, nodes, live = _member_bits(f)
+    core_masks = [masks[i] for i in kernels.minimal_indices(live, masks, nodes)]
     union = 0
     for c in core_masks:
         if c & union:
@@ -415,17 +432,11 @@ def _check_remainder(f: SetFamily, budget: int, kmax: int, name: str) -> Propert
     """Enumerate every configuration of f within `budget`; a verdict is
     never drawn from part of them, so running out raises
     SearchBudgetExceeded."""
-    masks = f._masks
-    if not masks:
+    if not f._masks:
         return _UNTESTED_HOLDS[name]
-    if len(masks) >= BITS_MEMBERS:
-        core_masks, nodes, crossing = _core_crossings(f)
-        enclosures = kernels.bit_enclosures(masks, core_masks, crossing, nodes)
-    else:
-        core_masks = compress(masks, kernels.minimal_flags(masks))
-        enclosures = kernels.scan_enclosures(masks, core_masks, (1 << f.n) - 1)
+    masks, nodes, cores, crossing = _core_crossings(f)
     completed, witness, tuples, max_k = kernels.gamma_star_exhaustive(
-        enclosures, f._mask_set, budget, kmax
+        kernels.bit_enclosures(masks, cores, crossing, nodes), f._mask_set, budget, kmax
     )
     if witness is not None:
         c, s0, chosen = witness

@@ -173,27 +173,6 @@ def components(ends, n):
     return [m for m in masks if m]
 
 
-def minimal_flags(masks):
-    """flags[i] is True when no other of the ascending, distinct masks is a
-    subset of masks[i].
-
-    A proper subset is a smaller int, so it is visited first, and a mask is
-    minimal when none of the minimal masks found before it lies inside it.
-    """
-    flags = []
-    found = []
-    for m in masks:
-        outside = ~m
-        for c in found:
-            if not c & outside:
-                flags.append(False)
-                break
-        else:
-            found.append(m)
-            flags.append(True)
-    return flags
-
-
 def minimal_indices(live, masks, nodes):
     """The indices, ascending, of the inclusion-minimal members among the
     ascending, distinct masks whose bit is set in live; nodes is
@@ -217,17 +196,11 @@ def minimal_indices(live, masks, nodes):
     return found
 
 
-#: the fewest members for which a check takes its whole-family path. The
-#: sparse-crossing and remainder checks read the crossings off member bits
-#: (`node_bits`) instead of scanning member lists: timed per family size on
-#: criterion-3 residuals, the bits cost less from about 22 members for the
-#: remainder check and from about 32 for sparse crossing, and from about 26
-#: for the two together, as the `lemma` benchmark runs them. The pair scans
-#: test a scan list of this many masks below 256 in byte lanes: on the same
-#: residuals the lanes cost less than the loops from about 16 scan masks
-#: (best of 15, 9 against 12 µs at 16-19 masks, 24 against 68 µs at 28-63),
-#: and at 28 the two paths share one gate.
-BITS_MEMBERS = 28
+#: the fewest masks, all below 256, that the pair scans test in byte lanes
+#: (`_lane_corners`) rather than pair by pair. Timed on criterion-3
+#: residuals, best of 15, the lanes cost less than the loops from about 16
+#: scan masks: 9 against 12 µs at 16-19 masks, 24 against 68 µs at 28-63.
+LANE_MASKS = 28
 
 #: the pairs i < j < 256 in colexicographic order, (0, 1), (0, 2), (1, 2),
 #: (0, 3), ...: lane p pairs index _LANE_I[p] with index _LANE_J[p], so
@@ -287,11 +260,11 @@ def pliable_violation(masks, members):
     A - B = A and B - A = B, so neither can fail and both are skipped; B is
     the larger mask, so only A can lie inside the other.
 
-    At least `BITS_MEMBERS` masks, all below 256, are tested in byte lanes
+    At least `LANE_MASKS` masks, all below 256, are tested in byte lanes
     (`_lane_corners`): a lane fails when A & B and A - B are non-empty and
     at most one corner is a member.
     """
-    if len(masks) >= BITS_MEMBERS and masks[-1] < 256:
+    if len(masks) >= LANE_MASKS and masks[-1] < 256:
         # bit 1 is read only off A & B and A - B, which are never the
         # ground set, so full = 0 flags nothing more than the empty set
         i, u, d1, d2 = _lane_corners(masks, members, 0)
@@ -321,7 +294,7 @@ def structsub_violation(masks, members, full):
     A - B and B - A, or None. Nested and disjoint pairs do not cross and
     are skipped as in `pliable_violation`, and so are byte lanes: a lane
     crosses when A & B, A - B and A | B are neither empty nor full."""
-    if len(masks) >= BITS_MEMBERS and masks[-1] < 256:
+    if len(masks) >= LANE_MASKS and masks[-1] < 256:
         i, u, d1, d2 = _lane_corners(masks, members, full)
         return _first_lane(masks, (i & d1 & u) >> 1 & _LANE_BIT0 & ~((i | u) & (d1 | d2)))
     for i, a in enumerate(masks):
@@ -339,62 +312,51 @@ def structsub_violation(masks, members, full):
     return None
 
 
-def sparse_crossing_violation(masks, core_masks, full):
-    """First member S crossing two of the core masks, as (S, C1, C2), or
-    None."""
-    for s in masks:
-        first = None
-        for c in core_masks:
-            if s & c and s & ~c and c & ~s and full & ~(s | c):
-                if first is None:
-                    first = c
-                else:
-                    return s, first, c
-    return None
-
-
 def crossing_bits(cores, nodes):
-    """For each inclusion-minimal member c of cores, an int whose bit i is
-    set when member i crosses c; nodes is `node_bits(masks, n)` of the
-    members.
+    """For each core c of cores, an int whose bit i is set when member i
+    meets c and contains neither c nor the rest of the ground set; nodes
+    is `node_bits(masks, n)` of the members.
 
-    A member crosses c when it meets c and the rest of the ground set and
-    contains neither. Every member but c meets the rest, since c is
-    minimal, and c contains c, so meeting c and containing neither side
-    is enough.
+    A member crosses c when it also meets the rest, which every member of
+    a family in which c is minimal does, but c. A member lying inside c
+    does not, and the caller masks out any it holds.
+
+    The members that meet c without containing it come from c's nodes
+    alone; only when there are some, which a one-node core never has, are
+    the other nodes walked, to drop those that contain all of them.
     """
     found = []
     for c in cores:
         meet = 0
-        within = beyond = -1
-        for v, x in enumerate(nodes):
-            if c >> v & 1:
-                meet |= x
-                within &= x
-            else:
-                beyond &= x
-        found.append(meet & ~(within | beyond))
+        within = -1
+        m = c
+        while m:
+            low = m & -m
+            x = nodes[low.bit_length() - 1]
+            meet |= x
+            within &= x
+            m ^= low
+        part = meet & ~within
+        if part:
+            # the members of part that contain every node outside c
+            rest = part
+            for v, x in enumerate(nodes):
+                if not c >> v & 1:
+                    rest &= x
+            part ^= rest
+        found.append(part)
     return found
 
 
-def scan_enclosures(masks, cores, full):
-    """The (C, S0, candidates) a remainder search enumerates, by scanning
-    the ascending masks: for each core C in the order given and each member
-    S0 crossing C, ascending, the members crossing C that are proper
-    subsets of S0, ascending; an S0 without candidates is left out."""
-    for c in cores:
-        crossers = [s for s in masks if s & c and s & ~c and c & ~s and full & ~(s | c)]
-        for s0 in crossers:
-            cand = [t for t in crossers if t != s0 and t & ~s0 == 0]
-            if cand:
-                yield c, s0, cand
-
-
 def bit_enclosures(masks, cores, crossing, nodes):
-    """`scan_enclosures` read off member bits: crossing is
-    `crossing_bits(cores, nodes)`. A proper subset is a smaller mask, so
-    S0's candidates are among the crossers below it, and they are those in
-    no nodes[v] of a node v outside S0."""
+    """The (C, S0, candidates) a remainder search enumerates: for each core
+    C in the order given and each member S0 crossing C, ascending, the
+    members crossing C that are proper subsets of S0, ascending; an S0
+    without candidates is left out. crossing[k] holds the bits of the
+    members crossing cores[k], over the ascending masks whose `node_bits`
+    are nodes. A proper subset is a smaller mask, so S0's candidates are
+    among the crossers below it, and they are those in no nodes[v] of a
+    node v outside S0."""
     for c, crossers in zip(cores, crossing):
         rest = crossers
         while rest:
@@ -423,9 +385,9 @@ def gamma_star_exhaustive(enclosures, members, budget, kmax):
     pairwise-disjoint proper subsets of S0 that are members crossing C; it
     passes when S0 minus (union of the subsets and C) is empty or a member.
     kmax bounds k (0 means unbounded). enclosures yields each (C, S0,
-    candidates) in turn, as `scan_enclosures` or `bit_enclosures` do, and
-    the subsets are chosen by a depth-first search over the candidates in
-    ascending order. Returns
+    candidates) in turn, as `bit_enclosures` does, and the subsets are
+    chosen by a depth-first search over the candidates in ascending order.
+    Returns
         (completed, witness, tuples, max_k)
     where witness is (C, S0, subsets) for the first failing configuration
     or None, tuples counts the configurations tested, and completed means

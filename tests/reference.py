@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from cutcover import AuditReport, NodeSet, SetFamily, kernels
+from cutcover import AuditReport, NodeSet, SetFamily
 from cutcover.cli import instance_to_obj
 
 
@@ -18,10 +18,15 @@ def dump_instance(inst) -> str:
     return json.dumps(instance_to_obj(inst), separators=(",", ":"))
 
 
+def minimal(masks) -> list:
+    """The inclusion-minimal masks among the distinct masks, in their
+    order: those that no other mask is a subset of."""
+    return [m for m in masks if not any(o != m and o & ~m == 0 for o in masks)]
+
+
 def cores(f: SetFamily) -> SetFamily:
-    """Inclusion-minimal members of f, by `kernels.minimal_flags`."""
-    flags = kernels.minimal_flags(f.masks)
-    return SetFamily._from_sorted(f.n, (m for m, keep in zip(f.masks, flags) if keep))
+    """Inclusion-minimal members of f, by `minimal`."""
+    return SetFamily._from_sorted(f.n, minimal(f.masks))
 
 
 def crosses(a: NodeSet, b: NodeSet) -> bool:
@@ -69,7 +74,7 @@ def reverse_delete(order, f: SetFamily, links) -> list:
 def exact_optimum(links, f: SetFamily, warm_solution=None) -> tuple:
     """The branch and bound of `cutcover.exact.exact_optimum` as it stood
     with member-list nodes, frozen: each node lists the indices of its
-    uncovered members and takes their cores from `kernels.minimal_flags`;
+    uncovered members and takes their cores from `minimal`;
     crossing rows come from endpoint parity. Returns (opt_cost, opt_links,
     nodes_explored); warm_solution is a solve's solution, the first
     incumbent when it covers f."""
@@ -102,13 +107,13 @@ def exact_optimum(links, f: SetFamily, warm_solution=None) -> tuple:
             best_cost = cost
             best_set = tuple(lid for lid in range(len(links)) if (chosen >> lid) & 1)
             return
-        minimal = kernels.minimal_flags([masks[i] for i in uncovered])
+        core_masks = set(minimal([masks[i] for i in uncovered]))
         branch_bits = None
         branch_count = 0
         bound = 0
         bound_links = 0
-        for i, keep in zip(uncovered, minimal):
-            if not keep:
+        for i in uncovered:
+            if masks[i] not in core_masks:
                 continue
             allowed = cover_bits[i] & ~forbidden
             if not allowed:

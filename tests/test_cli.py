@@ -541,3 +541,90 @@ def test_cli_byte_identical_across_processes():
     a = subprocess.run(cmd, capture_output=True, check=True, env=child_env())
     b = subprocess.run(cmd, capture_output=True, check=True, env=child_env())
     assert a.stdout == b.stdout
+
+
+# ---------------------------------------------------------------- input fuzz
+
+#: values a fuzzed instance file or flag may carry in place of a valid one
+_JUNK = (-1, 0, 1, 7, 2**70, 1.5, float("nan"), float("inf"), "1/0", "abc", "1e5", "-3/2",
+         "2/3", "", None, True, [], {}, [1, 2])
+
+
+def _fuzz_instance_text(rng) -> str:
+    """A small valid instance file, then one to three corruptions: a key's
+    value or one entry's field swapped for junk, a key dropped, the whole
+    object swapped for junk, or the text cut short."""
+    n = rng.randint(0, 6)
+    pairs = [rng.sample(range(n), 2) for _ in range(rng.randint(0, 2 * n))] if n > 1 else []
+    obj = {"n": n,
+           "edges": [[u, v, str(rng.randint(0, 5))] for u, v in pairs],
+           "lambda": str(rng.randint(0, 6)),
+           "links": [[u, v, f"{rng.randint(0, 9)}/{rng.randint(1, 3)}"] for u, v in pairs[:4]]}
+    for _ in range(rng.randint(1, 3)):
+        how = rng.randrange(5)
+        key = rng.choice(sorted(obj)) if isinstance(obj, dict) and obj else None
+        if key is None or how == 4:
+            obj = rng.choice(_JUNK)
+        elif how == 0:
+            obj[key] = rng.choice(_JUNK + (10**6, -(10**6)))
+        elif how == 1 and isinstance(obj[key], list) and obj[key]:
+            entry = rng.choice(obj[key])
+            if isinstance(entry, list):
+                entry[rng.randrange(len(entry))] = rng.choice(_JUNK + (n, n + 1, -n))
+        elif how == 2:
+            del obj[key]
+        elif how == 3:
+            obj[rng.choice(("extra", key))] = rng.choice(_JUNK)
+    text = json.dumps(obj)
+    return text[:rng.randrange(len(text))] if rng.random() < 0.1 else text
+
+
+def _fuzz_bench_flags(rng, tmp_path) -> list:
+    """A random set of bench flags with values the parser takes, many of
+    them out of range; batches stay at most 2 instances of at most 7
+    nodes."""
+    choices = {
+        "--seed": (0, 5, -1, 2**64),
+        "--count": (0, 1, 2),
+        "--n-range": ("4:6", "2:2", "3", "6:4", "0:3", "-1:5", "a:b", "7:7"),
+        "--density": ("0.3:0.7", "0:0", "1:1", "0.5", "-1:2", "nan:1", "x", "0.2:inf"),
+        "--cap-range": ("1:10", "0:0", "-1:3", "5:1", "1", "1:x"),
+        "--link-range": ("3:6", "0:0", "0:3", "-1:2", "10:3", "1000000000:1000000000"),
+        "--cost-range": ("1:20", "0:0", "-3:2", "1:1"),
+        "--lambda-policy": ("quantile:0.5", "fixed:3", "fixed:1/0", "quantile:2", "bogus",
+                            "fixed:-1", "quantile:0.05", "fixed:1e9", "fixed:100"),
+        "--audit": ("per-phase", "final"),
+        "--enum-limit": (-1, 0, 3, 20),
+        "--exact-limit": (-1, 0, 3, 24),
+        "--out": (str(tmp_path / "report.jsonl"), str(tmp_path / "missing" / "r.jsonl")),
+        "--csv": (str(tmp_path / "report.csv"),),
+    }
+    # flag=value, so that a value such as -1:2 is not read as a flag
+    flags = [f"--count={rng.choice(choices.pop('--count'))}", "--n-range=4:6"]
+    for flag in rng.sample(sorted(choices), rng.randint(0, 6)):
+        flags.append(f"{flag}={rng.choice(choices[flag])}")
+    for flag in ("--allow-infeasible", "--fail-fast"):
+        if rng.random() < 0.3:
+            flags.append(flag)
+    return flags
+
+
+def test_cli_input_fuzz(tmp_path):
+    """Seeded malformed and out-of-range instance files through solve,
+    exact and audit, and random bench flag sets: every call returns 0, 1
+    or 2, raises nothing, and prints no traceback."""
+    rng = random.Random(2025)
+    path = tmp_path / "inst.json"
+    codes = {}
+    for trial in range(360):
+        if trial < 300:
+            path.write_text(_fuzz_instance_text(rng))
+            argv = [rng.choice(("solve", "exact", "audit")), str(path)]
+        else:
+            argv = ["bench", *_fuzz_bench_flags(rng, tmp_path)]
+        code, out, err = _run_main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in out + err, argv
+        codes.setdefault(argv[0], set()).add(code)
+    # valid and refused input both reach every command
+    assert all(codes[command] >= {0, 2} for command in ("solve", "exact", "audit", "bench"))

@@ -27,8 +27,9 @@ from cutcover import (
     enumerate_small_cuts,
     kernels,
     residual,
+    solve,
 )
-from cutcover.family import BITS_MEMBERS, UNION_TEST_MEMBERS, all_covered, crossing_table
+from cutcover.family import UNION_TEST_MEMBERS, all_covered, crossing_table
 from cutcover.gen import generate
 from conftest import cycle, distinct_cut_values, fam, mask, ns, random_graph
 from reference import cores, covers, crosses, delta_links, link_components
@@ -140,8 +141,8 @@ def test_crossing_table_index():
     parity, and its conversions between member bits and subfamilies:
     `members` walks a few bits and reads many through `compress`, both in
     ascending order; `bits` reads back the bits of every subfamily the
-    table built, of the whole family, and of any other subfamily, and
-    refuses a family that is not one."""
+    table built, of the whole family, of a view of another table and of
+    any other subfamily, and refuses a family that is not one."""
     rng = random.Random(89)
     paths = set()
     for _ in range(120):
@@ -165,7 +166,9 @@ def test_crossing_table_index():
             paths.add(bits.bit_count() * 16 > len(f))
             sub = table.subfamily(bits)
             assert sub == SetFamily(n, expect)
+            assert sub._view == (table, bits) and SetFamily(n, expect)._view is None
             assert table.bits(sub) == table.bits(SetFamily(n, expect)) == bits
+            assert crossing_table(f, []).bits(sub) == bits
         if len(f) < full - 1:
             outsider = next(m for m in range(1, full) if not f.contains_mask(m))
             for other in (SetFamily(n, [outsider]), SetFamily(n + 1, f.masks)):
@@ -319,17 +322,26 @@ def test_disjoint_cores_single_member():
 
 # ---------------------------------------------------------------- symmetric half-scan
 
+def _first_sparse_violation(f):
+    """The first member of f, ascending, that crosses two cores of f, with
+    the first two cores it crosses, or None; by the definitions."""
+    core_sets = [NodeSet(c, f.n) for c in cores(f).masks]
+    for s in f.masks:
+        crossed = [c.bits for c in core_sets if crosses(NodeSet(s, f.n), c)]
+        if len(crossed) >= 2:
+            return s, crossed[0], crossed[1]
+    return None
+
+
 def _full_scan_reports(f):
-    """The pair checkers' reports built from the kernels run over every
-    member of f."""
+    """The pair checkers' reports built from scans over every member of f:
+    the pair kernels', and the definitions' sparse-crossing scan."""
     masks, full = f.masks, (1 << f.n) - 1
     members = frozenset(masks)
-    flags = kernels.minimal_flags(masks)
-    core_masks = [m for m, keep in zip(masks, flags) if keep]
     found = (
         ("pliable", kernels.pliable_violation(masks, members)),
         ("structural_submodularity", kernels.structsub_violation(masks, members, full)),
-        ("sparse_crossing", kernels.sparse_crossing_violation(masks, core_masks, full)),
+        ("sparse_crossing", _first_sparse_violation(f)),
     )
     return tuple(
         PropertyReport(name, True) if hit is None
@@ -640,15 +652,75 @@ def _large_pinned_families():
 
 
 def test_large_checker_reports_pinned():
-    """As `test_checker_reports_pinned`, over families at or above the
-    member count from which the checkers read member bits."""
+    """As `test_checker_reports_pinned`, over families of at least
+    `kernels.LANE_MASKS` members, the scan-list size from which the pair
+    scans test byte lanes."""
     h = hashlib.sha256()
     verdicts = set()
     for f in _large_pinned_families():
-        assert len(f) >= BITS_MEMBERS
+        assert len(f) >= kernels.LANE_MASKS
         for check in CHECKERS:
             rep = check(f, budget=2_000) if check in (check_gamma, check_gamma_star) else check(f)
             verdicts.add((rep.name, rep.holds))
             h.update(repr(rep).encode())
     assert len(verdicts) == 2 * len(CHECKERS)
     assert h.hexdigest() == LARGE_CHECKER_REPORTS_SHA256
+
+
+def _report_or_refusal(check, f):
+    """check's report on f, each remainder check at a budget of 200, or the
+    message of the SearchBudgetExceeded it raises."""
+    try:
+        return check(f, budget=200) if check in (check_gamma, check_gamma_star) else check(f)
+    except SearchBudgetExceeded as exc:
+        return str(exc)
+
+
+def _view_families():
+    """Families built as subfamilies of a crossing table: criterion-3
+    residuals of a few seeded instances; random subfamilies of a table
+    built over such a residual, and residuals of the residual; and each
+    phase's residual and cores of the instance's solve."""
+    cfg = RunConfig(seed=20250809, n_range=(4, 8), density_range=(0.15, 0.7))
+    for index in range(10):
+        inst, base = generate(cfg, index)
+        n = inst.graph.n
+        rng = random.Random(cfg.seed ^ (index * 0x9E37))
+
+        def draw():
+            pairs = [rng.sample(range(n), 2) for _ in range(rng.randint(0, n))]
+            return [Link(a, b, 1, k) for k, (a, b) in enumerate(pairs)]
+
+        for _ in range(12):
+            r = residual(base, draw())
+            yield r
+            table = crossing_table(r, draw())
+            yield table.subfamily(rng.getrandbits(len(r)))
+            yield residual(r, draw())
+        for pt in solve(inst.links, base).trace:
+            yield pt.residual
+            yield pt.cores_snapshot
+
+
+def test_views_match_standalone_copies():
+    """Every checker reports the same on a subfamily a crossing table
+    built, which it reads through the table's member bits, as on the
+    standalone copy of its masks. Among the views are some with a parent
+    member inside one of their cores, which the crossing bits must leave
+    out, and every checker both holds and fails on some view."""
+    verdicts = set()
+    inside_core = 0
+    for f in _view_families():
+        if f._view is None:
+            # the first phase's residual is the solve's own family
+            continue
+        alone = SetFamily(f.n, f.masks)
+        for check in CHECKERS:
+            got = _report_or_refusal(check, f)
+            assert got == _report_or_refusal(check, alone), (check.__name__, f.n, f.masks)
+            verdicts.add((check.__name__, got.holds if isinstance(got, PropertyReport) else None))
+        table, live = f._view
+        others = [m for i, m in enumerate(table.family.masks) if not live >> i & 1]
+        inside_core += any(m & ~c == 0 for c in cores(f).masks for m in others)
+    assert {(check.__name__, ok) for check in CHECKERS for ok in (True, False)} <= verdicts
+    assert inside_core > 0

@@ -31,7 +31,8 @@ from cutcover import (
     kernels,
     residual,
 )
-from cutcover.kernels import BITS_MEMBERS
+from cutcover.family import crossing_table
+from cutcover.kernels import LANE_MASKS
 from conftest import child_env, distinct_cut_values, random_graph
 from reference import covers, cut_capacity, link_components
 
@@ -192,13 +193,13 @@ def test_family_scan_parity(seed):
             continue
         full = (1 << n) - 1
         members = frozenset(masks)
-        flags = kernels.minimal_flags(masks)
-        assert flags == minimal_def(masks)
-        core_masks = [m for m, keep in zip(masks, flags) if keep]
+        cores = kernels.minimal_indices((1 << len(masks)) - 1, masks, kernels.node_bits(masks, n))
+        assert cores == [i for i, keep in enumerate(minimal_def(masks)) if keep]
+        sparse = check_sparse_crossing(SetFamily(n, masks)).counterexample
         found = (
             kernels.pliable_violation(masks, members),
             kernels.structsub_violation(masks, members, full),
-            kernels.sparse_crossing_violation(masks, core_masks, full),
+            sparse and tuple(s.bits for s in sparse),
         )
         assert found == (pliable_def(masks), structsub_def(masks, n), sparse_crossing_def(masks, n))
         verdicts.update((k, v is None) for k, v in enumerate(found))
@@ -211,7 +212,7 @@ def test_family_scan_parity(seed):
 
 def lane_scan_lists(rng):
     """(masks, members, n) scan lists at n 2-9 on both sides of
-    `BITS_MEMBERS`: uniform random asymmetric families, and small-cut
+    `LANE_MASKS`: uniform random asymmetric families, and small-cut
     families (symmetric), each whole, with a complement pair dropped (still
     symmetric) or with one member dropped (asymmetric), of at most 64
     members so the definitions stay quick. A symmetric family
@@ -220,7 +221,7 @@ def lane_scan_lists(rng):
     full = (1 << n) - 1
     if full < 3:
         return
-    size = rng.choice((rng.randint(1, BITS_MEMBERS - 1), rng.randint(BITS_MEMBERS, 64)))
+    size = rng.choice((rng.randint(1, LANE_MASKS - 1), rng.randint(LANE_MASKS, 64)))
     masks = {rng.randint(1, full - 1) for _ in range(size)}
     yield sorted(masks), frozenset(masks), n
     g = random_graph(rng, n, rng.uniform(0.3, 0.9))
@@ -243,7 +244,7 @@ def lane_scan_lists(rng):
 def test_pair_lanes_parity(seed, monkeypatch):
     """The pair scans' lane path, their loop and the brute-force
     definitions name the same first violation, or none, on full and half
-    scan lists; the lanes are forced below `BITS_MEMBERS` and the loop
+    scan lists; the lanes are forced below `LANE_MASKS` and the loop
     above it by moving the gate."""
     rng = random.Random(seed)
     verdicts = set()
@@ -257,12 +258,12 @@ def test_pair_lanes_parity(seed, monkeypatch):
             scans = [(kernels.pliable_violation(masks, members),
                       kernels.structsub_violation(masks, members, full))]
             for gate in (len(masks) + 1, 0):
-                monkeypatch.setattr(kernels, "BITS_MEMBERS", gate)
+                monkeypatch.setattr(kernels, "LANE_MASKS", gate)
                 scans.append((kernels.pliable_violation(masks, members),
                               kernels.structsub_violation(masks, members, full)))
             monkeypatch.undo()
             assert scans == [expect] * 3, (masks, n)
-            lanes = len(masks) >= BITS_MEMBERS and masks[-1] < 256
+            lanes = len(masks) >= LANE_MASKS and masks[-1] < 256
             sizes.add(lanes)
             if lanes:
                 verdicts.update((k, v is None) for k, v in enumerate(expect))
@@ -323,12 +324,12 @@ def test_pair_lanes_union_is_ground(monkeypatch):
 
 
 def test_pair_lanes_gate(monkeypatch):
-    """The lanes take scan lists of at least `BITS_MEMBERS` masks that all
+    """The lanes take scan lists of at least `LANE_MASKS` masks that all
     fit a byte: one mask fewer, or a top mask of 256, takes the loop."""
     rng = random.Random(7)
     calls = lane_calls(monkeypatch)
-    for top, size, lanes in ((255, BITS_MEMBERS - 1, False), (255, BITS_MEMBERS, True),
-                             (256, BITS_MEMBERS, False), (256, 40, False)):
+    for top, size, lanes in ((255, LANE_MASKS - 1, False), (255, LANE_MASKS, True),
+                             (256, LANE_MASKS, False), (256, 40, False)):
         for _ in range(10):
             masks = tuple(sorted(rng.sample(range(1, top), size - 1))) + (top,)
             members = frozenset(masks)
@@ -350,16 +351,15 @@ def test_gamma_scan_parity(kmax):
             masks, n = random_family(rng, max_n=8, max_members=12)
         if not masks:
             continue
-        full = (1 << n) - 1
         budget = 10**6
         tested = gamma_star_def(masks, n, budget, kmax)[2]
         if trial % 3 == 0 and tested > 1:
             # a budget that runs out before the search ends
             budget = rng.randrange(tested - 1)
         cores = [m for m, keep in zip(masks, minimal_def(masks)) if keep]
-        got = kernels.gamma_star_exhaustive(
-            kernels.scan_enclosures(masks, cores, full), frozenset(masks), budget, kmax
-        )
+        nodes = kernels.node_bits(masks, n)
+        enclosures = kernels.bit_enclosures(masks, cores, kernels.crossing_bits(cores, nodes), nodes)
+        got = kernels.gamma_star_exhaustive(enclosures, frozenset(masks), budget, kmax)
         assert got == gamma_star_def(masks, n, budget, kmax)
         completed, witness, tuples, max_k = got
         outcomes.add("holds" if completed else "violated" if witness else "budget")
@@ -371,16 +371,16 @@ def test_gamma_scan_parity(kmax):
 
 
 def bit_path_families(rng):
-    """Masks of families from one seeded small-cut family at n 6-9 with
-    `BITS_MEMBERS` - 1 to 150 members: the family, a residual of it,
-    copies cut down to `BITS_MEMBERS` - 1 and `BITS_MEMBERS` members, a
-    copy with a few members dropped, and a copy missing the leftover of
-    one one-subset remainder configuration, which plants a violation."""
+    """Masks of families from one seeded small-cut family at n 6-9 with 8
+    to 150 members: the family, a residual of it, copies cut down to 4 and
+    16 members, a copy with a few members dropped, and a copy missing the
+    leftover of one one-subset remainder configuration, which plants a
+    violation."""
     while True:
         n = rng.randint(6, 9)
         g = random_graph(rng, n, rng.uniform(0.3, 0.9))
         fams = [enumerate_small_cuts(g, v) for v in distinct_cut_values(g)]
-        fams = [f for f in fams if BITS_MEMBERS - 1 <= len(f) <= 150]
+        fams = [f for f in fams if 8 <= len(f) <= 150]
         if fams:
             break
     f = rng.choice(fams)
@@ -388,7 +388,7 @@ def bit_path_families(rng):
     masks = list(f.masks)
     yield masks, n
     yield residual(f, [Link(a, b, 1, 0)]).masks, n
-    for size in (BITS_MEMBERS - 1, BITS_MEMBERS):
+    for size in (4, 16):
         if len(masks) >= size:
             yield sorted(rng.sample(masks, size)), n
     dropped = set(masks)
@@ -415,9 +415,8 @@ def padded_remainder_family(rng, drop):
     <= 5, cross it, and every non-empty subset of {0..3} is a member, so
     the 20 configurations (up to two disjoint subsets) all hold unless
     drop removes one of the two- and three-element ones they leave. Ten
-    random supersets of C pad it past `BITS_MEMBERS` without adding a
-    configuration: they are not minimal and cross no core, as the other
-    cores are singletons."""
+    random supersets of C pad it without adding a configuration: they are
+    not minimal and cross no core, as the other cores are singletons."""
     c = 0b11110000
     masks = {c, 0b111111}
     masks |= {(1 << x) | (1 << y) for x in range(4) for y in (4, 5)}
@@ -442,48 +441,76 @@ def expected_remainder_report(masks, n, budget, kmax):
     return None
 
 
+def enclosures_def(masks, n):
+    """The (C, S0, candidates) of the remainder search, by the definitions:
+    for each core C and each member S0 crossing C, both ascending, the
+    members crossing C that are proper subsets of S0; an S0 without any is
+    left out."""
+    ground = frozenset(range(n))
+    found = []
+    for c, keep in zip(masks, minimal_def(masks)):
+        if keep:
+            crossers = [s for s in masks if crosses_def(elems(s), elems(c), ground)]
+            for s0 in crossers:
+                cand = [t for t in crossers if elems(t) < elems(s0)]
+                if cand:
+                    found.append((c, s0, cand))
+    return found
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_checkers_bit_path_parity(seed):
     """The sparse-crossing and remainder checkers against the brute-force
-    definitions on families on both sides of `BITS_MEMBERS`, with budgets
-    that hold, find a violation and run out; the two enclosure scans
-    agree on each family."""
+    definitions, with budgets that hold, find a violation and run out, on
+    each family both standalone and as a view of the crossing table of
+    every non-trivial set at its n, whose members outside the view include
+    every proper subset of its cores. `crossing_bits` and
+    `bit_enclosures` give the definition's crossers and enclosures on each
+    family."""
     rng = random.Random(seed)
     outcomes = set()
-    sizes = set()
     families = [fam for _ in range(12) for fam in bit_path_families(rng)]
     families += [padded_remainder_family(rng, drop) for drop in (False, True)]
+    tables = {}
     for masks, n in families:
         masks = tuple(masks)
-        f = SetFamily(n, masks)
-        bits = len(masks) >= BITS_MEMBERS
-        sizes.add(len(masks) if len(masks) < BITS_MEMBERS + 1 else "more")
-        full = (1 << n) - 1
+        if n not in tables:
+            tables[n] = crossing_table(SetFamily(n, range(1, (1 << n) - 1)), [])
+        # the masks of the table's family are 1, 2, ..., so mask m is bit m - 1
+        kinds = (("standalone", SetFamily(n, masks)),
+                 ("view", tables[n].subfamily(sum(1 << (m - 1) for m in masks))))
         cores = [m for m, keep in zip(masks, minimal_def(masks)) if keep]
         nodes = kernels.node_bits(masks, n)
         crossing = kernels.crossing_bits(cores, nodes)
-        assert list(kernels.bit_enclosures(masks, cores, crossing, nodes)) == list(
-            kernels.scan_enclosures(masks, cores, full))
+        ground = frozenset(range(n))
+        assert crossing == [sum(1 << i for i, s in enumerate(masks)
+                                if crosses_def(elems(s), elems(c), ground)) for c in cores]
+        assert list(kernels.bit_enclosures(masks, cores, crossing, nodes)) == enclosures_def(
+            masks, n)
         triple = sparse_crossing_def(masks, n)
-        assert check_sparse_crossing(f) == (
-            PropertyReport("sparse_crossing", True) if triple is None else
-            PropertyReport("sparse_crossing", False, tuple(NodeSet(m, n) for m in triple)))
-        outcomes.add((bits, "sparse", triple is None))
+        for kind, f in kinds:
+            assert f.masks == masks
+            assert check_sparse_crossing(f) == (
+                PropertyReport("sparse_crossing", True) if triple is None else
+                PropertyReport("sparse_crossing", False, tuple(NodeSet(m, n) for m in triple)))
+            outcomes.add((kind, "sparse", triple is None))
         for kmax, check in ((0, check_gamma_star), (1, check_gamma)):
             tested = gamma_star_def(masks, n, 10**6, kmax)[2]
             for budget in [10**6] + ([rng.randrange(tested - 1)] if tested > 1 else []):
                 expect = expected_remainder_report(masks, n, budget, kmax)
-                if expect is None:
-                    with pytest.raises(SearchBudgetExceeded, match=f"exceeded {budget} "):
-                        check(f, budget=budget)
-                    outcomes.add((bits, "remainder", "budget"))
-                else:
-                    assert check(f, budget=budget) == expect
-                    outcomes.add((bits, "remainder", "holds" if expect.holds else "violated"))
-    assert sizes >= {BITS_MEMBERS - 1, BITS_MEMBERS, "more"}
-    # every outcome occurs on the bit path
-    assert outcomes >= {(True, "sparse", True), (True, "sparse", False)} | {
-        (True, "remainder", o) for o in ("holds", "violated", "budget")}
+                for kind, f in kinds:
+                    if expect is None:
+                        with pytest.raises(SearchBudgetExceeded, match=f"exceeded {budget} "):
+                            check(f, budget=budget)
+                        outcomes.add((kind, "remainder", "budget"))
+                    else:
+                        assert check(f, budget=budget) == expect
+                        outcomes.add((kind, "remainder", "holds" if expect.holds else "violated"))
+    # every outcome occurs on both kinds of family
+    assert outcomes == {(kind, "sparse", ok) for kind in ("standalone", "view")
+                        for ok in (True, False)} | {
+        (kind, "remainder", o) for kind in ("standalone", "view")
+        for o in ("holds", "violated", "budget")}
 
 
 def test_cut_kernel_parity():
@@ -574,8 +601,8 @@ def test_node_bits_match_membership(n):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_minimal_indices_match_minimal_flags(seed):
-    """The bit-loop cores of a member set against `minimal_flags` on the
-    members it holds: of the whole family, and of random subsets of it,
+    """The bit-loop cores of a member set against the definition's flags on
+    the members it holds: of the whole family, and of random subsets of it,
     as the solver's residuals and the exact search's uncovered members
     are."""
     rng = random.Random(seed)
@@ -586,7 +613,7 @@ def test_minimal_indices_match_minimal_flags(seed):
         nodes = kernels.node_bits(masks, n)
         for live in ((1 << len(masks)) - 1, rng.getrandbits(len(masks)), 0):
             held = [i for i in range(len(masks)) if (live >> i) & 1]
-            flags = kernels.minimal_flags([masks[i] for i in held])
+            flags = minimal_def([masks[i] for i in held])
             expect = [i for i, keep in zip(held, flags) if keep]
             assert kernels.minimal_indices(live, masks, nodes) == expect
             counts.add(min(len(expect), 3))
