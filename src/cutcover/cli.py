@@ -303,14 +303,13 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
                         help="write the aggregate CSV here")
 
 
-def _int_range(text: str):
-    lo, _, hi = text.partition(":")
-    return (int(lo), int(hi)) if hi else (int(lo), int(lo))
-
-
-def _float_range(text: str):
-    lo, _, hi = text.partition(":")
-    return (float(lo), float(hi)) if hi else (float(lo), float(lo))
+def _range(text: str, convert):
+    """The (lo, hi) pair of "lo:hi", or (v, v) of a single value "v", each
+    side read by convert; a side left empty is refused with ValueError."""
+    lo, colon, hi = text.partition(":")
+    if colon and not (lo and hi):
+        raise ValueError(f"range {text!r} has an empty side")
+    return (convert(lo), convert(hi if colon else lo))
 
 
 #: RunConfig fields that only some subcommands take a flag for; the others
@@ -323,11 +322,11 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(
         seed=args.seed,
         count=args.count,
-        n_range=_int_range(args.n_range),
-        density_range=_float_range(args.density),
-        cap_range=_int_range(args.cap_range),
-        link_range=_int_range(args.link_range),
-        cost_range=_int_range(args.cost_range),
+        n_range=_range(args.n_range, int),
+        density_range=_range(args.density, float),
+        cap_range=_range(args.cap_range, int),
+        link_range=_range(args.link_range, int),
+        cost_range=_range(args.cost_range, int),
         lambda_policy=args.lambda_policy,
         allow_infeasible=args.allow_infeasible,
         **flags,

@@ -42,8 +42,9 @@ def exact_optimum(links, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
 
     The uncovered members are a set of member bits over the table, which
     each added link shrinks by its column; their minimal members come
-    from `kernels.minimal_indices`, and their allowed links from the
-    members' `kernels.cover_bits` rows.
+    from `kernels.minimal_indices`. A member's row, the links that cross
+    it, is read off the columns the first time the member is minimal and
+    kept for the rest of this search only.
     """
     if len(links) > limit:
         raise TooManyLinks(f"{len(links)} links exceed the exact-search limit {limit}")
@@ -56,7 +57,6 @@ def exact_optimum(links, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
     uncovered = target & ~table.crossed(range(len(links)))[0]
     if uncovered:
         raise Infeasible(NodeSet(masks[(uncovered & -uncovered).bit_length() - 1], f.n))
-    rows = kernels.cover_bits(masks, [(link.a, link.b) for link in links], f.n)
     denom = lcm(*(link.cost.denominator for link in links))
     costs = [link.cost.numerator * (denom // link.cost.denominator) for link in links]
     by_cost = sorted(range(len(links)), key=lambda lid: (costs[lid], lid))
@@ -69,6 +69,7 @@ def exact_optimum(links, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
             best_set = tuple(sorted(warm_start.solution))
 
     nodes = 0
+    rows = {}  # member index -> the bits of the links that cross it
 
     def search(chosen: int, cost: int, forbidden: int, live: int) -> None:
         """Explore the covers that extend `chosen` with no forbidden link;
@@ -88,7 +89,10 @@ def exact_optimum(links, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
         bound = 0
         bound_links = 0  # union of the allowed links of the members in the bound
         for i in kernels.minimal_indices(live, masks, node_bits):
-            allowed = rows[i] & ~forbidden
+            row = rows.get(i)
+            if row is None:
+                row = rows[i] = sum(1 << k for k, col in enumerate(cols) if col >> i & 1)
+            allowed = row & ~forbidden
             if not allowed:
                 return
             cnt = allowed.bit_count()

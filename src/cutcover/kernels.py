@@ -63,64 +63,6 @@ def check_ends(ends, n):
     return ends
 
 
-#: the most nodes one `cover_bits` table spans, so no table outgrows 2**16
-#: entries
-TABLE_NODES = 16
-
-
-def cover_bits(masks, ends, n):
-    """For each mask over [0, n), an int whose bit k is set when link
-    ends[k] = (a, b) has exactly one endpoint in the mask.
-
-    A row is the XOR, over the mask's nodes, of each node's incidence mask
-    (the bits of the links that end at that node): a link with both
-    endpoints inside is XORed twice and drops out. `_subset_xor` reads it
-    from tables instead of walking the mask's bits.
-    """
-    incidence = [0] * n
-    for k, (a, b) in enumerate(check_ends(ends, n)):
-        incidence[a] ^= 1 << k
-        incidence[b] ^= 1 << k
-    width = max(1, min(TABLE_NODES, len(masks).bit_length()))
-    return _subset_xor(masks, incidence, width)
-
-
-def _subset_xor(masks, incidence, width):
-    """For each mask, the XOR of incidence[v] over its bits v.
-
-    Tables built by doubling hold the XOR over every subset of the low
-    h = n // 2 nodes and over every subset of the rest, so a row is
-    lo[m & low] ^ hi[m >> h]. No table spans more than `width` nodes: past
-    2 * width nodes, chunks of width nodes are peeled off the top, each
-    with a table of its own. `cover_bits` sizes width to the mask count,
-    so building the tables never costs much more than reading the rows.
-    """
-    n = len(incidence)
-    chunk = (1 << width) - 1
-    rows = None
-    while n > 2 * width:
-        n -= width
-        table = _xor_table(incidence[n:n + width])
-        rows = [table[m >> n & chunk] for m in masks] if rows is None else [
-            r ^ table[m >> n & chunk] for r, m in zip(rows, masks)]
-    h = n // 2
-    low, top = (1 << h) - 1, (1 << (n - h)) - 1
-    lo = _xor_table(incidence[:h])
-    hi = _xor_table(incidence[h:n])
-    if rows is None:
-        return [lo[m & low] ^ hi[m >> h] for m in masks]
-    return [r ^ lo[m & low] ^ hi[m >> h & top] for r, m in zip(rows, masks)]
-
-
-def _xor_table(incidence):
-    """The XOR of the incidence masks over every subset of them, indexed
-    by the subset's mask; the table doubles once per incidence mask."""
-    table = [0]
-    for inc in incidence:
-        table += [x ^ inc for x in table]
-    return table
-
-
 #: per bit b of a byte, the byte translation that maps each byte to the
 #: digit b"0" or b"1" of its bit b
 _DIGIT = [bytes(48 + (x >> b & 1) for x in range(256)) for b in range(8)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+import inspect
 import io
 import json
 import random
@@ -277,26 +279,28 @@ def test_cli_exact_and_audit(tmp_path):
 
 def test_one_crossing_table_per_solve(tmp_path, monkeypatch):
     """The solve builds the one crossing table of a record, its node and
-    link columns by `kernels.node_bits`; the audits, the minimality check
-    and the exact search read it from the result. Only the exact search
-    builds rows of link bits, by one `kernels.cover_bits` call."""
-    calls = []
-    for name in ("cover_bits", "node_bits"):
-        kernel = getattr(kernels, name)
-        monkeypatch.setattr(kernels, name,
-                            lambda *a, name=name, kernel=kernel: calls.append(name) or kernel(*a))
+    link columns by one `kernels.node_bits` call; the audits, the
+    minimality check and the exact search read it from the result, the
+    search its link rows too. No other kernel builds an index: besides
+    the cut table (`cut_values`), only the scans `check_ends` and
+    `minimal_indices` run, in a record and in every subcommand."""
+    calls = collections.Counter()
+    for name, kernel in vars(kernels).copy().items():
+        if inspect.isfunction(kernel) and not name.startswith("_"):
+            monkeypatch.setattr(kernels, name,
+                                lambda *a, name=name, kernel=kernel: calls.update([name]) or kernel(*a))
+    scans = {"cut_values", "node_bits", "check_ends", "minimal_indices"}
     cfg = _cfg(count=6)
     for index in range(cfg.count):
         calls.clear()
         assert pipeline_record(cfg, index)["feasible"]
-        assert sorted(calls) == ["cover_bits", "node_bits"]
+        assert calls["node_bits"] == calls["cut_values"] == 1 and set(calls) <= scans, calls
     path = tmp_path / "inst.json"
     path.write_text(_run_main(["gen", "--seed", "6", "--count", "1"])[1])
-    for command, expect in (("solve", ["node_bits"]), ("audit", ["node_bits"]),
-                            ("exact", ["cover_bits", "node_bits"])):
+    for command in ("solve", "audit", "exact"):
         calls.clear()
         assert _run_main([command, str(path)])[0] == 0, command
-        assert sorted(calls) == expect, command
+        assert calls["node_bits"] == calls["cut_values"] == 1 and set(calls) <= scans, command
 
 
 def test_cli_bench_json_and_csv(tmp_path, monkeypatch):
@@ -403,6 +407,19 @@ def test_link_range_bounded():
     with pytest.raises(ValueError, match="link_range"):
         _cfg(link_range=(0, 0))
     _refused(["bench", "--count", "1", "--link-range", "0:0"], "link_range")
+
+
+@pytest.mark.parametrize("value", ["5:", ":5", "0.5:"])
+@pytest.mark.parametrize("flag", ["--n-range", "--density", "--cap-range", "--link-range",
+                                  "--cost-range"])
+def test_range_with_empty_side_refused(flag, value):
+    """A range flag with one side left empty is refused with exit 2, not
+    read as the single value of its other side; a single value still is
+    one."""
+    for command in ("gen", "bench"):
+        _refused([command, "--count", "1", f"{flag}={value}"], "empty side", repr(value))
+    single = "0.5" if flag == "--density" else "5"
+    assert _run_main(["gen", "--count", "1", f"{flag}={single}"])[0] == 0
 
 
 @pytest.mark.parametrize("density", ["0.2:inf", "-0.5:0.4", "0.5:3", "nan:nan"])
@@ -586,11 +603,11 @@ def _fuzz_bench_flags(rng, tmp_path) -> list:
     choices = {
         "--seed": (0, 5, -1, 2**64),
         "--count": (0, 1, 2),
-        "--n-range": ("4:6", "2:2", "3", "6:4", "0:3", "-1:5", "a:b", "7:7"),
-        "--density": ("0.3:0.7", "0:0", "1:1", "0.5", "-1:2", "nan:1", "x", "0.2:inf"),
-        "--cap-range": ("1:10", "0:0", "-1:3", "5:1", "1", "1:x"),
-        "--link-range": ("3:6", "0:0", "0:3", "-1:2", "10:3", "1000000000:1000000000"),
-        "--cost-range": ("1:20", "0:0", "-3:2", "1:1"),
+        "--n-range": ("4:6", "2:2", "3", "6:4", "0:3", "-1:5", "a:b", "7:7", "4:"),
+        "--density": ("0.3:0.7", "0:0", "1:1", "0.5", "-1:2", "nan:1", "x", "0.2:inf", "4:"),
+        "--cap-range": ("1:10", "0:0", "-1:3", "5:1", "1", "1:x", "4:"),
+        "--link-range": ("3:6", "0:0", "0:3", "-1:2", "10:3", "1000000000:1000000000", "4:"),
+        "--cost-range": ("1:20", "0:0", "-3:2", "1:1", "4:"),
         "--lambda-policy": ("quantile:0.5", "fixed:3", "fixed:1/0", "quantile:2", "bogus",
                             "fixed:-1", "quantile:0.05", "fixed:1e9", "fixed:100"),
         "--audit": ("per-phase", "final"),

@@ -6,7 +6,6 @@ import random
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
 import pytest
 
 from cutcover import (
@@ -32,28 +31,16 @@ import reference
 
 
 def naive_optimum(inst, family):
-    """Vectorized enumeration of all link subsets, with the costs scaled to
-    integers over their common denominator."""
+    """Enumeration of all link subsets, with the costs scaled to integers
+    over their common denominator; None when no subset covers family."""
     links = inst.links
     denom = lcm(*(l.cost.denominator for l in links))
-    num = len(links)
-    cover_bits = np.zeros(len(family.masks), dtype=np.int64)
-    for row, m in enumerate(family.masks):
-        for link in links:
-            if ((m >> link.a) ^ (m >> link.b)) & 1:
-                cover_bits[row] |= 1 << link.id
-    subsets = np.arange(1 << num, dtype=np.int64)
-    covered = np.ones(subsets.size, dtype=bool)
-    for bits in cover_bits:
-        covered &= (subsets & bits) != 0
-    if not covered.any():
-        return None
-    costs = np.zeros(subsets.size, dtype=np.int64)
-    unit = np.array([int(l.cost * denom) for l in links], dtype=np.int64)
-    for lid in range(num):
-        costs[(subsets >> lid) & 1 == 1] += unit[lid]
-    candidates = np.flatnonzero(covered)
-    return Fraction(int(costs[candidates].min()), denom)
+    cover_bits = [sum(1 << l.id for l in links if ((m >> l.a) ^ (m >> l.b)) & 1)
+                  for m in family.masks]
+    costs = [sum(int(l.cost * denom) for l in links if (subset >> l.id) & 1)
+             for subset in range(1 << len(links))
+             if all(subset & bits for bits in cover_bits)]
+    return Fraction(min(costs), denom) if costs else None
 
 
 def _dummy_result(cost) -> SolveResult:

@@ -142,14 +142,26 @@ def test_crossing_table_index():
     `members` walks a few bits and reads many through `compress`, both in
     ascending order; `bits` reads back the bits of every subfamily the
     table built, of the whole family, of a view of another table and of
-    any other subfamily, and refuses a family that is not one."""
+    any other subfamily, and refuses a family that is not one. The links
+    include parallel ones, as given and with their ends swapped, links
+    with both ends inside a member, and links that cross no member."""
     rng = random.Random(89)
     paths = set()
+    kinds = set()
     for _ in range(120):
         n = rng.randint(2, 9)
         full = (1 << n) - 1
         f = SetFamily(n, rng.sample(range(1, full), rng.randint(0, min(full - 1, 200))))
-        links = _links(*(rng.sample(range(n), 2) for _ in range(rng.randint(0, 8))))
+        pairs = []
+        for _ in range(rng.randint(0, 8)):
+            if pairs and rng.random() < 0.2:
+                a, b = rng.choice(pairs)
+                swapped = rng.random() < 0.5
+                pairs.append((b, a) if swapped else (a, b))
+                kinds.add("parallel, swapped" if swapped else "parallel")
+            else:
+                pairs.append(tuple(rng.sample(range(n), 2)))
+        links = _links(*pairs)
         table = crossing_table(f, links)
         assert table.family is f
         assert table.nodes == [sum(1 << i for i, m in enumerate(f.masks) if (m >> v) & 1)
@@ -157,6 +169,10 @@ def test_crossing_table_index():
         for k, link in enumerate(links):
             assert table.cols[k] == sum(1 << i for i, m in enumerate(f.masks)
                                         if covers(link, NodeSet(m, n)))
+            if not table.cols[k]:
+                kinds.add("zero column")
+            if any(m >> link.a & m >> link.b & 1 for m in f.masks):
+                kinds.add("both ends inside")
         everything = (1 << len(f)) - 1
         assert table.bits(f) == table.bits(SetFamily(n, f.masks)) == everything
         for bits in (0, everything, rng.getrandbits(len(f)), 1 << rng.randrange(len(f) or 1)):
@@ -175,6 +191,7 @@ def test_crossing_table_index():
                 with pytest.raises(ValueError, match="is not a subfamily of"):
                     table.bits(other)
     assert paths == {False, True}
+    assert kinds == {"parallel", "parallel, swapped", "both ends inside", "zero column"}
 
 
 @pytest.mark.parametrize("call", [
@@ -182,10 +199,8 @@ def test_crossing_table_index():
     lambda f, links: residual(f, links),
     lambda f, links: dual_feasible(links, f, DualState()),
     lambda f, links: crossing_density_audit(0, f, {0: 0b001}, links, cores(f)),
-    lambda f, links: kernels.cover_bits(f.masks, [(0, 3)], 3),
     lambda f, links: crossing_table(f, links),
-], ids=["all_covered", "residual", "dual_feasible", "crossing_density_audit", "cover_bits",
-        "crossing_table"])
+], ids=["all_covered", "residual", "dual_feasible", "crossing_density_audit", "crossing_table"])
 def test_link_outside_ground_set_refused(call):
     """Every entry that reads link endpoints refuses a link ending at node
     n through the one guard, `kernels.check_ends`."""

@@ -34,7 +34,7 @@ from cutcover import (
 from cutcover.family import crossing_table
 from cutcover.kernels import LANE_MASKS
 from conftest import child_env, distinct_cut_values, random_graph
-from reference import covers, cut_capacity, link_components
+from reference import cut_capacity, link_components
 
 
 def elems(mask):
@@ -527,60 +527,6 @@ def test_cut_kernel_parity():
         graph = CapGraph(n, tuple(edges))
         vals = kernels.cut_values(n, edges)
         assert vals == [cut_capacity(graph, NodeSet(m, n)) for m in range(1 << (n - 1))]
-
-
-def test_cover_bits_parity():
-    rng = random.Random(29)
-    rows_seen = set()
-    ends_seen = set()
-    for _ in range(300):
-        n = rng.randint(1, 12)
-        links = []
-        for k in range(rng.randint(0, 2 * n) if n > 1 else 0):
-            if links and rng.random() < 0.2:
-                # a parallel link, sometimes with its ends swapped
-                twin = rng.choice(links)
-                a, b = (twin.a, twin.b) if rng.random() < 0.5 else (twin.b, twin.a)
-                ends_seen.add("parallel")
-            else:
-                a, b = rng.sample(range(n), 2)
-            links.append(Link(a, b, 1, k))
-        masks = [rng.randrange(1 << n) for _ in range(rng.randint(1, 20))]
-        rows = kernels.cover_bits(masks, [(l.a, l.b) for l in links], n)
-        for m, row in zip(masks, rows):
-            s = NodeSet(m, n)
-            assert row == sum(1 << k for k, l in enumerate(links) if covers(l, s))
-            rows_seen.add("zero" if not row else "single" if row.bit_count() == 1 else "multi")
-            for l in links:
-                ends_seen.add({0: "neither inside", 1: "one inside", 2: "both inside"}[
-                    (l.a in s) + (l.b in s)])
-    assert rows_seen == {"zero", "single", "multi"}
-    assert ends_seen == {"parallel", "neither inside", "one inside", "both inside"}
-    for ends in ([(0, 4)], [(4, 0)], [(0, 1), (2, 4)]):
-        with pytest.raises(ValueError, match="outside ground set"):
-            kernels.cover_bits([1], ends, 4)
-
-
-@pytest.mark.parametrize("n", [*range(13), 19, 20, 40])
-def test_cover_bits_every_split(n):
-    """Rows against the definition at every n up to 12 and at n = 19 and
-    20, so the low and high tables are both of equal and of unequal size.
-    Tables span at most as many nodes as the mask count has bits: 62
-    masks allow 6 nodes, so from n = 13 chunks are peeled off the top,
-    and 5 masks allow 3, so they are from n = 7. The masks include the
-    empty set and the ground set, which no link crosses."""
-    rng = random.Random(41 + n)
-    ends = [tuple(rng.sample(range(n), 2)) for _ in range(2 * n)] if n > 1 else []
-    ends += ends[:3]  # parallel links
-    masks = [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(60)]
-    links = [Link(a, b, 1, k) for k, (a, b) in enumerate(ends)]
-    for few in (True, False):
-        some = masks[:5] if few else masks
-        rows = kernels.cover_bits(some, ends, n)
-        for m, row in zip(some, rows):
-            assert row == sum(1 << k for k, l in enumerate(links) if covers(l, NodeSet(m, n)))
-        assert rows[0] == rows[1] == 0
-    assert n < 6 or len(set(rows)) > 10
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 17, 20, 64, 65, 70])
