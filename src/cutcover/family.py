@@ -10,7 +10,6 @@ budget before it has enumerated every configuration: it raises
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable
@@ -149,8 +148,6 @@ def all_covered(f: SetFamily, ends) -> bool:
     """
     pairs = kernels.check_ends(ends, f.n)
     masks = f._masks
-    if not masks:
-        return True
     spare = f.n - len(pairs)
     if len(masks) >= UNION_TEST_MEMBERS and (spare < 1 or 1 << (spare - 1) <= len(masks)):
         comps = kernels.components(pairs, f.n)
@@ -257,12 +254,6 @@ def _missing_complement(f: SetFamily) -> int | None:
     """First member of f whose complement is not a member, or None when f
     is symmetric.
 
-    Taking complements reverses the ascending order of the masks, so f is
-    symmetric exactly when masks[i] ^ masks[-1-i] is the ground set for
-    every i; a middle member of an odd-sized family would be its own
-    complement, which no set is. Only an asymmetric family needs the
-    membership scan that names the missing complement.
-
     A symmetric family lets the pair checkers scan only the members without
     node n-1, one of each complement pair. Replacing B by V - B maps the
     corners (A & B, A | B, A - B, B - A) to (A - B, V - (B - A), A & B,
@@ -273,14 +264,8 @@ def _missing_complement(f: SetFamily) -> int | None:
     those without node n-1.
     """
     full = (1 << f.n) - 1
-    masks = f._masks
-    for a, b in zip(masks, reversed(masks)):
-        if a ^ b != full:
-            break
-    else:
-        return None
     members = f._mask_set
-    for m in masks:
+    for m in f._masks:
         if full ^ m not in members:
             return m
     return None
@@ -288,10 +273,12 @@ def _missing_complement(f: SetFamily) -> int | None:
 
 def _pair_scan_masks(f: SetFamily) -> tuple:
     """The members a pair scan of f must visit: those without node n-1 when
-    f is symmetric (see `_missing_complement`), else all of them."""
+    f is symmetric (see `_missing_complement`), else all of them. Those
+    are the lower half of a symmetric family's masks, since of each
+    complement pair exactly the smaller lacks node n-1."""
     masks = f._masks
     if _missing_complement(f) is None:
-        return masks[:bisect_left(masks, 1 << (f.n - 1))]
+        return masks[:len(masks) >> 1]
     return masks
 
 
@@ -308,31 +295,25 @@ _UNTESTED_HOLDS = {
 }
 
 
-def _member_bits(f: SetFamily) -> tuple:
-    """(masks, nodes, live): f's members are the bits of live over the
-    ascending masks, and nodes is `kernels.node_bits(masks, f.n)`.
+def _cores(f: SetFamily) -> tuple:
+    """(masks, nodes, live, cores): f's members are the bits of live over
+    the ascending masks, nodes is `kernels.node_bits(masks, f.n)`, and
+    cores lists f's inclusion-minimal masks, ascending.
 
-    A view reads them off its table: the parent's masks and nodes, and its
-    own bits. Parent indices keep ascending mask order, so a scan over the
-    bits meets f's members in the order of f.masks. Any other family is
-    its own parent, with every bit set.
+    A view reads masks, nodes and live off its table: the parent's masks
+    and nodes, and its own bits. Parent indices keep ascending mask order,
+    so a scan over the bits meets f's members in the order of f.masks. Any
+    other family is its own parent, with every bit set.
     """
     view = f._view
     if view is not None:
         table, live = view
-        return table.family._masks, table.nodes, live
-    masks = f._masks
-    return masks, kernels.node_bits(masks, f.n), (1 << len(masks)) - 1
-
-
-def _core_crossings(f: SetFamily) -> tuple:
-    """(masks, nodes, cores, crossing): `_member_bits`' masks and nodes,
-    f's core masks, and for each core the bits of f's members crossing it.
-    A parent member outside f may lie inside a core, which
-    `kernels.crossing_bits` counts, so live masks it out."""
-    masks, nodes, live = _member_bits(f)
-    cores = [masks[i] for i in kernels.minimal_indices(live, masks, nodes)]
-    return masks, nodes, cores, [x & live for x in kernels.crossing_bits(cores, nodes)]
+        masks, nodes = table.family._masks, table.nodes
+    else:
+        masks = f._masks
+        nodes = kernels.node_bits(masks, f.n)
+        live = (1 << len(masks)) - 1
+    return masks, nodes, live, [masks[i] for i in kernels.minimal_indices(live, masks, nodes)]
 
 
 def check_symmetry(f: SetFamily) -> PropertyReport:
@@ -378,7 +359,8 @@ def check_sparse_crossing(f: SetFamily) -> PropertyReport:
     """
     if not f._masks:
         return _SPARSE_CROSSING_HOLDS
-    masks, _, cores, crossing = _core_crossings(f)
+    masks, nodes, live, cores = _cores(f)
+    crossing = kernels.crossing_bits(cores, nodes, live)
     once = twice = 0
     for x in crossing:
         twice |= once & x
@@ -399,8 +381,7 @@ def check_disjoint_cores(f: SetFamily) -> PropertyReport:
     scanned, to name the first overlapping pair in ascending order."""
     if not f._masks:
         return _DISJOINT_CORES_HOLDS
-    masks, nodes, live = _member_bits(f)
-    core_masks = [masks[i] for i in kernels.minimal_indices(live, masks, nodes)]
+    core_masks = _cores(f)[3]
     union = 0
     for c in core_masks:
         if c & union:
@@ -434,7 +415,8 @@ def _check_remainder(f: SetFamily, budget: int, kmax: int, name: str) -> Propert
     SearchBudgetExceeded."""
     if not f._masks:
         return _UNTESTED_HOLDS[name]
-    masks, nodes, cores, crossing = _core_crossings(f)
+    masks, nodes, live, cores = _cores(f)
+    crossing = kernels.crossing_bits(cores, nodes, live)
     completed, witness, tuples, max_k = kernels.gamma_star_exhaustive(
         kernels.bit_enclosures(masks, cores, crossing, nodes), f._mask_set, budget, kmax
     )

@@ -42,7 +42,7 @@ def _mix64(seed: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Batch parameters; the seed fully determines every generated instance."""
 
@@ -81,6 +81,9 @@ class RunConfig:
             )
         if self.n_range[0] < 2:
             raise ValueError("instances need at least two vertices")
+        # both refusals grow with n, so the largest draw decides every draw,
+        # before any edge is drawn
+        check_ground_set(self.n_range[1], self.enum_limit)
         for name in ("cap_range", "cost_range"):
             if getattr(self, name)[0] < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
@@ -147,8 +150,6 @@ def generate(cfg: RunConfig, index: int) -> tuple:
     policy_kind, policy_arg = _parse_lambda_policy(cfg.lambda_policy)
     for _ in range(MAX_RETRIES):
         n = rng.randint(*cfg.n_range)
-        # refuse a ground set no edges could make fit before drawing them
-        check_ground_set(n, cfg.enum_limit)
         density = rng.uniform(*cfg.density_range)
         edges = []
         for u in range(n):

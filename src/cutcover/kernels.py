@@ -254,18 +254,20 @@ def structsub_violation(masks, members, full):
     return None
 
 
-def crossing_bits(cores, nodes):
+def crossing_bits(cores, nodes, live):
     """For each core c of cores, an int whose bit i is set when member i
-    meets c and contains neither c nor the rest of the ground set; nodes
-    is `node_bits(masks, n)` of the members.
+    is live, meets c and contains neither c nor the rest of the ground
+    set; nodes is `node_bits(masks, n)` of the members, and live the bits
+    of those that form the family in which each c is minimal.
 
     A member crosses c when it also meets the rest, which every member of
-    a family in which c is minimal does, but c. A member lying inside c
-    does not, and the caller masks out any it holds.
+    that family does, but c. A member outside it may lie inside c, which
+    live masks out.
 
-    The members that meet c without containing it come from c's nodes
-    alone; only when there are some, which a one-node core never has, are
-    the other nodes walked, to drop those that contain all of them.
+    The live members that meet c without containing it come from c's
+    nodes alone; only when there are some, which a one-node core never
+    has, are the other nodes walked, to drop those that contain all of
+    them.
     """
     found = []
     for c in cores:
@@ -278,7 +280,7 @@ def crossing_bits(cores, nodes):
             meet |= x
             within &= x
             m ^= low
-        part = meet & ~within
+        part = meet & ~within & live
         if part:
             # the members of part that contain every node outside c
             rest = part

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import inspect
 import io
 import json
@@ -131,8 +132,8 @@ def test_gen_allow_infeasible_returns_first_sample():
 
 def test_gen_refuses_oversized_ground_set_before_drawing_edges(monkeypatch):
     """A ground set that no edges could make fit the enumeration limit or
-    the cut-table byte budget is refused right after its size is drawn:
-    no edge is drawn and no graph is built."""
+    the cut-table byte budget is refused when the config is built: no
+    edge is drawn and no graph is built."""
     def no_graph(*args):
         raise AssertionError("built a graph over an oversized ground set")
 
@@ -145,6 +146,31 @@ def test_gen_refuses_oversized_ground_set_before_drawing_edges(monkeypatch):
     assert main(["gen", "--count", "1", "--n-range", "2000:2000"], stdout=io.StringIO(),
                 stderr=err) == 2
     assert "exceeds enumeration limit 20" in err.getvalue()
+
+
+def test_enum_limit_checked_against_top_of_n_range():
+    """A config whose largest n exceeds the enumeration limit is refused
+    before any draw, with one message whatever the seed, not only when a
+    seed happens to draw that n; a negative limit is refused even when
+    nothing is drawn."""
+    errors = set()
+    for seed in range(8):
+        argv = ["bench", "--seed", str(seed), "--count", "3", "--n-range", "4:10",
+                "--enum-limit", "8"]
+        _refused(argv, "ground set of size 10 exceeds enumeration limit 8")
+        errors.add(_run_main(argv)[2])
+    assert len(errors) == 1
+    _refused(["bench", "--count", "0", "--enum-limit", "-5"], "enumeration limit -5")
+
+
+def test_run_config_frozen():
+    """A checked config stays checked: its fields cannot be assigned, and
+    `dataclasses.replace` validates the copy."""
+    cfg = _cfg()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.enum_limit = 5
+    with pytest.raises(GroundSetTooLarge, match="enumeration limit 5"):
+        dataclasses.replace(cfg, enum_limit=5)
 
 
 def test_config_validation():

@@ -394,6 +394,43 @@ def test_symmetric_half_scan_matches_full_scan():
     assert beyond_half > 0
 
 
+def test_symmetric_structsub_implies_pliable():
+    """In a symmetric family a pair that does not cross has two member
+    corners: a nested pair A & B and A | B, a disjoint pair A - B and
+    B - A, and a pair whose union is V the complements V - B = A - B and
+    V - A = B - A. A crossing pair that keeps a corner on each side, as
+    structural submodularity asks, has two as well. So on symmetric
+    families structural submodularity implies pliability, and every
+    pliable counterexample crosses; without symmetry the implication
+    fails."""
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(600):
+        n = rng.randint(3, 8)
+        full = (1 << n) - 1
+        # members without node n-1, each with its complement
+        half = rng.sample(range(1, 1 << (n - 1)), rng.randint(1, min(10, (1 << (n - 1)) - 1)))
+        f = SetFamily(n, {m for h in half for m in (h, full ^ h)})
+        pliable, structsub = check_pliable(f), check_structural_submodularity(f)
+        outcomes.add((pliable.holds, structsub.holds))
+        if not pliable.holds:
+            assert crosses(*pliable.counterexample)
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+    broken = 0
+    for _ in range(600):
+        n = rng.randint(3, 7)
+        full = (1 << n) - 1
+        f = SetFamily(n, rng.sample(range(1, full), rng.randint(2, min(8, full - 1))))
+        broken += (check_structural_submodularity(f).holds
+                   and not check_pliable(f).holds)
+    assert broken > 0
+    # the smallest kind: a nested pair and a third set whose union with the
+    # larger is V, with neither complement a member
+    f = fam(7, (1, 5), (0, 1, 2, 3, 4, 5), (1, 5, 6))
+    assert check_structural_submodularity(f).holds and not check_pliable(f).holds
+
+
 # ---------------------------------------------------------------- fast paths against brute force
 
 def _parity_families():
@@ -416,9 +453,9 @@ def _parity_families():
 
 
 def test_symmetry_and_disjoint_cores_match_brute_force():
-    """check_symmetry pairs masks[i] with masks[-1-i] and check_disjoint_cores
-    tests the cores' union before any pair scan; both must report what the
-    definitions report."""
+    """check_symmetry scans for the first missing complement and
+    check_disjoint_cores tests the cores' union before any pair scan; both
+    must report what the definitions report."""
     sizes = set()
     verdicts = set()
     for dropped, f in _parity_families():
