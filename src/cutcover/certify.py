@@ -18,6 +18,9 @@ from .pd import SolveResult, reverse_delete
 
 DEFAULT_WITNESS_BUDGET = 1_000_000
 
+#: the modes of `audit_run`: every phase, or only the last
+AUDIT_MODES = ("per-phase", "final")
+
 
 def _witness_candidates(j_hat, f_res: SetFamily, table) -> dict:
     """Each link of the cover j_hat to the masks of the members of f_res
@@ -58,34 +61,33 @@ def find_witness_laminar(j_hat, f_res: SetFamily, table,
             )
 
     order = sorted(j_hat, key=lambda lid: (len(candidates[lid]), lid))
-    chosen = []
+    lists = [candidates[lid] for lid in order]
+    chosen = []  # the witness of order[pos] at each position pos reached
+    tried = [0] * len(order)  # the candidates tried at each position
     nodes = 0
-
-    def assign(pos: int) -> bool:
-        nonlocal nodes
-        if pos == len(order):
-            return True
-        for m in candidates[order[pos]]:
-            nodes += 1
-            if nodes > node_budget:
-                raise SearchBudgetExceeded(
-                    f"witness search exceeded {node_budget} nodes"
+    pos = 0
+    while pos < len(order):  # a loop, so that no cover is too deep to search
+        if tried[pos] == len(lists[pos]):
+            if not pos:
+                raise WitnessSearchExhausted(
+                    "no laminar witness selection exists; this signals a defect"
                 )
-            for prev in chosen:
-                inter = m & prev
-                if inter and inter != m and inter != prev:
-                    break
-            else:
-                chosen.append(m)
-                if assign(pos + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not assign(0):
-        raise WitnessSearchExhausted(
-            "no laminar witness selection exists; this signals a defect"
-        )
+            tried[pos] = 0
+            pos -= 1
+            chosen.pop()
+            continue
+        m = lists[pos][tried[pos]]
+        tried[pos] += 1
+        nodes += 1
+        if nodes > node_budget:
+            raise SearchBudgetExceeded(f"witness search exceeded {node_budget} nodes")
+        for prev in chosen:
+            inter = m & prev
+            if inter and inter != m and inter != prev:
+                break
+        else:
+            chosen.append(m)
+            pos += 1
     return dict(zip(order, chosen))
 
 
@@ -237,8 +239,8 @@ def audit_run(links, result: SolveResult, mode: str = "per-phase"):
     read the columns of the solve's crossing table: the members each link
     crosses.
     """
-    if mode not in ("per-phase", "final"):
-        raise ValueError(f"audit mode must be 'per-phase' or 'final', got {mode!r}")
+    if mode not in AUDIT_MODES:
+        raise ValueError(f"audit mode must be one of {AUDIT_MODES}, got {mode!r}")
     reports = []
     for pt in result.trace if mode == "per-phase" else result.trace[-1:]:
         j_hat = reverse_delete(result.solution, pt.cores_snapshot, result.table)

@@ -14,17 +14,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
 from fractions import Fraction
 
-from .certify import audit_run
+from .certify import AUDIT_MODES, audit_run
 from .errors import CutCoverError
-from .exact import DEFAULT_EXACT_LIMIT, exact_optimum, ratio
+from .exact import exact_optimum, ratio
 from .family import SetFamily, all_covered
 from .gen import RunConfig, generate
-from .graph import DEFAULT_ENUM_LIMIT, CapGraph, Instance, enumerate_small_cuts
+from .graph import CapGraph, Instance, enumerate_small_cuts
 from .pd import dual_feasible, solve
 
 _CSV_COLUMNS = (
@@ -279,30 +280,6 @@ def report_csv(records) -> str:
     return buf.getvalue()
 
 
-def _add_generation_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="batch seed")
-    parser.add_argument("--count", type=int, default=10)
-    parser.add_argument("--n-range", default="4:10", metavar="LO:HI")
-    parser.add_argument("--density", default="0.3:0.7", metavar="LO:HI")
-    parser.add_argument("--cap-range", default="1:10", metavar="LO:HI")
-    parser.add_argument("--link-range", default="3:14", metavar="LO:HI")
-    parser.add_argument("--cost-range", default="1:20", metavar="LO:HI")
-    parser.add_argument("--lambda-policy", default="quantile:0.5",
-                        help="fixed:<q> or quantile:<f>")
-    parser.add_argument("--allow-infeasible", action="store_true")
-
-
-def _add_run_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--audit", dest="audit_mode", choices=("per-phase", "final"),
-                        default="per-phase")
-    parser.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
-    parser.add_argument("--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT)
-    parser.add_argument("--fail-fast", action="store_true")
-    parser.add_argument("--out", default=None, help="write the JSON-lines report here")
-    parser.add_argument("--csv", dest="csv_out", default=None,
-                        help="write the aggregate CSV here")
-
-
 def _range(text: str, convert):
     """The (lo, hi) pair of "lo:hi", or (v, v) of a single value "v", each
     side read by convert; a side left empty is refused with ValueError."""
@@ -312,25 +289,35 @@ def _range(text: str, convert):
     return (convert(lo), convert(hi if colon else lo))
 
 
-#: RunConfig fields that only some subcommands take a flag for; the others
-#: keep RunConfig's default
-_RUN_FIELDS = ("audit_mode", "enum_limit", "exact_limit", "fail_fast")
+#: the RunConfig fields that a LO:HI flag sets, to the type of each side
+_RANGES = {"n_range": int, "density_range": float, "cap_range": int,
+           "link_range": int, "cost_range": int}
+
+
+def _batch_parser(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """A subcommand whose flags set the RunConfig fields their dests name. A flag left
+    out keeps RunConfig's default; only --count states its own, 10 instead of 1."""
+    p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, help="batch seed")
+    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--n-range", dest="n_range", metavar="LO:HI")
+    p.add_argument("--density", dest="density_range", metavar="LO:HI")
+    p.add_argument("--cap-range", dest="cap_range", metavar="LO:HI")
+    p.add_argument("--link-range", dest="link_range", metavar="LO:HI")
+    p.add_argument("--cost-range", dest="cost_range", metavar="LO:HI")
+    p.add_argument("--lambda-policy", help="fixed:<q> or quantile:<f>")
+    p.add_argument("--allow-infeasible", action="store_true")
+    p.add_argument("--enum-limit", type=int)
+    p.add_argument("--out", default=None, help="write the JSON lines here")
+    return p
 
 
 def _config_from_args(args) -> RunConfig:
-    flags = {name: getattr(args, name) for name in _RUN_FIELDS if hasattr(args, name)}
-    return RunConfig(
-        seed=args.seed,
-        count=args.count,
-        n_range=_range(args.n_range, int),
-        density_range=_range(args.density, float),
-        cap_range=_range(args.cap_range, int),
-        link_range=_range(args.link_range, int),
-        cost_range=_range(args.cost_range, int),
-        lambda_policy=args.lambda_policy,
-        allow_infeasible=args.allow_infeasible,
-        **flags,
-    )
+    given = vars(args)
+    return RunConfig(**{
+        f.name: _range(given[f.name], _RANGES[f.name]) if f.name in _RANGES else given[f.name]
+        for f in dataclasses.fields(RunConfig) if f.name in given
+    })
 
 
 def _read_instance_arg(path: str, enum_limit: int) -> tuple:
@@ -352,9 +339,7 @@ def _emit(text: str, path: str | None, stdout) -> None:
         stdout.write(text)
 
 
-def main(argv=None, stdout=None, stderr=None) -> int:
-    stdout = stdout or sys.stdout
-    stderr = stderr or sys.stderr
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cutcover",
         description="Cover all small cuts of a capacitated graph with priced "
@@ -362,31 +347,32 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="emit generated instances as JSON lines")
-    _add_generation_args(p_gen)
-    p_gen.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
-    p_gen.add_argument("--out", default=None)
+    one = argparse.ArgumentParser(add_help=False)  # what solve, audit and exact share
+    one.add_argument("instance", help="instance file path, or - for stdin")
+    one.add_argument("--enum-limit", type=int, default=RunConfig.enum_limit)
 
-    p_solve = sub.add_parser("solve", help="solve one instance file")
-    p_solve.add_argument("instance", help="instance file path, or - for stdin")
-    p_solve.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
+    _batch_parser(sub, "gen", "emit generated instances as JSON lines")
+    sub.add_parser("solve", parents=[one], help="solve one instance file")
+    p_audit = sub.add_parser("audit", parents=[one],
+                             help="solve one instance and audit every phase")
+    p_audit.add_argument("--audit", dest="audit_mode", choices=AUDIT_MODES,
+                         default=RunConfig.audit_mode)
+    p_exact = sub.add_parser("exact", parents=[one], help="exact optimum of one instance file")
+    p_exact.add_argument("--exact-limit", type=int, default=RunConfig.exact_limit)
+    p_bench = _batch_parser(sub, "bench", "generate, solve, audit and compare "
+                            "against the exact optimum over a batch")
+    p_bench.add_argument("--audit", dest="audit_mode", choices=AUDIT_MODES)
+    p_bench.add_argument("--exact-limit", type=int)
+    p_bench.add_argument("--fail-fast", action="store_true")
+    p_bench.add_argument("--csv", dest="csv_out", default=None,
+                         help="write the aggregate CSV here")
+    return parser
 
-    p_audit = sub.add_parser("audit", help="solve one instance and audit every phase")
-    p_audit.add_argument("instance")
-    p_audit.add_argument("--audit", choices=("per-phase", "final"), default="per-phase")
-    p_audit.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
 
-    p_exact = sub.add_parser("exact", help="exact optimum of one instance file")
-    p_exact.add_argument("instance")
-    p_exact.add_argument("--enum-limit", type=int, default=DEFAULT_ENUM_LIMIT)
-    p_exact.add_argument("--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT)
-
-    p_bench = sub.add_parser("bench", help="generate, solve, audit and compare "
-                             "against the exact optimum over a batch")
-    _add_generation_args(p_bench)
-    _add_run_args(p_bench)
-
-    args = parser.parse_args(argv)
+def main(argv=None, stdout=None, stderr=None) -> int:
+    stdout = stdout or sys.stdout
+    stderr = stderr or sys.stderr
+    args = _parser().parse_args(argv)
 
     try:
         if args.command == "gen":
@@ -401,14 +387,14 @@ def main(argv=None, stdout=None, stderr=None) -> int:
             _emit("\n".join(lines) + ("\n" if lines else ""), args.out, stdout)
             return 0
 
-        if args.command == "solve":
+        if "instance" in args:  # solve, audit and exact
             inst, family = _read_instance_arg(args.instance, args.enum_limit)
+        if args.command == "solve":
             result = solve(inst.links, family)
             stdout.write(json.dumps(_solution_obj(result), separators=(",", ":")) + "\n")
             return 0
 
         if args.command == "exact":
-            inst, family = _read_instance_arg(args.instance, args.enum_limit)
             opt = exact_optimum(inst.links, family, args.exact_limit)
             stdout.write(json.dumps({
                 "opt_cost": _rat_str(opt.opt_cost),
@@ -418,9 +404,8 @@ def main(argv=None, stdout=None, stderr=None) -> int:
             return 0
 
         if args.command == "audit":
-            inst, family = _read_instance_arg(args.instance, args.enum_limit)
             result = solve(inst.links, family)
-            reports = audit_run(inst.links, result, args.audit)
+            reports = audit_run(inst.links, result, args.audit_mode)
             obj = _solution_obj(result)
             obj["audits"] = [_audit_obj(r) for r in reports]
             obj["pass"] = all(r.passed for r in reports)

@@ -59,7 +59,6 @@ def exact_optimum(links, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
         raise Infeasible(NodeSet(masks[(uncovered & -uncovered).bit_length() - 1], f.n))
     denom = lcm(*(link.cost.denominator for link in links))
     costs = [link.cost.numerator * (denom // link.cost.denominator) for link in links]
-    by_cost = sorted(range(len(links)), key=lambda lid: (costs[lid], lid))
 
     best_cost = None
     best_set = None
@@ -68,22 +67,26 @@ def exact_optimum(links, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
             best_cost = sum(costs[lid] for lid in warm_start.solution)
             best_set = tuple(sorted(warm_start.solution))
 
+    # bit r of a link set is link by_cost[r], cheapest first and by id among
+    # equal costs, so the cheapest link of a set is its lowest bit
+    by_cost = sorted(range(len(links)), key=lambda lid: (costs[lid], lid))
+    costs = [costs[lid] for lid in by_cost]
+    cols = [cols[lid] for lid in by_cost]
     nodes = 0
     rows = {}  # member index -> the bits of the links that cross it
-
-    def search(chosen: int, cost: int, forbidden: int, live: int) -> None:
-        """Explore the covers that extend `chosen` with no forbidden link;
-        live holds the bits of the members `chosen` leaves uncovered."""
-        nonlocal best_cost, best_set, nodes
+    # a node (chosen, cost, forbidden, live) stands for the covers that extend
+    # chosen with no forbidden link, live being the members chosen leaves
+    # uncovered; children are pushed last first, so they pop depth first
+    stack = [(0, 0, 0, target)]
+    while stack:
+        chosen, cost, forbidden, live = stack.pop()
         nodes += 1
         if best_cost is not None and cost >= best_cost:
-            return
+            continue
         if not live:
             best_cost = cost
-            best_set = tuple(
-                lid for lid in range(len(links)) if (chosen >> lid) & 1
-            )
-            return
+            best_set = tuple(sorted(by_cost[r] for r in range(len(links)) if chosen >> r & 1))
+            continue
         branch_bits = None
         branch_count = 0
         bound = 0
@@ -91,26 +94,28 @@ def exact_optimum(links, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
         for i in kernels.minimal_indices(live, masks, node_bits):
             row = rows.get(i)
             if row is None:
-                row = rows[i] = sum(1 << k for k, col in enumerate(cols) if col >> i & 1)
+                row = rows[i] = sum(1 << r for r, col in enumerate(cols) if col >> i & 1)
             allowed = row & ~forbidden
             if not allowed:
-                return
+                break
             cnt = allowed.bit_count()
             if branch_bits is None or cnt < branch_count:
                 branch_bits = allowed
                 branch_count = cnt
             if not allowed & bound_links:
                 bound_links |= allowed
-                bound += costs[next(lid for lid in by_cost if (allowed >> lid) & 1)]
-        if best_cost is not None and cost + bound >= best_cost:
-            return
-        banned = forbidden
-        for lid in by_cost:
-            if (branch_bits >> lid) & 1:
-                search(chosen | (1 << lid), cost + costs[lid], banned, live & ~cols[lid])
-                banned |= 1 << lid
-
-    search(0, 0, 0, target)
+                bound += costs[(allowed & -allowed).bit_length() - 1]
+        else:
+            if best_cost is not None and cost + bound >= best_cost:
+                continue
+            # branch on the cheapest link first; each child forbids the
+            # branch links cheaper than its own
+            cheaper = branch_bits
+            while cheaper:
+                r = cheaper.bit_length() - 1
+                cheaper ^= 1 << r
+                stack.append((chosen | 1 << r, cost + costs[r], forbidden | cheaper,
+                              live & ~cols[r]))
     return ExactResult(Fraction(best_cost, denom), best_set, nodes)
 
 

@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .certify import AUDIT_MODES
 from .errors import GenerationExhausted
 from .exact import DEFAULT_EXACT_LIMIT
 from .family import all_covered
@@ -87,8 +88,8 @@ class RunConfig:
         for name in ("cap_range", "cost_range"):
             if getattr(self, name)[0] < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.audit_mode not in ("per-phase", "final"):
-            raise ValueError("audit_mode must be 'per-phase' or 'final'")
+        if self.audit_mode not in AUDIT_MODES:
+            raise ValueError(f"audit_mode must be one of {AUDIT_MODES}, got {self.audit_mode!r}")
         if _parse_lambda_policy(self.lambda_policy)[0] == "quantile":
             # `_pick_threshold` needs two distinct non-trivial cut values: a
             # 2-node graph has one non-trivial cut, and with no edge drawn, or

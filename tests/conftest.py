@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cutcover
-from cutcover import CapGraph, Instance, NodeSet, SetFamily
+from cutcover import CapGraph, Instance, Link, NodeSet, SetFamily
 from cutcover.graph import cut_table
 
 
@@ -51,6 +51,15 @@ def many_link_path(num_links=70):
     word has bits; link 3, (3, 0) at cost 1, covers every small cut."""
     g = CapGraph(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1)))
     return Instance.build(g, 2, [(i % 4, (i + 1) % 4, 1 + i % 3) for i in range(num_links)])
+
+
+def singleton_cover(num_links=1200):
+    """A family of num_links disjoint singletons {0}, {2}, {4}, ... and
+    link k, (2k, 2k + 1) at cost 1, the only link crossing {2k}: the one
+    cover takes every link, deeper than Python's default recursion limit."""
+    n = 2 * num_links
+    return (SetFamily(n, [1 << v for v in range(0, n, 2)]),
+            [Link(v, v + 1, 1, k) for k, v in enumerate(range(0, n, 2))])
 
 
 def random_graph(rng: random.Random, n, density=0.5, max_cap=5, rational=False):

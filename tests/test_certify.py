@@ -22,7 +22,7 @@ from cutcover import (
 )
 from cutcover.certify import _build_tree, _psi_map, _witness_candidates
 from cutcover.family import crossing_table
-from conftest import cycle, fam, mask, random_instance
+from conftest import cycle, fam, mask, random_instance, singleton_cover
 import reference
 from reference import cores, covers, crosses, delta_links
 
@@ -145,6 +145,14 @@ def test_witness_budget_exceeded():
     j = reverse_delete(range(5), f, table)
     with pytest.raises(SearchBudgetExceeded):
         find_witness_laminar(j, f, table, node_budget=1)
+
+
+def test_witness_search_needs_no_recursion_depth():
+    """A cover of 1,200 links, one search position each, audits: the
+    search is a loop, so no depth limit stops it."""
+    f, links = singleton_cover(1200)
+    [report] = audit_run(links, solve(links, f), "final")
+    assert report.passed and report.lhat_size == 1200
 
 
 # ---------------------------------------------------------------- laminar tree

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import collections
 import dataclasses
 import inspect
@@ -26,7 +27,9 @@ from cutcover import (
     gen,
     gen_instance,
     kernels,
+    solve,
 )
+from cutcover.certify import AUDIT_MODES, audit_run
 from cutcover.cli import (
     _single_drop_minimal,
     instance_from_obj,
@@ -183,6 +186,88 @@ def test_config_validation():
             RunConfig(lambda_policy=policy)
     with pytest.raises(ValueError):
         RunConfig(audit_mode="never")
+
+
+# ---------------------------------------------------------------- flags and RunConfig
+
+#: the option strings of each subcommand, pinned so that building the flags
+#: from RunConfig's fields neither adds nor drops one
+_OPTIONS = {
+    "gen": {"-h", "--help", "--seed", "--count", "--n-range", "--density", "--cap-range",
+            "--link-range", "--cost-range", "--lambda-policy", "--allow-infeasible",
+            "--enum-limit", "--out"},
+    "bench": {"-h", "--help", "--seed", "--count", "--n-range", "--density", "--cap-range",
+              "--link-range", "--cost-range", "--lambda-policy", "--allow-infeasible",
+              "--enum-limit", "--out", "--audit", "--exact-limit", "--fail-fast", "--csv"},
+    "solve": {"-h", "--help", "--enum-limit"},
+    "audit": {"-h", "--help", "--enum-limit", "--audit"},
+    "exact": {"-h", "--help", "--enum-limit", "--exact-limit"},
+}
+
+#: each batch flag, a value for it, and the RunConfig field it sets to what
+_FLAG_FIELDS = (
+    ("--seed", "5", "seed", 5),
+    ("--count", "3", "count", 3),
+    ("--n-range", "5:7", "n_range", (5, 7)),
+    ("--density", "0.2:0.4", "density_range", (0.2, 0.4)),
+    ("--cap-range", "2", "cap_range", (2, 2)),
+    ("--link-range", "4:5", "link_range", (4, 5)),
+    ("--cost-range", "2:9", "cost_range", (2, 9)),
+    ("--lambda-policy", "fixed:3", "lambda_policy", "fixed:3"),
+    ("--allow-infeasible", None, "allow_infeasible", True),
+    ("--enum-limit", "12", "enum_limit", 12),
+    ("--audit", "final", "audit_mode", "final"),
+    ("--exact-limit", "7", "exact_limit", 7),
+    ("--fail-fast", None, "fail_fast", True),
+)
+
+
+def test_subcommand_options_unchanged():
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: {s for a in p._actions for s in a.option_strings}
+            for name, p in sub.choices.items()} == _OPTIONS
+
+
+@pytest.mark.parametrize("command", ["gen", "bench"])
+def test_batch_flags_set_their_own_field(command):
+    """With no batch flag a batch is RunConfig's defaults but 10 instances;
+    each flag changes its own field and no other. bench has a flag for
+    every field."""
+    parser = cli._parser()
+    base = cli._config_from_args(parser.parse_args([command]))
+    assert base == RunConfig(count=10)
+    fields = set()
+    for flag, value, field, expect in _FLAG_FIELDS:
+        if flag in _OPTIONS[command]:
+            args = parser.parse_args([command, flag] + ([value] if value else []))
+            assert cli._config_from_args(args) == dataclasses.replace(base, **{field: expect})
+            fields.add(field)
+    if command == "bench":
+        assert fields == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def test_audit_modes_shared(tmp_path, capsys):
+    """RunConfig, audit_run and the --audit flags of audit and bench all
+    take the modes of AUDIT_MODES and refuse any other."""
+    path = tmp_path / "inst.json"
+    path.write_text(_run_main(["gen", "--seed", "6", "--count", "1", "--n-range", "4:6"])[1])
+    inst = load_instance(path.read_text())
+    result = solve(inst.links, enumerate_small_cuts(inst.graph, inst.threshold))
+    for mode in AUDIT_MODES:
+        assert RunConfig(audit_mode=mode).audit_mode == mode
+        assert audit_run(inst.links, result, mode)
+        assert _run_main(["audit", str(path), "--audit", mode])[0] == 0
+        assert _run_main(["bench", "--count", "1", "--n-range", "4:6", "--audit", mode])[0] == 0
+    with pytest.raises(ValueError, match="'never'"):
+        RunConfig(audit_mode="never")
+    with pytest.raises(ValueError, match="'never'"):
+        audit_run(inst.links, result, "never")
+    for argv in (["audit", str(path)], ["bench", "--count", "1"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--audit", "never"], stdout=io.StringIO(), stderr=io.StringIO())
+        assert exc.value.code == 2
+        assert "invalid choice: 'never'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- pipeline
