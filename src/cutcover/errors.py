@@ -14,9 +14,9 @@ class GroundSetTooLarge(CutCoverError):
 class Infeasible(CutCoverError):
     """Some family member is crossed by no available link."""
 
-    def __init__(self, uncovered, message: str | None = None):
+    def __init__(self, uncovered):
         self.uncovered = uncovered
-        super().__init__(message or f"no link covers {uncovered}")
+        super().__init__(f"no link covers {uncovered}")
 
 
 class TooManyLinks(CutCoverError):

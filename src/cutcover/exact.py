@@ -20,9 +20,8 @@ from fractions import Fraction
 from math import lcm
 
 from . import kernels
-from .errors import Infeasible, TooManyLinks, ZeroOptimumViolation
+from .errors import TooManyLinks, ZeroOptimumViolation
 from .family import SetFamily, crossing_table
-from .graph import NodeSet
 from .pd import SolveResult
 
 DEFAULT_EXACT_LIMIT = 24
@@ -53,10 +52,8 @@ def exact_optimum(links, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
         return ExactResult(Fraction(0), (), 0)
 
     target = table.bits(f)
+    table.require_crossed(target, range(len(links)))
     masks, node_bits, cols = table.family.masks, table.nodes, table.cols
-    uncovered = target & ~table.crossed(range(len(links)))[0]
-    if uncovered:
-        raise Infeasible(NodeSet(masks[(uncovered & -uncovered).bit_length() - 1], f.n))
     denom = lcm(*(link.cost.denominator for link in links))
     costs = [link.cost.numerator * (denom // link.cost.denominator) for link in links]
 

@@ -15,7 +15,7 @@ from itertools import compress
 from typing import Iterable
 
 from . import kernels
-from .errors import SearchBudgetExceeded
+from .errors import Infeasible, SearchBudgetExceeded
 from .graph import NodeSet
 
 #: configurations a gamma/gamma* check may test before it gives up
@@ -168,10 +168,6 @@ def all_covered(f: SetFamily, ends) -> bool:
 #: byte translation of the binary digits b"0" and b"1" to the bytes 0 and 1
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
-#: byte translation of the bytes 0 and 1 to the binary digits b"0" and b"1"
-_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 class CrossingTable:
     """The crossings between the members of one family and a list of
     links, as member bits, with member i standing for family.masks[i]:
@@ -225,6 +221,16 @@ class CrossingTable:
             once |= self.cols[lid]
         return once, twice
 
+    def require_crossed(self, bits: int, lids) -> None:
+        """Raise `Infeasible` naming the lowest member of bits that none
+        of the links lids crosses."""
+        cols = self.cols
+        for lid in lids:
+            bits &= ~cols[lid]
+        if bits:
+            m = self.family.masks[(bits & -bits).bit_length() - 1]
+            raise Infeasible(NodeSet(m, self.family.n))
+
     def bits(self, sub: SetFamily) -> int:
         """The member bits of sub, a subfamily of the table's family: read
         off sub when it is a view of this table, else found by membership."""
@@ -235,8 +241,7 @@ class CrossingTable:
         if sub.n == self.family.n:
             if sub.masks == masks:
                 return (1 << len(masks)) - 1
-            flags = bytes(map(sub._mask_set.__contains__, reversed(masks)))
-            bits = int(flags.translate(_FLAG_DIGITS) or b"0", 2)
+            bits = sum(1 << i for i, m in enumerate(masks) if m in sub._mask_set)
             if bits.bit_count() == len(sub):
                 return bits
         raise ValueError(f"{sub!r} is not a subfamily of {self.family!r}")

@@ -14,9 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import kernels
-from .errors import Infeasible
 from .family import CrossingTable, SetFamily, crossing_table
-from .graph import NodeSet
 
 
 @dataclass
@@ -60,13 +58,14 @@ class SolveResult:
 def solve(links, f: SetFamily) -> SolveResult:
     """Cover the family with the phased growth / reverse-delete scheme.
 
-    Each phase raises the duals of all cores of the residual family
-    uniformly until some unpicked link goes tight, admits every tight link
-    and shrinks the residual by them. The residual and its cores are sets
-    of member bits over f's `crossing_table` with links, which the result
-    carries: the cores come from `kernels.minimal_indices`, a link's
-    degree is the count of core bits in its column, and the residual
-    loses each tight link's column.
+    A family that the links do not cover raises `Infeasible` before the
+    first phase. Each phase raises the duals of all cores of the residual
+    family uniformly until some unpicked link goes tight, admits every
+    tight link and shrinks the residual by them. The residual and its
+    cores are sets of member bits over f's `crossing_table` with links,
+    which the result carries: the cores come from
+    `kernels.minimal_indices`, a link's degree is the count of core bits
+    in its column, and the residual loses each tight link's column.
 
     The duals grow on integers: slacks, y and the total are
     numerators over one common denominator, which a phase multiplies by
@@ -76,6 +75,10 @@ def solve(links, f: SetFamily) -> SolveResult:
     """
     table = crossing_table(f, links)
     masks, nodes, cols = f.masks, table.nodes, table.cols
+    live = (1 << len(masks)) - 1
+    # only unpicked links cross a live member, so every core of every
+    # phase below has a candidate link
+    table.require_crossed(live, range(len(links)))
     den = lcm(*(link.cost.denominator for link in links))
     # link id -> numerator of its cost minus its dual load
     slack = [link.cost.numerator * (den // link.cost.denominator) for link in links]
@@ -84,7 +87,6 @@ def solve(links, f: SetFamily) -> SolveResult:
     unpicked = list(range(len(links)))
     picked = []
     trace = []
-    live = (1 << len(masks)) - 1
     remaining = f
     while live:
         core_bits = 0
@@ -92,15 +94,10 @@ def solve(links, f: SetFamily) -> SolveResult:
             core_bits |= 1 << i
         # (link id, degree, slack) of every candidate, in ascending id order
         cand = []
-        reach = 0
         for lid in unpicked:
             d = (core_bits & cols[lid]).bit_count()
             if d:
                 cand.append((lid, d, slack[lid]))
-                reach |= cols[lid]
-        stuck = core_bits & ~reach
-        if stuck:
-            raise Infeasible(NodeSet(masks[(stuck & -stuck).bit_length() - 1], f.n))
         core_family = table.subfamily(core_bits)
         _, best_d, best_s = cand[0]
         for _, d, s in cand:
@@ -143,18 +140,16 @@ def reverse_delete(addition_order, f: SetFamily, table):
     over the links of f or of a family that f is part of. The rest covers
     f when the OR of its columns holds f's member bits, and the rest of
     the link at position j is the links before j, whose ORs are built
-    once, with the links after j that were kept.
+    once, with the links after j that were kept. An order that leaves a
+    member of f uncrossed raises `Infeasible`.
     """
     order = list(addition_order)
     target = table.bits(f)
+    table.require_crossed(target, order)
     cols = table.cols
     before = [0]
     for lid in order:
         before.append(before[-1] | cols[lid])
-    uncovered = target & ~before[-1]
-    if uncovered:
-        m = table.family.masks[(uncovered & -uncovered).bit_length() - 1]
-        raise Infeasible(NodeSet(m, f.n), "addition order does not cover the family")
     kept = []
     after = 0
     for j in range(len(order) - 1, -1, -1):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,13 +55,32 @@ def many_link_path(num_links=70):
     return Instance.build(g, 2, [(i % 4, (i + 1) % 4, 1 + i % 3) for i in range(num_links)])
 
 
-def singleton_cover(num_links=1200):
+def singleton_cover(num_links):
     """A family of num_links disjoint singletons {0}, {2}, {4}, ... and
     link k, (2k, 2k + 1) at cost 1, the only link crossing {2k}: the one
-    cover takes every link, deeper than Python's default recursion limit."""
+    cover takes every link, as deep as a search that recursed once per
+    link would go."""
     n = 2 * num_links
     return (SetFamily(n, [1 << v for v in range(0, n, 2)]),
             [Link(v, v + 1, 1, k) for k, v in enumerate(range(0, n, 2))])
+
+
+@contextlib.contextmanager
+def shallow_recursion_limit(headroom=100):
+    """Lower the recursion limit to headroom frames above the caller's
+    depth for the with block, and yield it; the old limit is restored on
+    the way out."""
+    depth = 0
+    frame = sys._getframe(2)  # the caller: past this generator and contextlib
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield depth + headroom
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def random_graph(rng: random.Random, n, density=0.5, max_cap=5, rational=False):

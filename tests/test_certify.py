@@ -22,7 +22,7 @@ from cutcover import (
 )
 from cutcover.certify import _build_tree, _psi_map, _witness_candidates
 from cutcover.family import crossing_table
-from conftest import cycle, fam, mask, random_instance, singleton_cover
+from conftest import cycle, fam, mask, random_instance, shallow_recursion_limit, singleton_cover
 import reference
 from reference import cores, covers, crosses, delta_links
 
@@ -148,11 +148,14 @@ def test_witness_budget_exceeded():
 
 
 def test_witness_search_needs_no_recursion_depth():
-    """A cover of 1,200 links, one search position each, audits: the
-    search is a loop, so no depth limit stops it."""
-    f, links = singleton_cover(1200)
-    [report] = audit_run(links, solve(links, f), "final")
-    assert report.passed and report.lhat_size == 1200
+    """A cover of 500 links, one search position each, audits under a
+    recursion limit a few hundred below that: the search is a loop, so
+    no depth limit stops it."""
+    f, links = singleton_cover(500)
+    with shallow_recursion_limit() as depth_limit:
+        [report] = audit_run(links, solve(links, f), "final")
+    assert depth_limit <= 500 - 300
+    assert report.passed and report.lhat_size == 500
 
 
 # ---------------------------------------------------------------- laminar tree

@@ -44,6 +44,7 @@ from cutcover.family import crossing_table, residual
 from cutcover.gen import generate
 from cutcover.graph import enumerate_small_cuts
 from conftest import child_env, many_link_path, random_instance
+from test_acceptance import BATCH
 from reference import covered, dump_instance
 
 
@@ -394,18 +395,24 @@ def test_one_crossing_table_per_solve(tmp_path, monkeypatch):
     minimality check and the exact search read it from the result, the
     search its link rows too. No other kernel builds an index: besides
     the cut table (`cut_values`), only the scans `check_ends` and
-    `minimal_indices` run, in a record and in every subcommand."""
+    `minimal_indices` run, in a record and in every subcommand, and in a
+    record `components`, the link-graph scan of the generator's cover
+    test `all_covered`, which some of the first 20 acceptance records
+    call."""
     calls = collections.Counter()
     for name, kernel in vars(kernels).copy().items():
         if inspect.isfunction(kernel) and not name.startswith("_"):
             monkeypatch.setattr(kernels, name,
                                 lambda *a, name=name, kernel=kernel: calls.update([name]) or kernel(*a))
-    scans = {"cut_values", "node_bits", "check_ends", "minimal_indices"}
-    cfg = _cfg(count=6)
-    for index in range(cfg.count):
-        calls.clear()
-        assert pipeline_record(cfg, index)["feasible"]
-        assert calls["node_bits"] == calls["cut_values"] == 1 and set(calls) <= scans, calls
+    scans = {"cut_values", "node_bits", "check_ends", "minimal_indices", "components"}
+    union_tests = 0
+    for cfg in (_cfg(count=6), dataclasses.replace(BATCH, count=20)):
+        for index in range(cfg.count):
+            calls.clear()
+            assert pipeline_record(cfg, index)["feasible"]
+            assert calls["node_bits"] == calls["cut_values"] == 1 and set(calls) <= scans, calls
+            union_tests += calls["components"] > 0
+    assert union_tests
     path = tmp_path / "inst.json"
     path.write_text(_run_main(["gen", "--seed", "6", "--count", "1"])[1])
     for command in ("solve", "audit", "exact"):

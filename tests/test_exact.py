@@ -26,7 +26,8 @@ from cutcover import (
 from cutcover.family import crossing_table
 from cutcover.gen import RunConfig, generate
 from cutcover.pd import DualState
-from conftest import fam, k2, many_link_path, random_instance, singleton_cover
+from conftest import (fam, k2, many_link_path, random_instance, shallow_recursion_limit,
+                      singleton_cover)
 import reference
 
 
@@ -82,14 +83,17 @@ def test_exact_more_links_than_a_machine_word():
 
 
 def test_exact_needs_no_recursion_depth():
-    """The one cover of 1,200 disjoint singletons takes every link, 1,200
-    levels deep: the cold search walks one path of 1,201 nodes on its
-    explicit stack, and a warm start closes it at the root."""
-    f, links = singleton_cover(1200)
-    cold = exact_optimum(links, f, limit=1200)
-    assert (cold.opt_cost, cold.opt_links, cold.nodes_explored) == (1200, tuple(range(1200)), 1201)
-    warm = exact_optimum(links, f, limit=1200, warm_start=solve(links, f))
-    assert (warm.opt_cost, warm.opt_links, warm.nodes_explored) == (1200, tuple(range(1200)), 1)
+    """The one cover of 500 disjoint singletons takes every link, 500
+    levels deep, a few hundred past the lowered recursion limit: the
+    cold search walks one path of 501 nodes on its explicit stack, and a
+    warm start closes it at the root."""
+    f, links = singleton_cover(500)
+    with shallow_recursion_limit() as depth_limit:
+        cold = exact_optimum(links, f, limit=500)
+        warm = exact_optimum(links, f, limit=500, warm_start=solve(links, f))
+    assert depth_limit <= 500 - 300
+    assert (cold.opt_cost, cold.opt_links, cold.nodes_explored) == (500, tuple(range(500)), 501)
+    assert (warm.opt_cost, warm.opt_links, warm.nodes_explored) == (500, tuple(range(500)), 1)
 
 
 @pytest.mark.parametrize("seed", range(4))

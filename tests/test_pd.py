@@ -23,6 +23,7 @@ from cutcover import (
     solve,
 )
 from cutcover.family import all_covered, crossing_table
+from cutcover.gen import RunConfig, generate
 from conftest import cycle, fam, k2, ns, random_instance
 import reference
 from reference import cores, covers, load
@@ -89,6 +90,29 @@ def test_solve_infeasible():
     inst = Instance.build(cycle(4), 3, [(0, 1, 1)])
     with pytest.raises(Infeasible):
         solve(inst.links, enumerate_small_cuts(cycle(4), 3))
+
+
+def test_one_infeasibility_test():
+    """solve refuses a family its links leave uncovered before the first
+    phase, exactly when `all_covered` is False, by the test
+    `exact_optimum` and `reverse_delete` make: all three name the lowest
+    member that no link crosses."""
+    cfg = RunConfig(seed=3, n_range=(4, 9), allow_infeasible=True)
+    infeasible = 0
+    for index in range(400):
+        inst, f = generate(cfg, index)
+        links = inst.links
+        if all_covered(f, [(link.a, link.b) for link in links]):
+            solve(links, f)
+            continue
+        infeasible += 1
+        first = next(m for m in f.masks if not any(covers(link, NodeSet(m, f.n)) for link in links))
+        for refuse in (lambda: solve(links, f), lambda: exact_optimum(links, f),
+                       lambda: reverse_delete(range(len(links)), f, crossing_table(f, links))):
+            with pytest.raises(Infeasible) as err:
+                refuse()
+            assert err.value.uncovered == NodeSet(first, f.n)
+    assert infeasible == 151
 
 
 def test_zero_cost_links_admitted_in_zero_epsilon_phase():
