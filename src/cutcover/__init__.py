@@ -14,7 +14,6 @@ from .errors import (
     GroundSetTooLarge,
     Infeasible,
     SearchBudgetExceeded,
-    TooManyLinks,
     WitnessSearchExhausted,
     ZeroOptimumViolation,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "SearchBudgetExceeded",
     "SetFamily",
     "SolveResult",
-    "TooManyLinks",
     "WitnessSearchExhausted",
     "ZeroOptimumViolation",
     "audit_run",

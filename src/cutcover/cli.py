@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .certify import AUDIT_MODES, audit_run
-from .errors import CutCoverError
+from .errors import CutCoverError, SearchBudgetExceeded
 from .exact import exact_optimum, ratio
 from .family import SetFamily, all_covered
 from .gen import RunConfig, generate
@@ -162,8 +162,9 @@ def _ends(links) -> list:
 
 
 def pipeline_record(cfg: RunConfig, index: int) -> dict:
-    """Generate, solve, audit and (when within limits) exactly solve one
-    instance; returns a JSON-ready record."""
+    """Generate, solve, audit and exactly solve one instance; returns a
+    JSON-ready record. An exact search that exceeds its node budget leaves
+    opt_cost and ratio None and gives no verdict on the optimum."""
     inst, family = generate(cfg, index)
     record = {
         "index": index,
@@ -200,8 +201,12 @@ def pipeline_record(cfg: RunConfig, index: int) -> dict:
     quotients = [Fraction(r.lstar_size, r.num_cores) for r in audits if r.num_cores]
     record["max_density_quotient"] = _rat_str(max(quotients)) if quotients else None
 
-    if len(inst.links) <= cfg.exact_limit:
-        opt = exact_optimum(inst.links, family, cfg.exact_limit, warm_start=result)
+    try:
+        opt = exact_optimum(inst.links, family, warm_start=result)
+    except SearchBudgetExceeded:
+        record["opt_cost"] = None
+        record["ratio"] = None
+    else:
         record["opt_cost"] = _rat_str(opt.opt_cost)
         record["opt_links"] = list(opt.opt_links)
         try:
@@ -212,9 +217,6 @@ def pipeline_record(cfg: RunConfig, index: int) -> dict:
             record["ratio"] = None
             verdicts["ratio_le_5"] = False
         verdicts["dual_le_opt"] = result.dual.total <= opt.opt_cost
-    else:
-        record["opt_cost"] = None
-        record["ratio"] = None
 
     record["verdicts"] = verdicts
     record["pass"] = all(verdicts.values())
@@ -357,12 +359,10 @@ def _parser() -> argparse.ArgumentParser:
                              help="solve one instance and audit every phase")
     p_audit.add_argument("--audit", dest="audit_mode", choices=AUDIT_MODES,
                          default=RunConfig.audit_mode)
-    p_exact = sub.add_parser("exact", parents=[one], help="exact optimum of one instance file")
-    p_exact.add_argument("--exact-limit", type=int, default=RunConfig.exact_limit)
+    sub.add_parser("exact", parents=[one], help="exact optimum of one instance file")
     p_bench = _batch_parser(sub, "bench", "generate, solve, audit and compare "
                             "against the exact optimum over a batch")
     p_bench.add_argument("--audit", dest="audit_mode", choices=AUDIT_MODES)
-    p_bench.add_argument("--exact-limit", type=int)
     p_bench.add_argument("--fail-fast", action="store_true")
     p_bench.add_argument("--csv", dest="csv_out", default=None,
                          help="write the aggregate CSV here")
@@ -395,7 +395,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
             return 0
 
         if args.command == "exact":
-            opt = exact_optimum(inst.links, family, args.exact_limit)
+            opt = exact_optimum(inst.links, family)
             stdout.write(json.dumps({
                 "opt_cost": _rat_str(opt.opt_cost),
                 "opt_links": list(opt.opt_links),

@@ -19,10 +19,6 @@ class Infeasible(CutCoverError):
         super().__init__(f"no link covers {uncovered}")
 
 
-class TooManyLinks(CutCoverError):
-    """Link count exceeds the exact-search limit."""
-
-
 class ZeroOptimumViolation(CutCoverError):
     """Optimum cost is zero but the solver paid a positive cost."""
 
@@ -33,7 +29,8 @@ class WitnessSearchExhausted(CutCoverError):
 
 class SearchBudgetExceeded(CutCoverError):
     """A search hit its budget before finishing: the laminar witness search
-    its node budget, or a gamma/gamma* check its configuration budget."""
+    or the exact search its node budget, or a gamma/gamma* check its
+    configuration budget."""
 
 
 class GenerationExhausted(CutCoverError):

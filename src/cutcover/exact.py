@@ -10,7 +10,10 @@ each is still to pay. Only a strictly cheaper cover replaces the
 incumbent, so the bound changes which nodes are explored but not the
 cover reported. An optional warm start, a solve of the same links and
 family, lends the search its solution as first incumbent and its crossing
-table; the search is used as ground truth for the solver's guarantee.
+table; the search is used as ground truth for the solver's guarantee. A
+search that would explore more nodes than its budget raises
+`SearchBudgetExceeded` rather than report a cover it has not proved
+optimal.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ from fractions import Fraction
 from math import lcm
 
 from . import kernels
-from .errors import TooManyLinks, ZeroOptimumViolation
+from .errors import SearchBudgetExceeded, ZeroOptimumViolation
 from .family import SetFamily, crossing_table
 from .pd import SolveResult
 
-DEFAULT_EXACT_LIMIT = 24
+#: the most nodes one search explores, the witness search's figure
+DEFAULT_EXACT_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,7 @@ class ExactResult:
     nodes_explored: int
 
 
-def exact_optimum(links, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
+def exact_optimum(links, f: SetFamily, node_budget: int = DEFAULT_EXACT_BUDGET,
                   warm_start: SolveResult | None = None) -> ExactResult:
     """Minimum-cost link set covering f; warm_start, a `solve` of links
     and f, gives the first incumbent and the crossing table.
@@ -45,8 +49,6 @@ def exact_optimum(links, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
     it, is read off the columns the first time the member is minimal and
     kept for the rest of this search only.
     """
-    if len(links) > limit:
-        raise TooManyLinks(f"{len(links)} links exceed the exact-search limit {limit}")
     table = crossing_table(f, links) if warm_start is None else warm_start.table
     if not f.masks:
         return ExactResult(Fraction(0), (), 0)
@@ -78,6 +80,8 @@ def exact_optimum(links, f: SetFamily, limit: int = DEFAULT_EXACT_LIMIT,
     while stack:
         chosen, cost, forbidden, live = stack.pop()
         nodes += 1
+        if nodes > node_budget:
+            raise SearchBudgetExceeded(f"exact search exceeded {node_budget} nodes")
         if best_cost is not None and cost >= best_cost:
             continue
         if not live:

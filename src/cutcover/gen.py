@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .certify import AUDIT_MODES
 from .errors import GenerationExhausted
-from .exact import DEFAULT_EXACT_LIMIT
 from .family import all_covered
 from .graph import (
     CapGraph,
@@ -57,7 +56,6 @@ class RunConfig:
     lambda_policy: str = "quantile:0.5"
     audit_mode: str = "per-phase"
     enum_limit: int = DEFAULT_ENUM_LIMIT
-    exact_limit: int = DEFAULT_EXACT_LIMIT
     allow_infeasible: bool = False
     fail_fast: bool = False
 
@@ -66,9 +64,6 @@ class RunConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.count < 0:
             raise ValueError("count must be non-negative")
-        if self.exact_limit < 0:
-            # a negative limit would skip the exact oracle on every record
-            raise ValueError(f"exact_limit must be non-negative, got {self.exact_limit}")
         for name in ("n_range", "density_range", "cap_range", "link_range", "cost_range"):
             lo, hi = getattr(self, name)
             if lo > hi:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import collections
 import dataclasses
+import functools
 import inspect
 import io
 import json
@@ -199,10 +200,10 @@ _OPTIONS = {
             "--enum-limit", "--out"},
     "bench": {"-h", "--help", "--seed", "--count", "--n-range", "--density", "--cap-range",
               "--link-range", "--cost-range", "--lambda-policy", "--allow-infeasible",
-              "--enum-limit", "--out", "--audit", "--exact-limit", "--fail-fast", "--csv"},
+              "--enum-limit", "--out", "--audit", "--fail-fast", "--csv"},
     "solve": {"-h", "--help", "--enum-limit"},
     "audit": {"-h", "--help", "--enum-limit", "--audit"},
-    "exact": {"-h", "--help", "--enum-limit", "--exact-limit"},
+    "exact": {"-h", "--help", "--enum-limit"},
 }
 
 #: each batch flag, a value for it, and the RunConfig field it sets to what
@@ -218,7 +219,6 @@ _FLAG_FIELDS = (
     ("--allow-infeasible", None, "allow_infeasible", True),
     ("--enum-limit", "12", "enum_limit", 12),
     ("--audit", "final", "audit_mode", "final"),
-    ("--exact-limit", "7", "exact_limit", 7),
     ("--fail-fast", None, "fail_fast", True),
 )
 
@@ -296,6 +296,28 @@ def test_pipeline_reports_byte_identical():
     a = report_lines(*run_pipeline(cfg))
     b = report_lines(*run_pipeline(cfg))
     assert a.encode() == b.encode()
+
+
+def test_pipeline_exact_oracle_on_many_links():
+    """The exact search runs on every record, however many links it has:
+    each of the first 20 records of 25 to 60 links carries a ratio."""
+    cfg = RunConfig(seed=1, link_range=(25, 60))
+    for index in range(20):
+        record = pipeline_record(cfg, index)
+        assert record["pass"] and Fraction(record["ratio"]) <= 5
+
+
+def test_pipeline_refused_exact_search(monkeypatch):
+    """A search over its node budget leaves no optimum and no verdict on
+    it in the record, which still passes."""
+    monkeypatch.setattr(cli, "exact_optimum",
+                        functools.partial(cli.exact_optimum, node_budget=1))
+    records = [pipeline_record(_cfg(), index) for index in range(5)]
+    refused = [r for r in records if r["opt_cost"] is None]
+    assert 0 < len(refused) < len(records)
+    for r in refused:
+        assert r["ratio"] is None and "opt_links" not in r and r["pass"]
+        assert not {"ratio_le_5", "dual_le_opt"} & set(r["verdicts"])
 
 
 def _stub_record(failing):
@@ -487,10 +509,24 @@ def test_cli_deeply_nested_instance_rejected(tmp_path, command, shape):
     _refused([command, str(path)], "nested too deeply")
 
 
+def test_cli_infeasible_same_error(tmp_path):
+    """solve, audit and exact refuse an infeasible file, here one with 30
+    links, with the same message."""
+    g = CapGraph(4, ((0, 1, 1), (1, 2, 1), (2, 3, 1)))
+    path = tmp_path / "inst.json"
+    path.write_text(dump_instance(Instance.build(g, 2, [(1, 2, 1)] * 30)))
+    errors = set()
+    for command in ("solve", "audit", "exact"):
+        code, out, err = _run_main([command, str(path)])
+        assert code == 2 and out == ""
+        errors.add(err)
+    assert errors == {"cutcover: error: no link covers NodeSet({0}, n=4)\n"}
+
+
 def test_cli_exact_more_links_than_a_machine_word(tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(dump_instance(many_link_path()))
-    code, out, _ = _run_main(["exact", str(path), "--exact-limit", "100"])
+    code, out, _ = _run_main(["exact", str(path)])
     assert code == 0
     assert json.loads(out)["opt_cost"] == "1"
 
@@ -500,16 +536,6 @@ def test_cli_lambda_policy_zero_denominator(policy):
     with pytest.raises(ValueError, match="zero denominator"):
         RunConfig(lambda_policy=policy)
     _refused(["bench", "--count", "2", "--lambda-policy", policy], "zero denominator")
-
-
-def test_cli_negative_exact_limit_rejected():
-    """A negative limit would skip the exact oracle on every record and
-    still report success; zero stays valid, running the oracle only on
-    records without links."""
-    with pytest.raises(ValueError, match="exact_limit"):
-        RunConfig(exact_limit=-1)
-    assert RunConfig(exact_limit=0).exact_limit == 0
-    _refused(["bench", "--count", "3", "--exact-limit", "-1"], "exact_limit")
 
 
 def test_link_range_bounded():
@@ -730,7 +756,6 @@ def _fuzz_bench_flags(rng, tmp_path) -> list:
                             "fixed:-1", "quantile:0.05", "fixed:1e9", "fixed:100"),
         "--audit": ("per-phase", "final"),
         "--enum-limit": (-1, 0, 3, 20),
-        "--exact-limit": (-1, 0, 3, 24),
         "--out": (str(tmp_path / "report.jsonl"), str(tmp_path / "missing" / "r.jsonl")),
         "--csv": (str(tmp_path / "report.csv"),),
     }

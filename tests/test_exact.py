@@ -13,9 +13,9 @@ from cutcover import (
     Infeasible,
     Instance,
     Link,
+    SearchBudgetExceeded,
     SetFamily,
     SolveResult,
-    TooManyLinks,
     ZeroOptimumViolation,
     enumerate_small_cuts,
     exact_optimum,
@@ -68,17 +68,10 @@ def test_exact_infeasible():
         exact_optimum(inst.links, f)
 
 
-def test_exact_too_many_links():
-    inst = Instance.build(k2(), 2, [(0, 1, 1)] * 5)
-    f = enumerate_small_cuts(k2(), 2)
-    with pytest.raises(TooManyLinks):
-        exact_optimum(inst.links, f, limit=4)
-
-
 def test_exact_more_links_than_a_machine_word():
     inst = many_link_path()
     f = enumerate_small_cuts(inst.graph, inst.threshold)
-    res = exact_optimum(inst.links, f, limit=100)
+    res = exact_optimum(inst.links, f)
     assert res.opt_cost == 1 and res.opt_links == (3,)
 
 
@@ -89,11 +82,21 @@ def test_exact_needs_no_recursion_depth():
     warm start closes it at the root."""
     f, links = singleton_cover(500)
     with shallow_recursion_limit() as depth_limit:
-        cold = exact_optimum(links, f, limit=500)
-        warm = exact_optimum(links, f, limit=500, warm_start=solve(links, f))
+        cold = exact_optimum(links, f)
+        warm = exact_optimum(links, f, warm_start=solve(links, f))
     assert depth_limit <= 500 - 300
     assert (cold.opt_cost, cold.opt_links, cold.nodes_explored) == (500, tuple(range(500)), 501)
     assert (warm.opt_cost, warm.opt_links, warm.nodes_explored) == (500, tuple(range(500)), 1)
+
+
+def test_exact_node_budget():
+    """The cold search of 500 disjoint singletons explores 501 nodes: a
+    budget of 500 refuses it, naming the budget, and 501 is enough."""
+    f, links = singleton_cover(500)
+    with pytest.raises(SearchBudgetExceeded, match="exceeded 500 nodes"):
+        exact_optimum(links, f, node_budget=500)
+    res = exact_optimum(links, f, node_budget=501)
+    assert (res.opt_cost, res.opt_links, res.nodes_explored) == (500, tuple(range(500)), 501)
 
 
 @pytest.mark.parametrize("seed", range(4))

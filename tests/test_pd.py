@@ -388,6 +388,6 @@ def test_solve_on_families_no_graph_produces(seed):
         for k in range(len(ends)):
             assert not all_covered(f, ends[:k] + ends[k + 1:])
         assert dual_feasible(links, f, res.dual)
-        opt = exact_optimum(links, f, limit=len(links))
+        opt = exact_optimum(links, f)
         assert res.dual.total <= opt.opt_cost <= res.cost
     assert asymmetric > 10 and multi_phase > 10
