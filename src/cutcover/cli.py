@@ -236,7 +236,7 @@ def _summarize(records) -> dict:
         for name, ok in r.get("verdicts", {}).items():
             s = tallies.setdefault(name, {"pass": 0, "fail": 0})
             s["pass" if ok else "fail"] += 1
-    return {
+    summary = {
         "instances": len(records),
         "feasible": sum(1 for r in records if r.get("feasible")),
         "min_ratio": _rat_str(min(ratios)) if ratios else None,
@@ -247,6 +247,10 @@ def _summarize(records) -> dict:
         "failed_instances": failed,
         "all_passed": not failed,
     }
+    refused = sum(1 for r in records if r.get("feasible") and r["opt_cost"] is None)
+    if refused:
+        summary["exact_refused"] = refused
+    return summary
 
 
 def run_pipeline(cfg: RunConfig):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable
 
 from . import kernels
@@ -127,12 +126,6 @@ def residual(f: SetFamily, cover_links) -> SetFamily:
     return table.subfamily(table.bits(f) & ~crossed)
 
 
-#: the fewest members for which `all_covered` may test link-graph
-#: components: a scan of a smaller family costs less than building them
-#: (measured on replayed generator draws)
-UNION_TEST_MEMBERS = 64
-
-
 def all_covered(f: SetFamily, ends) -> bool:
     """True when every member of f is crossed by some link, given by its
     (a, b) endpoint pair: the links are a feasible cover of f.
@@ -140,16 +133,15 @@ def all_covered(f: SetFamily, ends) -> bool:
     No link crosses a set exactly when the set is a union of components of
     the link graph. With c components there are 2**c unions, 2**(c-1) and
     their complements, and f is covered when none of them is a member.
-    That test runs when f has at least `UNION_TEST_MEMBERS` members and
-    2**(c-1) is at most the member count; otherwise each member is scanned
-    against the links. Each link merges at most two components into one,
-    so c >= n - len(links), which often settles the choice before the
-    components are built.
+    That test runs when 2**(c-1) is at most the member count; otherwise
+    each member is scanned against the links. Each link merges at most two
+    components into one, so c >= n - len(links), which often settles the
+    choice before the components are built.
     """
     pairs = kernels.check_ends(ends, f.n)
     masks = f._masks
     spare = f.n - len(pairs)
-    if len(masks) >= UNION_TEST_MEMBERS and (spare < 1 or 1 << (spare - 1) <= len(masks)):
+    if masks and (spare < 1 or 1 << (spare - 1) <= len(masks)):
         comps = kernels.components(pairs, f.n)
         if 1 << (len(comps) - 1) <= len(masks):
             unions = [0]
@@ -164,9 +156,6 @@ def all_covered(f: SetFamily, ends) -> bool:
             return False
     return True
 
-
-#: byte translation of the binary digits b"0" and b"1" to the bytes 0 and 1
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 class CrossingTable:
     """The crossings between the members of one family and a list of
@@ -190,16 +179,8 @@ class CrossingTable:
         self.cols = cols
 
     def members(self, bits: int) -> list:
-        """The masks, ascending, of the members whose bit is set in bits.
-
-        Up to one member in sixteen is walked bit by bit, from the top;
-        more are read at C speed, by `compress` over the binary digits of
-        bits turned into flags, which costs about as much as walking one
-        bit in sixteen.
-        """
+        """The masks, ascending, of the members whose bit is set in bits."""
         masks = self.family.masks
-        if bits.bit_count() * 16 > len(masks):
-            return list(compress(masks, format(bits, "b").encode()[::-1].translate(_DIGIT_FLAGS)))
         found = []
         while bits:
             i = bits.bit_length() - 1

@@ -307,8 +307,6 @@ def bit_enclosures(masks, cores, crossing, nodes):
             low = rest & -rest
             rest ^= low
             cand = crossers & (low - 1)
-            if not cand:
-                continue
             s0 = masks[low.bit_length() - 1]
             for v, x in enumerate(nodes):
                 if not s0 >> v & 1:

@@ -309,7 +309,8 @@ def test_pipeline_exact_oracle_on_many_links():
 
 def test_pipeline_refused_exact_search(monkeypatch):
     """A search over its node budget leaves no optimum and no verdict on
-    it in the record, which still passes."""
+    it in the record, which still passes; the summary counts the refusals,
+    and a batch without one has no count."""
     monkeypatch.setattr(cli, "exact_optimum",
                         functools.partial(cli.exact_optimum, node_budget=1))
     records = [pipeline_record(_cfg(), index) for index in range(5)]
@@ -318,6 +319,10 @@ def test_pipeline_refused_exact_search(monkeypatch):
     for r in refused:
         assert r["ratio"] is None and "opt_links" not in r and r["pass"]
         assert not {"ratio_le_5", "dual_le_opt"} & set(r["verdicts"])
+    summary = cli._summarize(records)
+    assert summary["exact_refused"] == len(refused)
+    assert list(summary)[-2:] == ["all_passed", "exact_refused"]
+    assert "exact_refused" not in cli._summarize([r for r in records if r not in refused])
 
 
 def _stub_record(failing):
@@ -419,8 +424,7 @@ def test_one_crossing_table_per_solve(tmp_path, monkeypatch):
     the cut table (`cut_values`), only the scans `check_ends` and
     `minimal_indices` run, in a record and in every subcommand, and in a
     record `components`, the link-graph scan of the generator's cover
-    test `all_covered`, which some of the first 20 acceptance records
-    call."""
+    test `all_covered`."""
     calls = collections.Counter()
     for name, kernel in vars(kernels).copy().items():
         if inspect.isfunction(kernel) and not name.startswith("_"):

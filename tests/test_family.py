@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -29,7 +30,7 @@ from cutcover import (
     residual,
     solve,
 )
-from cutcover.family import UNION_TEST_MEMBERS, all_covered, crossing_table
+from cutcover.family import all_covered, crossing_table
 from cutcover.gen import generate
 from conftest import cycle, distinct_cut_values, fam, mask, ns, random_graph
 from reference import cores, covers, crosses, delta_links, link_components
@@ -105,10 +106,9 @@ def test_residual_monotone(rng):
 
 def test_all_covered_matches_definition():
     """all_covered against `covers` on both of its branches: the test of
-    the link graph's component unions, taken when the family has at least
-    `UNION_TEST_MEMBERS` members and 2**(c-1) is at most the member count,
-    and the member scan. Families are symmetric and asymmetric, links
-    parallel or absent."""
+    the link graph's component unions, taken when the family has members
+    and 2**(c-1) is at most the member count, and the member scan.
+    Families are symmetric and asymmetric, links parallel or absent."""
     rng = random.Random(43)
     seen = set()
     for trial in range(400):
@@ -125,8 +125,7 @@ def test_all_covered_matches_definition():
         links = [Link(a, b, 1, k) for k, (a, b) in enumerate(ends)]
         expect = all(any(covers(link, NodeSet(m, n)) for link in links) for m in f.masks)
         assert all_covered(f, ends) == expect
-        unions = (len(f) >= UNION_TEST_MEMBERS
-                  and 1 << (len(link_components(ends, n)) - 1) <= len(f))
+        unions = 1 << (len(link_components(ends, n)) - 1) <= len(f)
         seen |= {(unions, "holds", expect), (unions, "links", bool(ends)),
                  (unions, "symmetric", symmetric)}
     assert seen == {(u, k, v) for u in (False, True) for k in ("holds", "links", "symmetric")
@@ -136,17 +135,32 @@ def test_all_covered_matches_definition():
     assert all_covered(SetFamily(2, ()), [(0, 1)])
 
 
+def test_all_covered_builds_no_large_union_list():
+    """The 2**(c-1) guard keeps all_covered off the union test when the
+    link graph has many components: n = 20 with the family {{0}, V - {0}}
+    and 20 parallel copies of link (0, 1) leave c = 19, whose 2**19 unions
+    would take tens of MB, while the member scan builds no list."""
+    n = 20
+    f = SetFamily(n, [1, ((1 << n) - 1) ^ 1])
+    tracemalloc.start()
+    try:
+        assert all_covered(f, [(0, 1)] * 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_crossing_table_index():
     """crossing_table's nodes and columns against membership and endpoint
     parity, and its conversions between member bits and subfamilies:
-    `members` walks a few bits and reads many through `compress`, both in
-    ascending order; `bits` reads back the bits of every subfamily the
-    table built, of the whole family, of a view of another table and of
-    any other subfamily, and refuses a family that is not one. The links
-    include parallel ones, as given and with their ends swapped, links
-    with both ends inside a member, and links that cross no member."""
+    `members` gives masks in ascending order; `bits` reads back the bits
+    of every subfamily the table built, of the whole family, of a view of
+    another table and of any other subfamily, and refuses a family that is
+    not one. The links include parallel ones, as given and with their ends
+    swapped, links with both ends inside a member, and links that cross no
+    member."""
     rng = random.Random(89)
-    paths = set()
     kinds = set()
     for _ in range(120):
         n = rng.randint(2, 9)
@@ -179,7 +193,6 @@ def test_crossing_table_index():
             bits &= everything
             expect = [m for i, m in enumerate(f.masks) if (bits >> i) & 1]
             assert table.members(bits) == expect
-            paths.add(bits.bit_count() * 16 > len(f))
             sub = table.subfamily(bits)
             assert sub == SetFamily(n, expect)
             assert sub._view == (table, bits) and SetFamily(n, expect)._view is None
@@ -190,7 +203,6 @@ def test_crossing_table_index():
             for other in (SetFamily(n, [outsider]), SetFamily(n + 1, f.masks)):
                 with pytest.raises(ValueError, match="is not a subfamily of"):
                     table.bits(other)
-    assert paths == {False, True}
     assert kinds == {"parallel", "parallel, swapped", "both ends inside", "zero column"}
 
 
