@@ -1,9 +1,14 @@
 """File formats, the batch pipeline, and the command-line surface.
 
-Instance files are JSON objects with rationals written as "p/q" strings
-(plain integers accepted), so values survive serialization exactly:
+Instance files are JSON objects whose n and node ids are integers and whose
+capacities, lambda and costs are integers or "p/q" strings, so values survive
+serialization exactly:
 
     {"n": 4, "edges": [[0, 1, "1"], ...], "lambda": "3", "links": [[0, 2, "5/2"], ...]}
+
+A value that `graph.rational` or `graph.exact_int` refuses (a float, a bool,
+an exponent, a zero denominator) makes the command exit 2 and is named in
+the message.
 
 Reports are JSON lines (one object per instance, then a summary object);
 `bench --csv PATH` also writes an aggregate CSV. All report values are
@@ -34,67 +39,36 @@ _CSV_COLUMNS = (
 )
 
 
-def _rat_str(value) -> str:
-    return str(Fraction(value))
-
-
 def instance_to_obj(inst: Instance) -> dict:
     return {
         "n": inst.graph.n,
-        "edges": [[u, v, _rat_str(c)] for u, v, c in inst.graph.edges],
-        "lambda": _rat_str(inst.threshold),
-        "links": [[l.a, l.b, _rat_str(l.cost)] for l in inst.links],
+        "edges": [[u, v, str(c)] for u, v, c in inst.graph.edges],
+        "lambda": str(inst.threshold),
+        "links": [[l.a, l.b, str(l.cost)] for l in inst.links],
     }
 
 
 _INSTANCE_KEYS = ("n", "edges", "lambda", "links")
 
 
-def _exact_rational(value) -> Fraction:
-    """An integer or a "p/q" string as a Fraction; a float is refused, since
-    its binary value is not the decimal the file shows, and so is an
-    exponent, since "1e99999999" alone would build a 330M-bit integer."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"rationals must be integers or 'p/q' strings, got {value!r}")
-    if isinstance(value, str) and ("e" in value or "E" in value):
-        raise ValueError(f"rationals may not carry an exponent, got {value!r}")
-    try:
-        return Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {value!r}") from None
-
-
-def _integer(value) -> int:
-    """A node id or a node count; anything but a plain integer is refused,
-    so that 1.5 or "1" is never read as node 1."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"node ids and n must be integers, got {value!r}")
-    return value
-
-
-def _triples(obj: dict, key: str) -> list:
-    """The [u, v, c] entries of obj[key] as (node, node, rational) triples;
-    anything else is refused with a message that shows it."""
-    entries = obj[key]
-    if not isinstance(entries, list):
-        raise ValueError(f"{key!r} must be a list, got {entries!r}")
-    triples = []
-    for entry in entries:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ValueError(f"each {key!r} entry must be a [u, v, c] list, got {entry!r}")
-        u, v, c = entry
-        triples.append((_integer(u), _integer(v), _exact_rational(c)))
-    return triples
-
-
 def instance_from_obj(obj: dict) -> Instance:
+    """The instance a parsed file holds; only the JSON shape is checked here,
+    and a value the constructors refuse becomes a ValueError that shows it."""
     if not isinstance(obj, dict):
         raise ValueError("an instance must be a JSON object")
     missing = [key for key in _INSTANCE_KEYS if key not in obj]
     if missing:
         raise ValueError(f"instance has no {', '.join(map(repr, missing))} key")
-    graph = CapGraph(_integer(obj["n"]), _triples(obj, "edges"))
-    return Instance.build(graph, _exact_rational(obj["lambda"]), _triples(obj, "links"))
+    for key in ("edges", "links"):
+        if not isinstance(obj[key], list):
+            raise ValueError(f"{key!r} must be a list, got {obj[key]!r}")
+        for entry in obj[key]:
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise ValueError(f"each {key!r} entry must be a [u, v, c] list, got {entry!r}")
+    try:
+        return Instance.build(CapGraph(obj["n"], obj["edges"]), obj["lambda"], obj["links"])
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def load_instance(text: str) -> Instance:
@@ -108,13 +82,13 @@ def load_instance(text: str) -> Instance:
 def _solution_obj(result) -> dict:
     return {
         "solution": list(result.solution),
-        "cost": _rat_str(result.cost),
-        "dual_total": _rat_str(result.dual.total),
+        "cost": str(result.cost),
+        "dual_total": str(result.dual.total),
         "addition_order": list(result.addition_order),
         "trace": [
             {
                 "phase": pt.phase,
-                "epsilon": _rat_str(pt.epsilon),
+                "epsilon": str(pt.epsilon),
                 "num_cores": len(pt.cores_snapshot),
                 "tight": list(pt.tight_link_ids),
                 "residual_size": len(pt.residual),
@@ -170,7 +144,7 @@ def pipeline_record(cfg: RunConfig, index: int) -> dict:
         "index": index,
         "n": inst.graph.n,
         "num_edges": len(inst.graph.edges),
-        "lambda": _rat_str(inst.threshold),
+        "lambda": str(inst.threshold),
         "num_links": len(inst.links),
         "family_size": len(family),
     }
@@ -199,7 +173,7 @@ def pipeline_record(cfg: RunConfig, index: int) -> dict:
     record["audits"] = [_audit_obj(r) for r in audits]
     verdicts["audits"] = all(r.passed for r in audits)
     quotients = [Fraction(r.lstar_size, r.num_cores) for r in audits if r.num_cores]
-    record["max_density_quotient"] = _rat_str(max(quotients)) if quotients else None
+    record["max_density_quotient"] = str(max(quotients)) if quotients else None
 
     try:
         opt = exact_optimum(inst.links, family, warm_start=result)
@@ -207,11 +181,11 @@ def pipeline_record(cfg: RunConfig, index: int) -> dict:
         record["opt_cost"] = None
         record["ratio"] = None
     else:
-        record["opt_cost"] = _rat_str(opt.opt_cost)
+        record["opt_cost"] = str(opt.opt_cost)
         record["opt_links"] = list(opt.opt_links)
         try:
             q = ratio(result, opt)
-            record["ratio"] = _rat_str(q)
+            record["ratio"] = str(q)
             verdicts["ratio_le_5"] = q <= 5
         except CutCoverError:
             record["ratio"] = None
@@ -239,10 +213,10 @@ def _summarize(records) -> dict:
     summary = {
         "instances": len(records),
         "feasible": sum(1 for r in records if r.get("feasible")),
-        "min_ratio": _rat_str(min(ratios)) if ratios else None,
-        "mean_ratio": _rat_str(sum(ratios, Fraction(0)) / len(ratios)) if ratios else None,
-        "max_ratio": _rat_str(max(ratios)) if ratios else None,
-        "max_density_quotient": _rat_str(max(quotients)) if quotients else None,
+        "min_ratio": str(min(ratios)) if ratios else None,
+        "mean_ratio": str(sum(ratios, Fraction(0)) / len(ratios)) if ratios else None,
+        "max_ratio": str(max(ratios)) if ratios else None,
+        "max_density_quotient": str(max(quotients)) if quotients else None,
         "verdict_tallies": tallies,
         "failed_instances": failed,
         "all_passed": not failed,
@@ -401,7 +375,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         if args.command == "exact":
             opt = exact_optimum(inst.links, family)
             stdout.write(json.dumps({
-                "opt_cost": _rat_str(opt.opt_cost),
+                "opt_cost": str(opt.opt_cost),
                 "opt_links": list(opt.opt_links),
                 "nodes_explored": opt.nodes_explored,
             }, separators=(",", ":")) + "\n")

@@ -9,13 +9,12 @@ budget before it has enumerated every configuration: it raises
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 from . import kernels
 from .errors import Infeasible, SearchBudgetExceeded
-from .graph import NodeSet
+from .graph import NodeSet, exact_int
 
 #: configurations a gamma/gamma* check may test before it gives up
 DEFAULT_GAMMA_BUDGET = 100_000
@@ -37,13 +36,13 @@ class SetFamily:
     __slots__ = ("n", "_masks", "_mask_set", "_view")
 
     def __init__(self, n: int, masks: Iterable[int]):
-        n = operator.index(n)
+        n = exact_int(n)
         if n < 0:
             raise ValueError(f"the ground-set size n must be non-negative, got {n}")
         full = (1 << n) - 1
         seen = set()
         for m in masks:
-            m = operator.index(m)
+            m = exact_int(m)
             if m < 0 or m >> n:
                 raise ValueError(f"mask {m:#x} outside ground set [0, {n})")
             if m == 0:

@@ -20,6 +20,7 @@ from .graph import (
     Instance,
     check_ground_set,
     cut_table,
+    rational,
     small_cut_family,
 )
 
@@ -104,15 +105,9 @@ class RunConfig:
 
 def _parse_lambda_policy(policy: str):
     kind, _, arg = policy.partition(":")
-    if "e" in arg or "E" in arg:
-        # Fraction("1e99999999") alone would build a 330M-bit integer
-        raise ValueError(f"the lambda policy's value may not carry an exponent, got {arg!r}")
     if kind not in ("fixed", "quantile"):
         raise ValueError(f"lambda policy must be 'fixed:<q>' or 'quantile:<f>', got {policy!r}")
-    try:
-        value = Fraction(arg)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in the lambda policy's value {arg!r}") from None
+    value = rational(arg)
     if kind == "fixed":
         return "fixed", value
     if not 0 <= value <= 1:

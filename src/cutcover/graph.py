@@ -1,8 +1,9 @@
 """Capacitated graphs, cut tables and small-cut enumeration.
 
 All capacities, costs and thresholds are exact rationals, and node ids,
-node counts and masks exact integers; floats are rejected at construction
-time so that tightness comparisons downstream are exact.
+node counts and masks exact integers: every constructor reads them by
+`rational` and `exact_int`, the one rule for what counts as either, so
+that tightness comparisons downstream are exact.
 """
 
 from __future__ import annotations
@@ -23,12 +24,34 @@ DEFAULT_ENUM_LIMIT = 20
 CUT_TABLE_BYTES = 1 << 30
 
 
-def _rat(value) -> Fraction:
+def rational(value) -> Fraction:
+    """The exact rational a Fraction, an int or a "p/q" string stands for.
+
+    A bool, a float, whose binary value is not the decimal it prints, or any
+    other type raises TypeError. A string with an exponent ("1e99999999"
+    alone would build a 330M-bit integer), a zero denominator or no number
+    raises ValueError. Both messages show the value."""
     if type(value) is Fraction:
         return value
-    if isinstance(value, float):
-        raise TypeError("exact rational required, got float; pass Fraction, int or 'p/q' string")
-    return Fraction(value)
+    if type(value) is bool or not isinstance(value, (int, str, Fraction)):
+        raise TypeError(f"exact rational required: an int or a 'p/q' string, got {value!r}")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"a rational may not carry an exponent, got {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a 'p/q' rational with a non-zero denominator: {value!r}") from None
+
+
+def exact_int(value) -> int:
+    """A node id, count or mask: `operator.index`, which refuses a float or
+    a string, but refusing a bool too, so that True is never node 1."""
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"an integer is required, got {value!r}")
 
 
 class NodeSet:
@@ -38,8 +61,8 @@ class NodeSet:
     __slots__ = ("bits", "n")
 
     def __init__(self, bits: int, n: int):
-        bits = operator.index(bits)
-        n = operator.index(n)
+        bits = exact_int(bits)
+        n = exact_int(n)
         if n < 0:
             raise ValueError("ground-set size must be non-negative")
         if bits < 0 or bits >> n:
@@ -80,9 +103,9 @@ class Link:
     id: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", operator.index(self.a))
-        object.__setattr__(self, "b", operator.index(self.b))
-        object.__setattr__(self, "cost", _rat(self.cost))
+        object.__setattr__(self, "a", exact_int(self.a))
+        object.__setattr__(self, "b", exact_int(self.b))
+        object.__setattr__(self, "cost", rational(self.cost))
         if self.a == self.b:
             raise ValueError(f"link {self.id} is a self-loop on node {self.a}")
         if self.a < 0 or self.b < 0:
@@ -99,12 +122,12 @@ class CapGraph:
     edges: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "n", exact_int(self.n))
         if self.n < 0:
             raise ValueError(f"the node count n must be non-negative, got {self.n}")
         canon = []
         for u, v, cap in self.edges:
-            u, v, cap = operator.index(u), operator.index(v), _rat(cap)
+            u, v, cap = exact_int(u), exact_int(v), rational(cap)
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -124,7 +147,7 @@ class Instance:
     links: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "threshold", _rat(self.threshold))
+        object.__setattr__(self, "threshold", rational(self.threshold))
         object.__setattr__(self, "links", tuple(self.links))
         for pos, link in enumerate(self.links):
             if link.id != pos:
@@ -183,7 +206,7 @@ def small_cut_family(n: int, table, threshold):
     from .family import SetFamily
 
     values, denom = table
-    threshold = _rat(threshold)
+    threshold = rational(threshold)
     # an integer cut v has v / denom < threshold exactly when v < lam
     lam = ceil(threshold * denom)
     full = (1 << n) - 1
@@ -196,6 +219,5 @@ def small_cut_family(n: int, table, threshold):
 def enumerate_small_cuts(g: CapGraph, threshold, limit: int = DEFAULT_ENUM_LIMIT):
     """The family of non-trivial sets whose cut capacity is strictly below
     the threshold; symmetric by construction."""
-    threshold = _rat(threshold)
     return small_cut_family(g.n, cut_table(g, limit), threshold)
 

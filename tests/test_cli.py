@@ -662,6 +662,64 @@ def test_cli_negative_n_rejected(tmp_path):
     _refused(["solve", str(path)], "non-negative", "-1")
 
 
+#: a feasible instance file, and the place of each of its values
+_ONE_RULE_OBJ = {"n": 3, "edges": [[0, 1, "2"], [1, 2, "2"]], "lambda": "3",
+                 "links": [[0, 2, "1"]]}
+_SLOTS = {"n": ("n",), "edge-end": ("edges", 0, 1), "capacity": ("edges", 0, 2),
+          "lambda": ("lambda",), "link-end": ("links", 0, 0), "cost": ("links", 0, 2)}
+_BAD_VALUES = (True, 1.5, float("nan"), "1e400", "1E5", "1/0", "abc", "", None, [])
+#: a value of each slot that builds: the same instance, spelt another way
+_GOOD_VALUES = {"n": 3, "edge-end": 1, "capacity": 2, "lambda": "6/2", "link-end": 0,
+                "cost": "2/2"}
+
+
+@pytest.mark.parametrize("slot, value", [
+    (slot, value)
+    for slot in _SLOTS
+    for value in _BAD_VALUES + (("3",) if slot in ("n", "edge-end", "link-end") else ())
+    + (_GOOD_VALUES[slot],)
+], ids=lambda v: v if isinstance(v, str) and v in _SLOTS else repr(v))
+def test_file_reader_and_constructors_apply_one_rule(tmp_path, slot, value):
+    """One value in one slot of a file: `CapGraph` and `Instance.build`
+    either build it or raise TypeError or ValueError, never another error,
+    and `cutcover solve` on the file exits 2, naming the value, exactly
+    when they refuse it."""
+    obj = json.loads(json.dumps(_ONE_RULE_OBJ))
+    *where, last = _SLOTS[slot]
+    target = obj
+    for key in where:
+        target = target[key]
+    target[last] = value
+    try:
+        Instance.build(CapGraph(obj["n"], obj["edges"]), obj["lambda"], obj["links"])
+    except (TypeError, ValueError):
+        refused = True
+    else:
+        refused = False
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    if refused:
+        _refused(["solve", str(path)], repr(value))
+    else:
+        assert _run_main(["solve", str(path)])[0] == 0
+    assert refused == (value is not _GOOD_VALUES[slot])
+
+
+def test_file_reader_converts_only_construction_errors(tmp_path, monkeypatch):
+    """The file reader turns the constructors' TypeError into a refusal
+    (exit 2); a TypeError raised past it, here by the solver, is a bug and
+    propagates."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_ONE_RULE_OBJ))
+
+    def broken_solve(*args):
+        raise TypeError("solver bug")
+
+    monkeypatch.setattr(cli, "solve", broken_solve)
+    with pytest.raises(TypeError, match="solver bug"):
+        main(["solve", str(path)], stdout=io.StringIO(), stderr=io.StringIO())
+
+
 def test_single_drop_minimal_matches_residual_definition():
     rng = random.Random(5)
     verdicts = set()

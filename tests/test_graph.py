@@ -135,6 +135,27 @@ def test_non_integer_ids_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: Link(True, 2, 1, 0), TypeError),
+    (lambda: CapGraph(3, [(0, True, 1)]), TypeError),
+    (lambda: CapGraph(True, []), TypeError),
+    (lambda: SetFamily(2, [True]), TypeError),
+    (lambda: NodeSet(True, 2), TypeError),
+    (lambda: Link(0, 1, True, 0), TypeError),
+    (lambda: Link(0, 1, "1e400", 0), ValueError),
+    (lambda: Link(0, 1, "1/0", 0), ValueError),
+    (lambda: CapGraph(2, [(0, 1, "abc")]), ValueError),
+], ids=["link-bool-end", "edge-bool-end", "graph-bool-n", "family-bool-mask",
+        "nodeset-bool-bits", "link-bool-cost", "link-exponent-cost",
+        "link-zero-denominator-cost", "edge-malformed-capacity"])
+def test_bools_and_unreadable_rationals_rejected(build, error):
+    """A bool is neither a node id nor a rational, though Python counts it
+    as an int; a rational string with an exponent, a zero denominator or
+    no number is a ValueError, never a huge integer or ZeroDivisionError."""
+    with pytest.raises(error):
+        build()
+
+
 # ---------------------------------------------------------------- delta_links
 
 def _links(*pairs):
