@@ -15,7 +15,6 @@ from .errors import (
     Infeasible,
     SearchBudgetExceeded,
     WitnessSearchExhausted,
-    ZeroOptimumViolation,
 )
 from .graph import (
     CapGraph,
@@ -36,14 +35,14 @@ from .family import (
     check_symmetry,
     residual,
 )
-from .pd import DualState, PhaseTrace, SolveResult, dual_feasible, reverse_delete, solve
+from .pd import PhaseTrace, SolveResult, dual_feasible, reverse_delete, solve
 from .certify import (
     AuditReport,
     audit_run,
     crossing_density_audit,
     find_witness_laminar,
 )
-from .exact import ExactResult, exact_optimum, ratio
+from .exact import ExactResult, exact_optimum
 from .gen import RunConfig, gen_instance
 
 __version__ = "0.1.0"
@@ -52,7 +51,6 @@ __all__ = [
     "AuditReport",
     "CapGraph",
     "CutCoverError",
-    "DualState",
     "ExactResult",
     "GenerationExhausted",
     "GroundSetTooLarge",
@@ -67,7 +65,6 @@ __all__ = [
     "SetFamily",
     "SolveResult",
     "WitnessSearchExhausted",
-    "ZeroOptimumViolation",
     "audit_run",
     "check_disjoint_cores",
     "check_gamma",
@@ -82,7 +79,6 @@ __all__ = [
     "exact_optimum",
     "find_witness_laminar",
     "gen_instance",
-    "ratio",
     "residual",
     "reverse_delete",
     "solve",

@@ -19,10 +19,6 @@ class Infeasible(CutCoverError):
         super().__init__(f"no link covers {uncovered}")
 
 
-class ZeroOptimumViolation(CutCoverError):
-    """Optimum cost is zero but the solver paid a positive cost."""
-
-
 class WitnessSearchExhausted(CutCoverError):
     """Backtracking found no laminar witness selection; signals a defect."""
 

@@ -1,4 +1,4 @@
-"""Exact minimum-cost cover via branch and bound, and the ratio audit.
+"""Exact minimum-cost cover via branch and bound.
 
 The search branches on the covering links of a most-constrained core of
 the still-uncovered subfamily, partitioning by forbidding earlier
@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import kernels
-from .errors import SearchBudgetExceeded, ZeroOptimumViolation
+from .errors import SearchBudgetExceeded
 from .family import SetFamily, crossing_table
 from .pd import SolveResult
 
@@ -118,14 +118,3 @@ def exact_optimum(links, f: SetFamily, node_budget: int = DEFAULT_EXACT_BUDGET,
                 stack.append((chosen | 1 << r, cost + costs[r], forbidden | cheaper,
                               live & ~cols[r]))
     return ExactResult(Fraction(best_cost, denom), best_set, nodes)
-
-
-def ratio(alg: SolveResult, opt: ExactResult) -> Fraction:
-    """Exact quotient of the solver's cost over the optimum cost."""
-    if opt.opt_cost == 0:
-        if alg.cost != 0:
-            raise ZeroOptimumViolation(
-                f"optimum cost is zero but the solver paid {alg.cost}"
-            )
-        return Fraction(1)
-    return alg.cost / opt.opt_cost

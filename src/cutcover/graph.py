@@ -29,14 +29,15 @@ def rational(value) -> Fraction:
 
     A bool, a float, whose binary value is not the decimal it prints, or any
     other type raises TypeError. A string with an exponent ("1e99999999"
-    alone would build a 330M-bit integer), a zero denominator or no number
-    raises ValueError. Both messages show the value."""
+    alone would build a 330M-bit integer), an underscore (which not every
+    supported Python reads), a zero denominator or no number raises
+    ValueError. Both messages show the value."""
     if type(value) is Fraction:
         return value
     if type(value) is bool or not isinstance(value, (int, str, Fraction)):
         raise TypeError(f"exact rational required: an int or a 'p/q' string, got {value!r}")
-    if isinstance(value, str) and ("e" in value or "E" in value):
-        raise ValueError(f"a rational may not carry an exponent, got {value!r}")
+    if isinstance(value, str) and ("e" in value or "E" in value or "_" in value):
+        raise ValueError(f"a rational may not carry an exponent or an underscore, got {value!r}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
@@ -106,6 +107,7 @@ class Link:
         object.__setattr__(self, "a", exact_int(self.a))
         object.__setattr__(self, "b", exact_int(self.b))
         object.__setattr__(self, "cost", rational(self.cost))
+        object.__setattr__(self, "id", exact_int(self.id))
         if self.a == self.b:
             raise ValueError(f"link {self.id} is a self-loop on node {self.a}")
         if self.a < 0 or self.b < 0:

@@ -9,23 +9,12 @@ reverse delete scans the strict reverse of the global addition sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from . import kernels
 from .family import CrossingTable, SetFamily, crossing_table
-
-
-@dataclass
-class DualState:
-    """Dual variables keyed by the mask of the core they were raised on.
-
-    `solve` fills y and total once, from the integer state it grows them in.
-    """
-
-    y: dict = field(default_factory=dict)
-    total: Fraction = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -42,14 +31,16 @@ class PhaseTrace:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of one solve: the pruned solution, its exact cost, the dual
-    state, the per-phase trace, the pre-delete addition order and the
+    """Outcome of one solve: the pruned solution, its exact cost, the duals
+    y (the mask of each core raised above zero -> its dual) and their
+    dual_total, the per-phase trace, the pre-delete addition order and the
     family's `crossing_table` over the links, which the audits and the
     exact search read."""
 
     solution: tuple
     cost: Fraction
-    dual: DualState
+    y: dict
+    dual_total: Fraction
     trace: tuple
     addition_order: tuple
     table: CrossingTable
@@ -126,10 +117,10 @@ def solve(links, f: SetFamily) -> SolveResult:
         trace.append(PhaseTrace(len(trace), core_family, Fraction(step, den), tuple(tight),
                                 remaining))
         remaining = table.subfamily(live)
-    state = DualState({c: Fraction(v, den) for c, v in y.items()}, Fraction(total, den))
     solution = reverse_delete(picked, f, table)
     cost = sum((links[i].cost for i in solution), Fraction(0))
-    return SolveResult(tuple(solution), cost, state, tuple(trace), tuple(picked), table)
+    return SolveResult(tuple(solution), cost, {c: Fraction(v, den) for c, v in y.items()},
+                       Fraction(total, den), tuple(trace), tuple(picked), table)
 
 
 def reverse_delete(addition_order, f: SetFamily, table):
@@ -160,18 +151,18 @@ def reverse_delete(addition_order, f: SetFamily, table):
     return kept[::-1]
 
 
-def dual_feasible(links, f: SetFamily, state: DualState) -> bool:
+def dual_feasible(links, f: SetFamily, y: dict) -> bool:
     """Every link carries dual load at most its cost, exactly.
 
-    A link's load is summed from scratch over state.y: the duals and the
-    costs are scaled to integers over one common denominator, and the load
-    of a link is the sum of the scaled duals of the masks it has exactly
-    one endpoint in.
+    y maps masks to their duals, as `SolveResult.y` does. A link's load is
+    summed from scratch over y: the duals and the costs are scaled to
+    integers over one common denominator, and the load of a link is the
+    sum of the scaled duals of the masks it has exactly one endpoint in.
     """
     kernels.check_ends(((link.a, link.b) for link in links), f.n)
-    den = lcm(*(v.denominator for v in state.y.values()),
+    den = lcm(*(v.denominator for v in y.values()),
               *(link.cost.denominator for link in links))
-    duals = [(m, v.numerator * (den // v.denominator)) for m, v in state.y.items()]
+    duals = [(m, v.numerator * (den // v.denominator)) for m, v in y.items()]
     for link in links:
         a, b = link.a, link.b
         load = sum(v for m, v in duals if ((m >> a) ^ (m >> b)) & 1)

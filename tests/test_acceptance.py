@@ -276,13 +276,16 @@ def test_seeded_reports_pinned(batch):
     assert digests == REPORT_SHA256
 
 
-#: sha256 of the standard output of two generator-path commands: infeasible
-#: draws with few links, and a fixed threshold instead of a quantile
+#: sha256 of the standard output of three generator-path commands: infeasible
+#: draws with few links, a fixed threshold instead of a quantile, and costs
+#: from 0, which give 7 of the 50 records a zero optimum
 COMMAND_SHA256 = {
     "gen --seed 5 --count 30 --link-range 0:4 --allow-infeasible":
         "37862e1eba8c0bf7c5570c8135a10b82ac2944eb1a8bff7f4fc59c4fdbde13cf",
     "bench --seed 3 --count 100 --allow-infeasible --link-range 2:6 --lambda-policy fixed:5/2":
         "5c9500c127116f5b82dd0f28689b747724b9f863f1e52ceedfafdbf0041abb29",
+    "bench --seed 1 --count 50 --cost-range 0:3":
+        "bb774c4011df7d43c2ee780166c85bfe864c9040b05dd8af6bf3fd2b0ce1e524",
 }
 
 

@@ -18,6 +18,7 @@ import pytest
 
 from cutcover import (
     CapGraph,
+    ExactResult,
     GenerationExhausted,
     GroundSetTooLarge,
     Instance,
@@ -323,6 +324,19 @@ def test_pipeline_refused_exact_search(monkeypatch):
     assert summary["exact_refused"] == len(refused)
     assert list(summary)[-2:] == ["all_passed", "exact_refused"]
     assert "exact_refused" not in cli._summarize([r for r in records if r not in refused])
+
+
+def test_pipeline_paid_solve_against_zero_optimum(monkeypatch):
+    """A solve that pays against a zero optimum, which no seed reaches:
+    the record has no ratio and fails ratio_le_5 and dual_le_opt, as a
+    verdict rather than an exception."""
+    monkeypatch.setattr(cli, "exact_optimum",
+                        lambda links, family, warm_start: ExactResult(Fraction(0), (), 1))
+    record = pipeline_record(RunConfig(seed=1), 0)
+    assert Fraction(record["cost"]) > 0 and record["opt_cost"] == "0"
+    assert record["ratio"] is None
+    assert not record["verdicts"]["ratio_le_5"] and not record["verdicts"]["dual_le_opt"]
+    assert record["pass"] is False
 
 
 def _stub_record(failing):

@@ -9,7 +9,6 @@ import tracemalloc
 import pytest
 
 from cutcover import (
-    DualState,
     Link,
     NodeSet,
     PropertyReport,
@@ -209,7 +208,7 @@ def test_crossing_table_index():
 @pytest.mark.parametrize("call", [
     lambda f, links: all_covered(f, [(0, 3)]),
     lambda f, links: residual(f, links),
-    lambda f, links: dual_feasible(links, f, DualState()),
+    lambda f, links: dual_feasible(links, f, {}),
     lambda f, links: crossing_density_audit(0, f, {0: 0b001}, links, cores(f)),
     lambda f, links: crossing_table(f, links),
 ], ids=["all_covered", "residual", "dual_feasible", "crossing_density_audit", "crossing_table"])

@@ -126,8 +126,9 @@ def test_floats_rejected():
     lambda: CapGraph(3.5, ()),
     lambda: Link(0.5, 1, 1, 0),
     lambda: NodeSet(1.0, 3),
+    lambda: Link(0, 1, 1, 0.0),
 ], ids=["family-float-masks", "family-str-mask", "edge-float-ends", "graph-float-n",
-        "link-float-end", "nodeset-float-bits"])
+        "link-float-end", "nodeset-float-bits", "link-float-id"])
 def test_non_integer_ids_rejected(build):
     """Node ids, node counts and masks must be exact integers: a float or a
     string is refused, not truncated or compared as it stands."""
@@ -145,13 +146,18 @@ def test_non_integer_ids_rejected(build):
     (lambda: Link(0, 1, "1e400", 0), ValueError),
     (lambda: Link(0, 1, "1/0", 0), ValueError),
     (lambda: CapGraph(2, [(0, 1, "abc")]), ValueError),
+    (lambda: Link(0, 1, 1, True), TypeError),
+    (lambda: Link(0, 1, "1_000", 0), ValueError),
 ], ids=["link-bool-end", "edge-bool-end", "graph-bool-n", "family-bool-mask",
         "nodeset-bool-bits", "link-bool-cost", "link-exponent-cost",
-        "link-zero-denominator-cost", "edge-malformed-capacity"])
+        "link-zero-denominator-cost", "edge-malformed-capacity", "link-bool-id",
+        "link-underscore-cost"])
 def test_bools_and_unreadable_rationals_rejected(build, error):
     """A bool is neither a node id nor a rational, though Python counts it
     as an int; a rational string with an exponent, a zero denominator or
-    no number is a ValueError, never a huge integer or ZeroDivisionError."""
+    no number is a ValueError, never a huge integer or ZeroDivisionError,
+    and so is one with an underscore, which not every supported Python
+    reads."""
     with pytest.raises(error):
         build()
 

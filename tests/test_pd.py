@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from cutcover import (
-    DualState,
     Infeasible,
     Instance,
     Link,
@@ -32,7 +31,7 @@ from reference import cores, covers, load
 def test_solve_empty_family():
     res = solve([Link(0, 1, 3, 0)], SetFamily(2, ()))
     assert res.solution == () and res.cost == 0
-    assert res.dual.y == {} and res.dual.total == 0
+    assert res.y == {} and res.dual_total == 0
     assert res.trace == ()
 
 
@@ -43,15 +42,15 @@ def test_solve_k2_single_phase_dual():
     assert res.solution == (0,)
     assert res.cost == 7
     # both singleton cores raised by 7/2; the link sits in both cuts
-    assert res.dual.y == {0b01: Fraction(7, 2), 0b10: Fraction(7, 2)}
-    assert res.dual.total == 7
+    assert res.y == {0b01: Fraction(7, 2), 0b10: Fraction(7, 2)}
+    assert res.dual_total == 7
     assert len(res.trace) == 1
     pt = res.trace[0]
     assert pt.epsilon == Fraction(7, 2)
     assert pt.tight_link_ids == (0,)
     assert set(pt.cores_snapshot.masks) == {0b01, 0b10}
-    assert dual_feasible(links, f, res.dual)
-    assert load(res.dual.y, links[0], 2) == 7  # tight
+    assert dual_feasible(links, f, res.y)
+    assert load(res.y, links[0], 2) == 7  # tight
 
 
 def _one_phase(f, link_specs):
@@ -63,21 +62,21 @@ def test_phase_single_core():
     res = _one_phase(fam(3, (0,)), [(0, 1, 5)])
     pt = res.trace[0]
     assert pt.epsilon == 5 and pt.tight_link_ids == (0,)
-    assert res.dual.y == {0b001: 5} and res.dual.total == 5
+    assert res.y == {0b001: 5} and res.dual_total == 5
 
 
 def test_phase_two_cores_half_slack():
     res = _one_phase(fam(2, (0,), (1,)), [(0, 1, 7)])
     pt = res.trace[0]
     assert pt.epsilon == Fraction(7, 2) and pt.tight_link_ids == (0,)
-    assert res.dual.total == 7
+    assert res.dual_total == 7
 
 
 def test_phase_zero_slack_link():
     res = _one_phase(fam(3, (0,)), [(0, 1, 0)])
     pt = res.trace[0]
     assert pt.epsilon == 0 and pt.tight_link_ids == (0,)
-    assert res.dual.y == {} and res.dual.total == 0  # nothing actually raised
+    assert res.y == {} and res.dual_total == 0  # nothing actually raised
 
 
 def test_phase_uncrossed_core_infeasible():
@@ -120,7 +119,7 @@ def test_zero_cost_links_admitted_in_zero_epsilon_phase():
     res = solve([Link(0, 1, 0, 0), Link(1, 0, 9, 1)], f)
     assert res.trace[0].epsilon == 0
     assert res.solution == (0,) and res.cost == 0
-    assert res.dual.total == 0
+    assert res.dual_total == 0
 
 
 def test_ties_admit_all_links_ascending():
@@ -184,9 +183,8 @@ def test_reverse_delete_matches_drop_one_definition():
 def test_dual_feasible_reports_violation():
     links = [Link(0, 1, 3, 0)]
     f = enumerate_small_cuts(k2(), 2)
-    state = DualState(y={0b01: Fraction(4)}, total=Fraction(4))
-    assert not dual_feasible(links, f, state)
-    assert dual_feasible(links, f, DualState())
+    assert not dual_feasible(links, f, {0b01: Fraction(4)})
+    assert dual_feasible(links, f, {})
 
 
 def test_four_cycle_cost_within_five_of_optimum():
@@ -208,7 +206,7 @@ def test_four_cycle_cost_within_five_of_optimum():
 
 def _replay_phases(inst, f, res):
     """Recompute each phase's residual and partial dual from the trace."""
-    state = DualState()
+    y, total = {}, Fraction(0)
     picked = []
     for pt in res.trace:
         remaining = residual(f, [inst.links[i] for i in picked])
@@ -216,11 +214,11 @@ def _replay_phases(inst, f, res):
         assert cores(remaining) == pt.cores_snapshot
         if pt.epsilon:
             for c in pt.cores_snapshot.masks:
-                state.y[c] = state.y.get(c, Fraction(0)) + pt.epsilon
-            state.total += pt.epsilon * len(pt.cores_snapshot)
-        assert dual_feasible(inst.links, f, state), "dual infeasible at a phase boundary"
+                y[c] = y.get(c, Fraction(0)) + pt.epsilon
+            total += pt.epsilon * len(pt.cores_snapshot)
+        assert dual_feasible(inst.links, f, y), "dual infeasible at a phase boundary"
         picked.extend(pt.tight_link_ids)
-    assert state.y == res.dual.y and state.total == res.dual.total
+    assert y == res.y and total == res.dual_total
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -243,15 +241,15 @@ def test_random_runs_invariants(seed):
             rest = [inst.links[i] for i in res.solution if i != lid]
             assert len(residual(f, rest)) > 0
         # dual feasibility at the end and at every phase boundary
-        assert dual_feasible(inst.links, f, res.dual)
+        assert dual_feasible(inst.links, f, res.y)
         _replay_phases(inst, f, res)
         # dual keys were cores of some phase
         raised = set()
         for pt in res.trace:
             raised.update(pt.cores_snapshot.masks)
-        assert set(res.dual.y) <= raised
+        assert set(res.y) <= raised
         # guarantee audit
-        assert res.cost <= 5 * res.dual.total or res.cost == 0
+        assert res.cost <= 5 * res.dual_total or res.cost == 0
 
 
 def test_determinism():
@@ -263,7 +261,7 @@ def test_determinism():
     assert a.solution == b.solution
     assert a.addition_order == b.addition_order
     assert a.trace == b.trace
-    assert a.dual.y == b.dual.y
+    assert a.y == b.y
 
 
 def _reference_solve(inst, f):
@@ -271,8 +269,8 @@ def _reference_solve(inst, f):
     epsilon is the least (cost - load) / degree over the unpicked links,
     with the load summed from scratch over the raised duals and the degree
     counted through `covers`. Returns the per-phase (epsilon, tight ids,
-    residual size) and the dual state."""
-    state = DualState()
+    residual size), the duals and their total."""
+    y, total = {}, Fraction(0)
     picked = set()
     phases = []
     remaining = f
@@ -282,17 +280,17 @@ def _reference_solve(inst, f):
         for link in inst.links:
             degree = sum(1 for c in core_sets if covers(link, c))
             if link.id not in picked and degree:
-                reach[link.id] = (link.cost - load(state.y, link, f.n)) / degree
+                reach[link.id] = (link.cost - load(y, link, f.n)) / degree
         epsilon = min(reach.values())
         tight = tuple(sorted(lid for lid, r in reach.items() if r == epsilon))
         if epsilon:
             for c in core_sets:
-                state.y[c.bits] = state.y.get(c.bits, Fraction(0)) + epsilon
-            state.total += epsilon * len(core_sets)
+                y[c.bits] = y.get(c.bits, Fraction(0)) + epsilon
+            total += epsilon * len(core_sets)
         phases.append((epsilon, tight, len(remaining)))
         picked.update(tight)
         remaining = residual(remaining, [inst.links[i] for i in tight])
-    return phases, state
+    return phases, y, total
 
 
 def _rational_instance_with_ties(rng):
@@ -323,9 +321,9 @@ def test_link_load_matches_from_scratch_load(seed):
         inst = _rational_instance_with_ties(rng)
         f = enumerate_small_cuts(inst.graph, inst.threshold)
         res = solve(inst.links, f)
-        expected, state = _reference_solve(inst, f)
+        expected, y, total = _reference_solve(inst, f)
         assert [(pt.epsilon, pt.tight_link_ids, len(pt.residual)) for pt in res.trace] == expected
-        assert res.dual.y == state.y and res.dual.total == state.total
+        assert res.y == y and res.dual_total == total
         phases += len(expected)
         zero_phases += sum(1 for eps, _, _ in expected if eps == 0)
         ties += sum(1 for _, tight, _ in expected if len(tight) > 1)
@@ -343,7 +341,7 @@ def test_dual_feasible_matches_fraction_reference(seed):
     for _ in range(10):
         inst = _rational_instance_with_ties(rng)
         f = enumerate_small_cuts(inst.graph, inst.threshold)
-        y = solve(inst.links, f).dual.y
+        y = solve(inst.links, f).y
         states = [y]
         if y:
             bumped = dict(y)
@@ -353,7 +351,7 @@ def test_dual_feasible_matches_fraction_reference(seed):
             states += [bumped, {s: v * factor for s, v in y.items()}]
         for y_state in states:
             expect = all(load(y_state, link, f.n) <= link.cost for link in inst.links)
-            assert dual_feasible(inst.links, f, DualState(y_state)) == expect
+            assert dual_feasible(inst.links, f, y_state) == expect
             outcomes.append(expect)
     assert set(outcomes) == {True, False}
 
@@ -387,7 +385,7 @@ def test_solve_on_families_no_graph_produces(seed):
         assert all_covered(f, ends)
         for k in range(len(ends)):
             assert not all_covered(f, ends[:k] + ends[k + 1:])
-        assert dual_feasible(links, f, res.dual)
+        assert dual_feasible(links, f, res.y)
         opt = exact_optimum(links, f)
-        assert res.dual.total <= opt.opt_cost <= res.cost
+        assert res.dual_total <= opt.opt_cost <= res.cost
     assert asymmetric > 10 and multi_phase > 10
