@@ -9,11 +9,11 @@ set, witness search running out of candidates or budget).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import kernels
 from .errors import SearchBudgetExceeded, WitnessSearchExhausted
-from .family import SetFamily
 from .pd import SolveResult, reverse_delete
 
 DEFAULT_WITNESS_BUDGET = 1_000_000
@@ -22,38 +22,37 @@ DEFAULT_WITNESS_BUDGET = 1_000_000
 AUDIT_MODES = ("per-phase", "final")
 
 
-def _witness_candidates(j_hat, f_res: SetFamily, table) -> dict:
-    """Each link of the cover j_hat to the masks of the members of f_res
-    that it crosses and no other link of j_hat does, smallest first and
-    ascending among equal sizes.
+def _witness_candidates(j_hat, live: int, table) -> dict:
+    """Each link of the cover j_hat to the masks of the members of live,
+    member bits over table, that it crosses and no other link of j_hat
+    does, smallest first and ascending among equal sizes.
 
-    A link's candidates are the bits of its column in f_res outside the
+    A link's candidates are the bits of its column in live outside the
     members that two or more cover links cross.
     """
-    alone = table.bits(f_res) & ~table.crossed(j_hat)[1]
+    alone = live & ~table.crossed(j_hat)[1]
     # stable, and the members arrive ascending, so ties stay ascending
     return {lid: sorted(table.members(alone & table.cols[lid]), key=int.bit_count)
             for lid in j_hat}
 
 
-def find_witness_laminar(j_hat, f_res: SetFamily, table,
+def find_witness_laminar(j_hat, live: int, table,
                          node_budget: int = DEFAULT_WITNESS_BUDGET) -> dict:
     """Backtracking search for a mutually laminar witness selection: each
     link of an inclusion-minimal cover to its witness mask, a residual
     member that this link alone covers.
 
-    Candidates for each link are the residual members covered by that link
-    and no other link of the cover (`_witness_candidates`);
-    inclusion-minimality of the cover makes every candidate list
-    non-empty. Candidates are tried smallest first. table is a
-    `crossing_table` over the links of f_res or of a family that f_res is
-    part of.
+    The residual is live, a set of member bits over table, a
+    `crossing_table`. Candidates for each link are the residual members
+    covered by that link and no other link of the cover
+    (`_witness_candidates`); inclusion-minimality of the cover makes every
+    candidate list non-empty. Candidates are tried smallest first.
     """
     j_hat = list(j_hat)
     if not j_hat:
         return {}
 
-    candidates = _witness_candidates(j_hat, f_res, table)
+    candidates = _witness_candidates(j_hat, live, table)
     for lid, cand in candidates.items():
         if not cand:
             raise WitnessSearchExhausted(
@@ -142,25 +141,28 @@ class AuditReport:
     passed: bool
 
 
-def crossing_density_audit(phase: int, f_res: SetFamily, witness: dict,
-                           links, core_family: SetFamily) -> AuditReport:
-    """Audit one phase's residual family against the witness map, each
-    cover link id to its witness mask; core_family holds the
-    inclusion-minimal members of f_res.
+def crossing_density_audit(phase: int, table, live: int, core_bits: int, witness: dict,
+                           links) -> AuditReport:
+    """Audit one phase's residual family, live, and its inclusion-minimal
+    members, core_bits, both member bits over table, a `crossing_table`,
+    against the witness map, each cover link id to its witness mask.
 
-    Every set is a mask. The witness re-check runs from scratch: each
-    witness must be a member of f_res that exactly one cover link, its own,
-    crosses, by the parity of the link's endpoints in the mask.
+    Every set is a mask. The witness re-check reads no column: each
+    witness must be a residual member, found by its mask and its live
+    bit, that exactly one cover link, its own, crosses, by the parity of
+    the link's endpoints in the mask.
     """
-    n = f_res.n
+    masks = table.family.masks
+    n = table.family.n
     full = (1 << n) - 1
-    core_masks = core_family.masks
+    core_masks = table.members(core_bits)
 
     j_hat = sorted(witness)
     ends = kernels.check_ends([(links[j].a, links[j].b) for j in j_hat], n)
     witness_valid = True
     for lid, s in witness.items():
-        if not f_res.contains_mask(s):
+        i = bisect_left(masks, s)
+        if i == len(masks) or masks[i] != s or not live >> i & 1:
             witness_valid = False
             break
         delta = [j for j, (a, b) in zip(j_hat, ends) if ((s >> a) ^ (s >> b)) & 1]
@@ -233,18 +235,18 @@ def crossing_density_audit(phase: int, f_res: SetFamily, witness: dict,
 def audit_run(links, result: SolveResult, mode: str = "per-phase"):
     """Audit every phase of a solve of links (or only the last, mode="final").
 
-    Each phase is audited on the residual family and cores its trace
-    recorded, against the final solution pruned to an inclusion-minimal
-    cover of those cores. The reverse delete and the witness candidates
-    read the columns of the solve's crossing table: the members each link
-    crosses.
+    Each phase is audited on the member bits of the residual family and
+    cores its trace recorded, against the final solution pruned to an
+    inclusion-minimal cover of those cores. The reverse delete and the
+    witness candidates read the columns of the solve's crossing table: the
+    members each link crosses.
     """
     if mode not in AUDIT_MODES:
         raise ValueError(f"audit mode must be one of {AUDIT_MODES}, got {mode!r}")
     reports = []
     for pt in result.trace if mode == "per-phase" else result.trace[-1:]:
-        j_hat = reverse_delete(result.solution, pt.cores_snapshot, result.table)
-        witness = find_witness_laminar(j_hat, pt.residual, result.table)
-        reports.append(crossing_density_audit(pt.phase, pt.residual, witness, links,
-                                              pt.cores_snapshot))
+        j_hat = reverse_delete(result.solution, pt.core_bits, result.table)
+        witness = find_witness_laminar(j_hat, pt.live, result.table)
+        reports.append(crossing_density_audit(pt.phase, result.table, pt.live, pt.core_bits,
+                                              witness, links))
     return reports

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .certify import AUDIT_MODES, audit_run
 from .errors import CutCoverError, SearchBudgetExceeded
 from .exact import exact_optimum
-from .family import SetFamily, all_covered
+from .family import all_covered
 from .gen import RunConfig, generate
 from .graph import CapGraph, Instance, enumerate_small_cuts
 from .pd import dual_feasible, solve
@@ -89,9 +89,9 @@ def _solution_obj(result) -> dict:
             {
                 "phase": pt.phase,
                 "epsilon": str(pt.epsilon),
-                "num_cores": len(pt.cores_snapshot),
+                "num_cores": pt.core_bits.bit_count(),
                 "tight": list(pt.tight_link_ids),
-                "residual_size": len(pt.residual),
+                "residual_size": pt.live.bit_count(),
             }
             for pt in result.trace
         ],
@@ -115,7 +115,7 @@ def _audit_obj(report) -> dict:
     }
 
 
-def _single_drop_minimal(family: SetFamily, solution, table) -> bool:
+def _single_drop_minimal(solution, table) -> bool:
     """Independent minimality audit: dropping any one link uncovers a set.
 
     That holds when some member is crossed by no solution link, or when
@@ -123,7 +123,7 @@ def _single_drop_minimal(family: SetFamily, solution, table) -> bool:
     table is the family's `crossing_table` over the links, which counts
     the solution links crossing each member up to two.
     """
-    live = table.bits(family)
+    live = (1 << len(table.family.masks)) - 1
     once, twice = table.crossed(solution)
     if live & ~once:
         return True
@@ -167,7 +167,7 @@ def pipeline_record(cfg: RunConfig, index: int) -> dict:
 
     verdicts = {
         "cover": all_covered(family, _ends(inst.links[i] for i in result.solution)),
-        "minimal": _single_drop_minimal(family, result.solution, result.table),
+        "minimal": _single_drop_minimal(result.solution, result.table),
         "dual_feasible": dual_feasible(inst.links, family, result.y),
         "cost_le_5_dual": result.cost <= 5 * result.dual_total,
     }

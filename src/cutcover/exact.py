@@ -41,7 +41,8 @@ class ExactResult:
 def exact_optimum(links, f: SetFamily, node_budget: int = DEFAULT_EXACT_BUDGET,
                   warm_start: SolveResult | None = None) -> ExactResult:
     """Minimum-cost link set covering f; warm_start, a `solve` of links
-    and f, gives the first incumbent and the crossing table.
+    and f, gives the first incumbent and the crossing table. A warm start
+    that solved another family raises `ValueError`.
 
     The uncovered members are a set of member bits over the table, which
     each added link shrinks by its column; their minimal members come
@@ -50,10 +51,12 @@ def exact_optimum(links, f: SetFamily, node_budget: int = DEFAULT_EXACT_BUDGET,
     kept for the rest of this search only.
     """
     table = crossing_table(f, links) if warm_start is None else warm_start.table
+    if table.family != f:
+        raise ValueError(f"the warm start solved {table.family!r}, not {f!r}")
     if not f.masks:
         return ExactResult(Fraction(0), (), 0)
 
-    target = table.bits(f)
+    target = (1 << len(f.masks)) - 1
     table.require_crossed(target, range(len(links)))
     masks, node_bits, cols = table.family.masks, table.nodes, table.cols
     denom = lcm(*(link.cost.denominator for link in links))

@@ -122,7 +122,7 @@ def residual(f: SetFamily, cover_links) -> SetFamily:
     `crossing_table`; criterion 3 and the `lemma` benchmark call it."""
     table = crossing_table(f, cover_links)
     crossed = table.crossed(range(len(table.cols)))[0]
-    return table.subfamily(table.bits(f) & ~crossed)
+    return table.subfamily(((1 << len(f.masks)) - 1) & ~crossed)
 
 
 def all_covered(f: SetFamily, ends) -> bool:
@@ -165,9 +165,9 @@ class CrossingTable:
       crosses member i.
 
     A set of members is an int over the member indices. `members` and
-    `subfamily` turn one into masks or a SetFamily, and `bits` turns a
-    subfamily back; a subfamily the table built is a view of it, which
-    carries its bits. `crossed` counts a link set's crossings up to two.
+    `subfamily` turn one into masks or a SetFamily, a view of the table
+    that carries its bits. `crossed` counts a link set's crossings up to
+    two.
     """
 
     __slots__ = ("family", "nodes", "cols")
@@ -210,21 +210,6 @@ class CrossingTable:
         if bits:
             m = self.family.masks[(bits & -bits).bit_length() - 1]
             raise Infeasible(NodeSet(m, self.family.n))
-
-    def bits(self, sub: SetFamily) -> int:
-        """The member bits of sub, a subfamily of the table's family: read
-        off sub when it is a view of this table, else found by membership."""
-        view = sub._view
-        if view is not None and view[0] is self:
-            return view[1]
-        masks = self.family.masks
-        if sub.n == self.family.n:
-            if sub.masks == masks:
-                return (1 << len(masks)) - 1
-            bits = sum(1 << i for i, m in enumerate(masks) if m in sub._mask_set)
-            if bits.bit_count() == len(sub):
-                return bits
-        raise ValueError(f"{sub!r} is not a subfamily of {self.family!r}")
 
 
 def crossing_table(f: SetFamily, links) -> CrossingTable:

@@ -19,14 +19,15 @@ from .family import CrossingTable, SetFamily, crossing_table
 
 @dataclass(frozen=True)
 class PhaseTrace:
-    """One phase of a solve: the residual family at its start, that
-    family's cores, the growth amount and the links it admitted."""
+    """One phase of a solve: the cores and the residual family at its
+    start, as member bits over `SolveResult.table`, the growth amount and
+    the links it admitted."""
 
     phase: int
-    cores_snapshot: SetFamily
+    core_bits: int
     epsilon: Fraction
     tight_link_ids: tuple
-    residual: SetFamily
+    live: int
 
 
 @dataclass(frozen=True)
@@ -78,18 +79,15 @@ def solve(links, f: SetFamily) -> SolveResult:
     unpicked = list(range(len(links)))
     picked = []
     trace = []
-    remaining = f
     while live:
-        core_bits = 0
-        for i in kernels.minimal_indices(live, masks, nodes):
-            core_bits |= 1 << i
+        cores = kernels.minimal_indices(live, masks, nodes)
+        core_bits = sum(1 << i for i in cores)
         # (link id, degree, slack) of every candidate, in ascending id order
         cand = []
         for lid in unpicked:
             d = (core_bits & cols[lid]).bit_count()
             if d:
                 cand.append((lid, d, slack[lid]))
-        core_family = table.subfamily(core_bits)
         _, best_d, best_s = cand[0]
         for _, d, s in cand:
             if s * best_d < best_s * d:
@@ -106,36 +104,33 @@ def solve(links, f: SetFamily) -> SolveResult:
         for lid, d, _ in cand:
             slack[lid] -= step * d
         if step:
-            for c in core_family.masks:
-                y[c] = y.get(c, 0) + step
-            total += step * len(core_family)
+            for i in cores:
+                y[masks[i]] = y.get(masks[i], 0) + step
+            total += step * len(cores)
 
+        trace.append(PhaseTrace(len(trace), core_bits, Fraction(step, den), tuple(tight), live))
         picked.extend(tight)
         for lid in tight:
             unpicked.remove(lid)
             live &= ~cols[lid]
-        trace.append(PhaseTrace(len(trace), core_family, Fraction(step, den), tuple(tight),
-                                remaining))
-        remaining = table.subfamily(live)
-    solution = reverse_delete(picked, f, table)
+    solution = reverse_delete(picked, (1 << len(masks)) - 1, table)
     cost = sum((links[i].cost for i in solution), Fraction(0))
     return SolveResult(tuple(solution), cost, {c: Fraction(v, den) for c, v in y.items()},
                        Fraction(total, den), tuple(trace), tuple(picked), table)
 
 
-def reverse_delete(addition_order, f: SetFamily, table):
-    """Drop links in reverse addition order whenever the rest still covers f.
+def reverse_delete(addition_order, target: int, table):
+    """Drop links in reverse addition order whenever the rest still covers
+    target, a set of member bits over table, a `crossing_table`.
 
-    The result is an inclusion-minimal cover of f, returned in the original
-    addition order; the link ids are distinct. table is a `crossing_table`
-    over the links of f or of a family that f is part of. The rest covers
-    f when the OR of its columns holds f's member bits, and the rest of
-    the link at position j is the links before j, whose ORs are built
-    once, with the links after j that were kept. An order that leaves a
-    member of f uncrossed raises `Infeasible`.
+    The result is an inclusion-minimal cover of target, returned in the
+    original addition order; the link ids are distinct. The rest covers
+    target when the OR of its columns holds target, and the rest of the
+    link at position j is the links before j, whose ORs are built once,
+    with the links after j that were kept. An order that leaves a member
+    of target uncrossed raises `Infeasible`.
     """
     order = list(addition_order)
-    target = table.bits(f)
     table.require_crossed(target, order)
     cols = table.cols
     before = [0]

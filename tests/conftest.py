@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import cutcover
-from cutcover import CapGraph, Instance, Link, NodeSet, SetFamily
+from cutcover import CapGraph, Instance, Link, NodeSet, SetFamily, crossing_density_audit
+from cutcover.family import crossing_table
 from cutcover.graph import cut_table
 
 
@@ -34,6 +35,22 @@ def ns(n, *elements):
 
 def fam(n, *element_tuples):
     return SetFamily(n, [mask(*t) for t in element_tuples])
+
+
+def member_bits(table, sub):
+    """The member bits over table of sub, a subfamily of the table's
+    family, found by membership."""
+    bits = sum(1 << i for i, m in enumerate(table.family.masks) if sub.contains_mask(m))
+    assert bits.bit_count() == len(sub), f"{sub!r} is not a subfamily of {table.family!r}"
+    return bits
+
+
+def family_audit(phase, f_res, witness, links, core_family):
+    """`crossing_density_audit` of the family f_res with core_family, a
+    subfamily of it, as member bits over a crossing table of f_res."""
+    table = crossing_table(f_res, [])
+    return crossing_density_audit(phase, table, (1 << len(f_res)) - 1,
+                                  member_bits(table, core_family), witness, links)
 
 
 def triangle():

@@ -22,7 +22,8 @@ from cutcover import (
 )
 from cutcover.certify import _build_tree, _psi_map, _witness_candidates
 from cutcover.family import crossing_table
-from conftest import cycle, fam, mask, random_instance, shallow_recursion_limit, singleton_cover
+from conftest import (cycle, fam, family_audit, mask, member_bits, random_instance,
+                      shallow_recursion_limit, singleton_cover)
 import reference
 from reference import cores, covers, crosses, delta_links
 
@@ -35,12 +36,14 @@ def _links(*pairs):
 
 def test_reverse_delete_minimal_single_link():
     f = fam(3, (0,))
-    assert reverse_delete([0], f, crossing_table(f, _links((0, 1)))) == [0]
+    table = crossing_table(f, _links((0, 1)))
+    assert reverse_delete([0], (1 << len(f)) - 1, table) == [0]
 
 
 def test_reverse_delete_minimal_empty_target():
     f = SetFamily(3, ())
-    assert reverse_delete([0, 1], f, crossing_table(f, _links((0, 1), (1, 2)))) == []
+    table = crossing_table(f, _links((0, 1), (1, 2)))
+    assert reverse_delete([0, 1], (1 << len(f)) - 1, table) == []
 
 
 def test_reverse_delete_minimal_random_single_drop_audit(rng):
@@ -49,7 +52,8 @@ def test_reverse_delete_minimal_random_single_drop_audit(rng):
         f = enumerate_small_cuts(inst.graph, inst.threshold)
         if len(f) == 0:
             continue
-        pruned = reverse_delete(range(len(inst.links)), f, crossing_table(f, inst.links))
+        pruned = reverse_delete(range(len(inst.links)), (1 << len(f)) - 1,
+                                crossing_table(f, inst.links))
         assert len(residual(f, [inst.links[i] for i in pruned])) == 0
         for lid in pruned:
             rest = [inst.links[i] for i in pruned if i != lid]
@@ -60,13 +64,13 @@ def test_reverse_delete_minimal_random_single_drop_audit(rng):
 
 def test_witness_empty_cover():
     f = SetFamily(4, ())
-    assert find_witness_laminar([], f, crossing_table(f, [])) == {}
+    assert find_witness_laminar([], (1 << len(f)) - 1, crossing_table(f, [])) == {}
 
 
 def test_witness_singleton_cover():
     f = fam(3, (0,))
     links = _links((0, 1))
-    assert find_witness_laminar([0], f, crossing_table(f, links)) == {0: 0b001}
+    assert find_witness_laminar([0], (1 << len(f)) - 1, crossing_table(f, links)) == {0: 0b001}
 
 
 def test_witness_four_cycle_run_validates():
@@ -74,8 +78,8 @@ def test_witness_four_cycle_run_validates():
     f = enumerate_small_cuts(g, 3)
     inst_links = _links((0, 1), (1, 2), (2, 3), (3, 0))
     table = crossing_table(f, inst_links)
-    j = reverse_delete(range(4), f, table)
-    witness = find_witness_laminar(j, f, table)
+    j = reverse_delete(range(4), (1 << len(f)) - 1, table)
+    witness = find_witness_laminar(j, (1 << len(f)) - 1, table)
     # independent recheck of both invariants
     assert sorted(witness) == sorted(j)
     sets = list(witness.values())
@@ -90,7 +94,8 @@ def test_witness_four_cycle_run_validates():
 
 def test_witness_assignment_laminar_family():
     f = fam(3, (0,))
-    assert find_witness_laminar([0], f, crossing_table(f, _links((0, 1)))) == {0: 0b001}
+    table = crossing_table(f, _links((0, 1)))
+    assert find_witness_laminar([0], (1 << len(f)) - 1, table) == {0: 0b001}
 
 
 def test_witness_exhausted_on_forced_non_laminar():
@@ -98,7 +103,7 @@ def test_witness_exhausted_on_forced_non_laminar():
     f = fam(4, (0, 1), (1, 2))
     links = _links((0, 3), (2, 3))
     with pytest.raises(WitnessSearchExhausted):
-        find_witness_laminar([0, 1], f, crossing_table(f, links))
+        find_witness_laminar([0, 1], (1 << len(f)) - 1, crossing_table(f, links))
 
 
 def test_witness_candidates_missing_for_non_minimal_cover():
@@ -106,7 +111,7 @@ def test_witness_candidates_missing_for_non_minimal_cover():
     f = fam(3, (0,))
     links = _links((0, 1), (0, 2))
     with pytest.raises(WitnessSearchExhausted):
-        find_witness_laminar([0, 1], f, crossing_table(f, links))
+        find_witness_laminar([0, 1], (1 << len(f)) - 1, crossing_table(f, links))
 
 
 def test_witness_candidates_match_member_scan():
@@ -131,7 +136,7 @@ def test_witness_candidates_match_member_scan():
                         key=lambda m: (m.bit_count(), m))
             for lid in j_hat
         }
-        got = _witness_candidates(j_hat, f_res, table)
+        got = _witness_candidates(j_hat, member_bits(table, f_res), table)
         assert got == expect and list(got) == j_hat
         kinds.update(min(len(c), 2) for c in got.values())
     assert kinds == {0, 1, 2}
@@ -142,9 +147,9 @@ def test_witness_budget_exceeded():
     f = enumerate_small_cuts(g, 3)
     inst_links = _links((0, 3), (1, 4), (2, 5), (0, 2), (3, 5))
     table = crossing_table(f, inst_links)
-    j = reverse_delete(range(5), f, table)
+    j = reverse_delete(range(5), (1 << len(f)) - 1, table)
     with pytest.raises(SearchBudgetExceeded):
-        find_witness_laminar(j, f, table, node_budget=1)
+        find_witness_laminar(j, (1 << len(f)) - 1, table, node_budget=1)
 
 
 def test_witness_search_needs_no_recursion_depth():
@@ -240,7 +245,7 @@ def test_tree_and_psi_match_reference(rng):
 
 def test_audit_empty_cores_passes():
     f = SetFamily(4, ())
-    report = crossing_density_audit(0, f, {}, [], cores(f))
+    report = family_audit(0, f, {}, [], cores(f))
     assert report.passed
     assert report.num_cores == 0 and report.lstar_size == 0 and report.crossing_pairs == 0
 
@@ -250,9 +255,9 @@ def test_audit_empty_remainder_lemma_non_vacuous():
     # crossed too and exhausts S0 - C0. S0 is not red, the child is.
     f = fam(8, (3, 4, 5), (2, 3), (2, 3, 4))
     links = _links((4, 6), (3, 4))
-    witness = find_witness_laminar([0, 1], f, crossing_table(f, links))
+    witness = find_witness_laminar([0, 1], (1 << len(f)) - 1, crossing_table(f, links))
     assert witness == {0: mask(2, 3, 4), 1: mask(2, 3)}
-    report = crossing_density_audit(0, f, witness, links, cores(f))
+    report = family_audit(0, f, witness, links, cores(f))
     assert report.passed
     assert report.lstar_size == 2 and report.crossing_pairs == 2
     assert report.num_cores == 2
@@ -263,11 +268,11 @@ def test_audit_disjoint_child_lemma_non_vacuous():
     # core {4,5}; the core {2,3} maps to S0, making it red as required.
     f = fam(8, (1, 2, 3, 4), (1, 2), (2, 3), (4, 5), (5, 6))
     links = _links((4, 0), (1, 3), (5, 7))
-    witness = find_witness_laminar([0, 1, 2], f, crossing_table(f, links))
+    witness = find_witness_laminar([0, 1, 2], (1 << len(f)) - 1, crossing_table(f, links))
     assert witness[0] == mask(1, 2, 3, 4)
     assert witness[1] == mask(1, 2)
     assert witness[2] == mask(5, 6)
-    report = crossing_density_audit(0, f, witness, links, cores(f))
+    report = family_audit(0, f, witness, links, cores(f))
     assert report.passed
     assert report.lstar_size == 3 and report.crossing_pairs == 3
     assert report.num_cores == 4
@@ -279,7 +284,7 @@ def test_audit_flags_invalid_witness():
     f = fam(4, (0, 1), (1, 2))
     links = _links((0, 3), (2, 3))
     bogus = {0: 0b0011, 1: 0b0110}
-    report = crossing_density_audit(0, f, bogus, links, cores(f))
+    report = family_audit(0, f, bogus, links, cores(f))
     assert not report.witness_valid and not report.passed
 
 
@@ -288,7 +293,7 @@ def test_audit_flags_wrong_delta():
     f = fam(4, (0,), (1,))
     links = _links((0, 2), (0, 1))
     bogus = {0: 0b0001, 1: 0b0010}
-    report = crossing_density_audit(0, f, bogus, links, cores(f))
+    report = family_audit(0, f, bogus, links, cores(f))
     assert not report.witness_valid and not report.passed
 
 
@@ -297,9 +302,19 @@ def test_audit_flags_witness_outside_ground_set():
     # not an error
     f = fam(4, (0,), (1,))
     links = _links((0, 2))
-    report = crossing_density_audit(0, f, {0: 0b10001}, links, cores(f))
+    report = family_audit(0, f, {0: 0b10001}, links, cores(f))
     assert not report.witness_valid and not report.passed
-    assert crossing_density_audit(0, f, {0: 0b00001}, links, cores(f)).passed
+    assert family_audit(0, f, {0: 0b00001}, links, cores(f)).passed
+
+
+def test_audit_flags_witness_outside_residual():
+    # a member of the table's family whose bit live lacks is no witness
+    f = fam(4, (0,), (1,))
+    links = _links((0, 1))
+    table = crossing_table(f, links)
+    report = crossing_density_audit(0, table, 0b10, 0b10, {0: mask(0)}, links)
+    assert not report.witness_valid and not report.passed
+    assert crossing_density_audit(0, table, 0b10, 0b10, {0: mask(1)}, links).passed
 
 
 def test_audit_run_over_random_solves(rng):
@@ -319,10 +334,14 @@ def test_audit_run_over_random_solves(rng):
         for pt, r in zip(result.trace, reports):
             f_res = residual(f, [inst.links[i] for i in picked])
             core_family = cores(f_res)
+            assert result.table.subfamily(pt.live) == f_res
+            assert result.table.subfamily(pt.core_bits) == core_family
             table = crossing_table(f_res, inst.links)
-            j_hat = reverse_delete(result.solution, core_family, table)
-            witness = find_witness_laminar(j_hat, f_res, table)
-            assert r == crossing_density_audit(pt.phase, f_res, witness, inst.links, core_family)
+            core_bits = member_bits(table, core_family)
+            j_hat = reverse_delete(result.solution, core_bits, table)
+            witness = find_witness_laminar(j_hat, (1 << len(f_res)) - 1, table)
+            assert r == crossing_density_audit(pt.phase, table, (1 << len(f_res)) - 1, core_bits,
+                                               witness, inst.links)
             picked.extend(pt.tight_link_ids)
         phases += len(result.trace)
         final_only = audit_run(inst.links, result, mode="final")
@@ -336,7 +355,7 @@ def test_audit_red_count_bounded_by_cores():
     # each core colors exactly one node: red nodes never exceed core count
     f = fam(8, (3, 4, 5), (2, 3), (2, 3, 4))
     links = _links((4, 6), (3, 4))
-    witness = find_witness_laminar([0, 1], f, crossing_table(f, links))
+    witness = find_witness_laminar([0, 1], (1 << len(f)) - 1, crossing_table(f, links))
     core_family = cores(f)
     l_star = SetFamily(8, [
         s for s in witness.values()
@@ -393,7 +412,7 @@ def _crossing_first_witness(j_hat, f_res, links, core_masks):
 
 
 def _assert_same_audit(phase, f_res, witness, links, core_family):
-    got = crossing_density_audit(phase, f_res, witness, links, core_family)
+    got = family_audit(phase, f_res, witness, links, core_family)
     assert got == reference.crossing_density_audit(phase, f_res, witness, links, core_family)
     return got
 
@@ -433,7 +452,7 @@ def test_mask_audit_matches_reference():
         for pt in result.trace:
             f_res = residual(f, [inst.links[i] for i in picked])
             core_family = cores(f_res)
-            j_hat = sorted(reverse_delete(result.solution, core_family,
+            j_hat = sorted(reverse_delete(result.solution, (1 << len(core_family)) - 1,
                                           crossing_table(core_family, inst.links)))
             witness = _crossing_first_witness(j_hat, f_res, inst.links, core_family.masks)
             if witness is not None:

@@ -745,7 +745,7 @@ def test_single_drop_minimal_matches_residual_definition():
             len(residual(family, [inst.links[i] for i in ids if i != lid])) > 0
             for lid in ids
         )
-        assert _single_drop_minimal(family, ids, crossing_table(family, inst.links)) == expect
+        assert _single_drop_minimal(ids, crossing_table(family, inst.links)) == expect
         verdicts.add(expect)
     assert verdicts == {True, False}
 
@@ -765,7 +765,7 @@ def test_single_drop_minimal_matches_drop_one_definition():
         links += [Link(link.a, link.b, 1, len(links) + k) for k, link in enumerate(links[:2])]
         ids = rng.sample(range(len(links)), rng.randint(0, len(links)))
         expect = all(not covered(f, [links[i] for i in ids if i != lid]) for lid in ids)
-        assert _single_drop_minimal(f, ids, crossing_table(f, links)) == expect
+        assert _single_drop_minimal(ids, crossing_table(f, links)) == expect
         outcomes.add((expect, covered(f, [links[i] for i in ids])))
     assert outcomes == {(True, True), (False, True), (True, False)}
 

@@ -20,7 +20,7 @@ from cutcover import (
     solve,
 )
 from cutcover.gen import RunConfig, generate
-from conftest import (fam, k2, many_link_path, random_instance, shallow_recursion_limit,
+from conftest import (cycle, fam, k2, many_link_path, random_instance, shallow_recursion_limit,
                       singleton_cover)
 import reference
 
@@ -136,6 +136,22 @@ def test_exact_closes_at_root_when_warm_start_meets_bound():
     assert (warm.opt_cost, warm.opt_links) == (res.cost, (0, 2))
     cold = exact_optimum(inst.links, f)
     assert (cold.opt_cost, cold.opt_links) == (warm.opt_cost, warm.opt_links)
+
+
+def test_warm_start_of_another_family_refused():
+    """A warm start lends the crossing table of the family it solved, so
+    a search of any other family refuses it, a part of that family or
+    the same masks over a larger ground set; an equal copy of the family
+    takes it and gives the cold result."""
+    f = enumerate_small_cuts(cycle(4), 3)
+    inst = Instance.build(cycle(4), 3, [(0, 2, 5), (1, 3, 4), (0, 1, 3), (2, 3, 2)])
+    res = solve(inst.links, f)
+    for other in (SetFamily(f.n, f.masks[1:]), SetFamily(f.n + 1, f.masks)):
+        with pytest.raises(ValueError, match="the warm start solved"):
+            exact_optimum(inst.links, other, warm_start=res)
+    cold = exact_optimum(inst.links, f)
+    copy = exact_optimum(inst.links, SetFamily(f.n, f.masks), warm_start=res)
+    assert (copy.opt_cost, copy.opt_links) == (cold.opt_cost, cold.opt_links)
 
 
 def test_warm_start_does_not_change_optimum(rng):

@@ -22,7 +22,6 @@ from cutcover import (
     check_sparse_crossing,
     check_structural_submodularity,
     check_symmetry,
-    crossing_density_audit,
     dual_feasible,
     enumerate_small_cuts,
     kernels,
@@ -31,7 +30,7 @@ from cutcover import (
 )
 from cutcover.family import all_covered, crossing_table
 from cutcover.gen import generate
-from conftest import cycle, distinct_cut_values, fam, mask, ns, random_graph
+from conftest import cycle, distinct_cut_values, fam, family_audit, mask, ns, random_graph
 from reference import cores, covers, crosses, delta_links, link_components
 
 
@@ -152,12 +151,10 @@ def test_all_covered_builds_no_large_union_list():
 
 def test_crossing_table_index():
     """crossing_table's nodes and columns against membership and endpoint
-    parity, and its conversions between member bits and subfamilies:
-    `members` gives masks in ascending order; `bits` reads back the bits
-    of every subfamily the table built, of the whole family, of a view of
-    another table and of any other subfamily, and refuses a family that is
-    not one. The links include parallel ones, as given and with their ends
-    swapped, links with both ends inside a member, and links that cross no
+    parity, and its conversions from member bits: `members` gives masks
+    in ascending order, and `subfamily` a view that carries its bits. The
+    links include parallel ones, as given and with their ends swapped,
+    links with both ends inside a member, and links that cross no
     member."""
     rng = random.Random(89)
     kinds = set()
@@ -187,7 +184,6 @@ def test_crossing_table_index():
             if any(m >> link.a & m >> link.b & 1 for m in f.masks):
                 kinds.add("both ends inside")
         everything = (1 << len(f)) - 1
-        assert table.bits(f) == table.bits(SetFamily(n, f.masks)) == everything
         for bits in (0, everything, rng.getrandbits(len(f)), 1 << rng.randrange(len(f) or 1)):
             bits &= everything
             expect = [m for i, m in enumerate(f.masks) if (bits >> i) & 1]
@@ -195,13 +191,6 @@ def test_crossing_table_index():
             sub = table.subfamily(bits)
             assert sub == SetFamily(n, expect)
             assert sub._view == (table, bits) and SetFamily(n, expect)._view is None
-            assert table.bits(sub) == table.bits(SetFamily(n, expect)) == bits
-            assert crossing_table(f, []).bits(sub) == bits
-        if len(f) < full - 1:
-            outsider = next(m for m in range(1, full) if not f.contains_mask(m))
-            for other in (SetFamily(n, [outsider]), SetFamily(n + 1, f.masks)):
-                with pytest.raises(ValueError, match="is not a subfamily of"):
-                    table.bits(other)
     assert kinds == {"parallel", "parallel, swapped", "both ends inside", "zero column"}
 
 
@@ -209,7 +198,7 @@ def test_crossing_table_index():
     lambda f, links: all_covered(f, [(0, 3)]),
     lambda f, links: residual(f, links),
     lambda f, links: dual_feasible(links, f, {}),
-    lambda f, links: crossing_density_audit(0, f, {0: 0b001}, links, cores(f)),
+    lambda f, links: family_audit(0, f, {0: 0b001}, links, cores(f)),
     lambda f, links: crossing_table(f, links),
 ], ids=["all_covered", "residual", "dual_feasible", "crossing_density_audit", "crossing_table"])
 def test_link_outside_ground_set_refused(call):
@@ -760,9 +749,10 @@ def _view_families():
             table = crossing_table(r, draw())
             yield table.subfamily(rng.getrandbits(len(r)))
             yield residual(r, draw())
-        for pt in solve(inst.links, base).trace:
-            yield pt.residual
-            yield pt.cores_snapshot
+        result = solve(inst.links, base)
+        for pt in result.trace:
+            yield result.table.subfamily(pt.live)
+            yield result.table.subfamily(pt.core_bits)
 
 
 def test_views_match_standalone_copies():
@@ -774,9 +764,6 @@ def test_views_match_standalone_copies():
     verdicts = set()
     inside_core = 0
     for f in _view_families():
-        if f._view is None:
-            # the first phase's residual is the solve's own family
-            continue
         alone = SetFamily(f.n, f.masks)
         for check in CHECKERS:
             got = _report_or_refusal(check, f)

@@ -13,6 +13,9 @@ from cutcover import (
     Link,
     NodeSet,
     SetFamily,
+    audit_run,
+    check_pliable,
+    check_structural_submodularity,
     check_symmetry,
     dual_feasible,
     enumerate_small_cuts,
@@ -48,7 +51,7 @@ def test_solve_k2_single_phase_dual():
     pt = res.trace[0]
     assert pt.epsilon == Fraction(7, 2)
     assert pt.tight_link_ids == (0,)
-    assert set(pt.cores_snapshot.masks) == {0b01, 0b10}
+    assert res.table.members(pt.core_bits) == [0b01, 0b10]
     assert dual_feasible(links, f, res.y)
     assert load(res.y, links[0], 2) == 7  # tight
 
@@ -107,7 +110,8 @@ def test_one_infeasibility_test():
         infeasible += 1
         first = next(m for m in f.masks if not any(covers(link, NodeSet(m, f.n)) for link in links))
         for refuse in (lambda: solve(links, f), lambda: exact_optimum(links, f),
-                       lambda: reverse_delete(range(len(links)), f, crossing_table(f, links))):
+                       lambda: reverse_delete(range(len(links)), (1 << len(f)) - 1,
+                                              crossing_table(f, links))):
             with pytest.raises(Infeasible) as err:
                 refuse()
             assert err.value.uncovered == NodeSet(first, f.n)
@@ -134,7 +138,7 @@ def test_ties_admit_all_links_ascending():
 def test_reverse_delete_keeps_needed_link():
     f = fam(2, (0,), (1,))
     links = [Link(0, 1, 1, 0)]
-    assert reverse_delete([0], f, crossing_table(f, links)) == [0]
+    assert reverse_delete([0], (1 << len(f)) - 1, crossing_table(f, links)) == [0]
 
 
 def test_reverse_delete_drops_redundant_first_link():
@@ -142,14 +146,14 @@ def test_reverse_delete_drops_redundant_first_link():
     # needs it; link 0 is then dropped
     f = fam(3, (0,), (2,))
     links = [Link(0, 1, 1, 0), Link(0, 2, 1, 1)]
-    kept = reverse_delete([0, 1], f, crossing_table(f, links))
+    kept = reverse_delete([0, 1], (1 << len(f)) - 1, crossing_table(f, links))
     assert kept == [1]
 
 
 def test_reverse_delete_requires_cover():
     with pytest.raises(Infeasible):
         f = fam(2, (0,))
-        reverse_delete([], f, crossing_table(f, [Link(0, 1, 1, 0)]))
+        reverse_delete([], (1 << len(f)) - 1, crossing_table(f, [Link(0, 1, 1, 0)]))
 
 
 def test_reverse_delete_matches_drop_one_definition():
@@ -170,11 +174,11 @@ def test_reverse_delete_matches_drop_one_definition():
             first = next(m for m in f.masks
                          if not any(covers(links[i], NodeSet(m, n)) for i in order))
             with pytest.raises(Infeasible) as err:
-                reverse_delete(order, f, table)
+                reverse_delete(order, (1 << len(f)) - 1, table)
             assert err.value.uncovered == NodeSet(first, n)
             outcomes.add("uncrossed member")
             continue
-        kept = reverse_delete(order, f, table)
+        kept = reverse_delete(order, (1 << len(f)) - 1, table)
         assert kept == reference.reverse_delete(order, f, links)
         outcomes.add("dropped" if len(kept) < len(order) else "kept all")
     assert outcomes == {"uncrossed member", "dropped", "kept all"}
@@ -210,12 +214,13 @@ def _replay_phases(inst, f, res):
     picked = []
     for pt in res.trace:
         remaining = residual(f, [inst.links[i] for i in picked])
-        assert remaining == pt.residual
-        assert cores(remaining) == pt.cores_snapshot
+        assert remaining == res.table.subfamily(pt.live)
+        core_family = res.table.subfamily(pt.core_bits)
+        assert cores(remaining) == core_family
         if pt.epsilon:
-            for c in pt.cores_snapshot.masks:
+            for c in core_family.masks:
                 y[c] = y.get(c, Fraction(0)) + pt.epsilon
-            total += pt.epsilon * len(pt.cores_snapshot)
+            total += pt.epsilon * len(core_family)
         assert dual_feasible(inst.links, f, y), "dual infeasible at a phase boundary"
         picked.extend(pt.tight_link_ids)
     assert y == res.y and total == res.dual_total
@@ -246,7 +251,7 @@ def test_random_runs_invariants(seed):
         # dual keys were cores of some phase
         raised = set()
         for pt in res.trace:
-            raised.update(pt.cores_snapshot.masks)
+            raised.update(res.table.members(pt.core_bits))
         assert set(res.y) <= raised
         # guarantee audit
         assert res.cost <= 5 * res.dual_total or res.cost == 0
@@ -322,7 +327,8 @@ def test_link_load_matches_from_scratch_load(seed):
         f = enumerate_small_cuts(inst.graph, inst.threshold)
         res = solve(inst.links, f)
         expected, y, total = _reference_solve(inst, f)
-        assert [(pt.epsilon, pt.tight_link_ids, len(pt.residual)) for pt in res.trace] == expected
+        assert [(pt.epsilon, pt.tight_link_ids, pt.live.bit_count())
+                for pt in res.trace] == expected
         assert res.y == y and res.dual_total == total
         phases += len(expected)
         zero_phases += sum(1 for eps, _, _ in expected if eps == 0)
@@ -354,6 +360,56 @@ def test_dual_feasible_matches_fraction_reference(seed):
             assert dual_feasible(inst.links, f, y_state) == expect
             outcomes.append(expect)
     assert set(outcomes) == {True, False}
+
+
+#: the two tightest instances known, n = 5 families of the paper's class
+#: with unit-cost links, as (member masks, link ends in id order, cost,
+#: dual total, optimum): cost/OPT = cost/dual = 2 on the first, and
+#: cost/dual = 2 on the second
+_TIGHTEST = (
+    ((3, 4, 6, 7, 8, 9, 11, 15, 16, 20, 22, 23, 24, 25, 27, 28),
+     ((0, 3), (0, 4), (1, 2), (1, 4), (2, 3)), 4, 2, 2),
+    ((1, 2, 3, 4, 6, 7, 9, 11, 20, 22, 24, 25, 27, 28, 29, 30),
+     ((0, 3), (1, 3), (1, 4), (2, 4)), 4, 2, 4),
+)
+
+
+@pytest.mark.parametrize("masks, ends, cost, dual_total, opt_cost", _TIGHTEST,
+                         ids=["cost_opt_2", "cost_dual_2"])
+def test_tightest_known_instances(masks, ends, cost, dual_total, opt_cost):
+    """The largest cost/OPT and cost/dual that an exhaustive run over
+    every n = 5 family of the paper's class found with unit-cost links,
+    each node pair linked at most once: both are 2. Each family is
+    symmetric, pliable and structurally submodular, the duals are
+    feasible and every phase audit passes.
+
+    The link ids matter. Links that go tight together are admitted in
+    ascending id order, and the first instance's five links numbered
+    along their cycle 0-3-2-1-4-0 make the solve pay 2, not 4
+    (`test_tightest_instance_follows_link_ids`). So this test also pins
+    that tie rule.
+    """
+    f = SetFamily(5, masks)
+    links = [Link(a, b, 1, k) for k, (a, b) in enumerate(ends)]
+    for check in (check_symmetry, check_pliable, check_structural_submodularity):
+        assert check(f).holds, check.__name__
+    res = solve(links, f)
+    assert (res.cost, res.dual_total) == (cost, dual_total)
+    assert exact_optimum(links, f).opt_cost == opt_cost
+    assert dual_feasible(links, f, res.y)
+    assert all(r.passed for r in audit_run(links, res))
+
+
+def test_tightest_instance_follows_link_ids():
+    """The first of `_TIGHTEST` with its links numbered along the cycle
+    0-3-2-1-4-0: the same links, so the same optimum, but the solve
+    pays the optimum, 2."""
+    masks, ends, _, _, opt_cost = _TIGHTEST[0]
+    f = SetFamily(5, masks)
+    cycle_ends = ((0, 3), (3, 2), (2, 1), (1, 4), (4, 0))
+    assert {frozenset(e) for e in cycle_ends} == {frozenset(e) for e in ends}
+    links = [Link(a, b, 1, k) for k, (a, b) in enumerate(cycle_ends)]
+    assert solve(links, f).cost == exact_optimum(links, f).opt_cost == opt_cost
 
 
 @pytest.mark.parametrize("seed", range(3))
